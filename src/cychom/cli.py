@@ -178,8 +178,12 @@ def parse_tower_file(path, validate=True):
         _require_keys(doc, {"group", "chain"}, {"group", "chain"}, path)
         table = doc["group"]
         if not isinstance(table, list) or \
-                any(not isinstance(row, list) for row in table):
-            raise ParseError(f"{path}: group must be a multiplication table")
+                any(not isinstance(row, list) or len(row) != len(table) or
+                    any(not isinstance(x, int) or isinstance(x, bool)
+                        for x in row)
+                    for row in table):
+            raise ParseError(
+                f"{path}: group must be a square table of element indices")
         group = FiniteGroup(table)
         chain = doc["chain"]
         if not isinstance(chain, list) or \
@@ -368,10 +372,9 @@ def _tower_report(job):
     body = {"stage_dims": [a.dim for a in ds.stages],
             "hh": {"final_dims": list(cont.final_dims),
                    "filtration": [list(row) for row in cont.image_filtration],
-                   "monotone": cont.monotone,
-                   "pass": cont.all_pass}}
+                   "monotone": cont.monotone}}
     try:
-        hp = hp_continuity_check(ds, job.max_degree)
+        hp = hp_continuity_check(ds, job.max_degree, hh_continuity=cont)
     except NoCertificate as e:
         body["hp"] = {"status": "NOT_ESTABLISHED", "reason": str(e)}
         return 3, body

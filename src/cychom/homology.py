@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .errors import (DegreeOutOfRange, NoCertificate, NotABoundingChain,
                      NotACycle, ValidationError)
-from .linalg import (SparseMatrix, image_basis, kernel_basis, pivot_columns,
+from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
                      rank, solve, vec_eq, vec_sub)
 from .mixed import DEFAULT_CELL_CAP, build_mixed_complex
 
@@ -141,23 +141,21 @@ class HomologyReport:
     certificate: object | None = None
 
 
-def _homology_representatives(ambient, d_out, d_in):
-    """Cycles extending a basis of the boundaries: independent class reps."""
-    cycles = kernel_basis(d_out).basis
-    bounds = image_basis(d_in).basis
-    stacked = SparseMatrix.from_columns(ambient, list(bounds) + list(cycles))
-    keep = [i - len(bounds) for i in pivot_columns(stacked) if i >= len(bounds)]
-    return tuple(cycles[i] for i in keep)
+def differential(mc, theory, n):
+    """The degree-n differential of HH (b~) or HC (D); n = 0 maps to zero."""
+    if theory == "HH":
+        return mc.b_tilde[n] if n >= 1 else SparseMatrix(0, mc.spaces[0].dim)
+    if theory == "HC":
+        return (total_differential(mc, n) if n >= 1
+                else SparseMatrix(0, total_dim(mc, 0)))
+    raise ValidationError(f"unknown theory {theory!r}")
 
 
-def _dims_from_ranks(space_dims, ranks, max_degree):
-    dims = []
-    for n in range(max_degree + 1):
-        d = space_dims[n] - ranks[n] - ranks[n + 1]
-        if d < 0:
-            raise ValidationError(f"negative homology dimension at degree {n}")
-        dims.append(d)
-    return tuple(dims)
+def _class_representatives(d_out, d_in):
+    """rank(d_in) and cycles of d_out independent modulo the image of d_in."""
+    cycles = (kernel_basis(d_out).basis if d_out.rows
+              else [{i: ONE} for i in range(d_out.cols)])
+    return independent_modulo(d_in, cycles)
 
 
 def _require_depth(mc, max_degree):
@@ -169,25 +167,44 @@ def _require_depth(mc, max_degree):
             f"needs the differential at {max_degree + 1}")
 
 
+def _homology(theory, max_degree, space_dims, diffs, representatives):
+    """Dimensions, and optionally class representatives, of a chain complex.
+
+    space_dims[n] is dim C_n and diffs[n] : C_n -> C_{n-1} for
+    1 <= n <= max_degree + 1.  Without representatives, each differential is
+    eliminated once, by rank.  With them, degree n costs kernel_basis(d_n)
+    (none at n = 0, where every chain is a cycle) and one
+    independent_modulo(d_{n+1}, cycles), which also yields rank(d_{n+1}).
+    """
+    top = max_degree + 1
+    ranks = [0] * (top + 1)
+    reps = {} if representatives else None
+    for n in range(top):
+        if representatives:
+            d_out = diffs[n] if n >= 1 else SparseMatrix(0, space_dims[0])
+            ranks[n + 1], reps[n] = _class_representatives(d_out, diffs[n + 1])
+        else:
+            ranks[n + 1] = rank(diffs[n + 1])
+    dims = []
+    for n in range(top):
+        d = space_dims[n] - ranks[n] - ranks[n + 1]
+        if d < 0:
+            raise ValidationError(f"negative homology dimension at degree {n}")
+        dims.append(d)
+    return HomologyReport(theory, max_degree, tuple(dims),
+                          space_dims=tuple(space_dims[:top]),
+                          boundary_ranks=tuple(ranks), representatives=reps)
+
+
 def hochschild_homology(a, max_degree, mc=None, representatives=False,
                         cell_cap=DEFAULT_CELL_CAP):
     """HH_0 .. HH_{max_degree}; builds one guard degree beyond the top."""
     if mc is None:
         mc = build_mixed_complex(a, max_degree + 1, cell_cap)
     _require_depth(mc, max_degree)
-    space_dims = tuple(mc.spaces[n].dim for n in range(max_degree + 2))
-    ranks = [0] + [rank(mc.b_tilde[n]) for n in range(1, max_degree + 2)]
-    dims = _dims_from_ranks(space_dims, ranks, max_degree)
-    reps = None
-    if representatives:
-        reps = {}
-        for n in range(max_degree + 1):
-            d_out = mc.b_tilde[n] if n >= 1 else SparseMatrix(0, space_dims[0])
-            reps[n] = _homology_representatives(
-                space_dims[n], d_out, mc.b_tilde[n + 1])
-    return HomologyReport("HH", max_degree, dims,
-                          space_dims=space_dims[:max_degree + 1],
-                          boundary_ranks=tuple(ranks), representatives=reps)
+    space_dims = [mc.spaces[n].dim for n in range(max_degree + 2)]
+    return _homology("HH", max_degree, space_dims, mc.b_tilde,
+                     representatives)
 
 
 def cyclic_homology(a, max_degree, mc=None, representatives=False,
@@ -196,20 +213,9 @@ def cyclic_homology(a, max_degree, mc=None, representatives=False,
     if mc is None:
         mc = build_mixed_complex(a, max_degree + 1, cell_cap)
     _require_depth(mc, max_degree)
-    space_dims = tuple(total_dim(mc, n) for n in range(max_degree + 2))
+    space_dims = [total_dim(mc, n) for n in range(max_degree + 2)]
     diffs = {n: total_differential(mc, n) for n in range(1, max_degree + 2)}
-    ranks = [0] + [rank(diffs[n]) for n in range(1, max_degree + 2)]
-    dims = _dims_from_ranks(space_dims, ranks, max_degree)
-    reps = None
-    if representatives:
-        reps = {}
-        for n in range(max_degree + 1):
-            d_out = diffs[n] if n >= 1 else SparseMatrix(0, space_dims[0])
-            reps[n] = _homology_representatives(
-                space_dims[n], d_out, diffs[n + 1])
-    return HomologyReport("HC", max_degree, dims,
-                          space_dims=space_dims[:max_degree + 1],
-                          boundary_ranks=tuple(ranks), representatives=reps)
+    return _homology("HC", max_degree, space_dims, diffs, representatives)
 
 
 def homology_representatives(mc, theory, degree):
@@ -221,18 +227,8 @@ def homology_representatives(mc, theory, degree):
     if degree < 0 or degree + 1 > mc.n_max:
         raise DegreeOutOfRange(
             f"representatives at degree {degree} need depth {degree + 1}")
-    if theory == "HH":
-        ambient = mc.spaces[degree].dim
-        d_out = mc.b_tilde[degree] if degree >= 1 else SparseMatrix(0, ambient)
-        d_in = mc.b_tilde[degree + 1]
-    elif theory == "HC":
-        ambient = total_dim(mc, degree)
-        d_out = (total_differential(mc, degree) if degree >= 1
-                 else SparseMatrix(0, ambient))
-        d_in = total_differential(mc, degree + 1)
-    else:
-        raise ValidationError(f"unknown theory {theory!r}")
-    return _homology_representatives(ambient, d_out, d_in)
+    return _class_representatives(differential(mc, theory, degree),
+                                  differential(mc, theory, degree + 1))[1]
 
 
 # ------------------------------------------------------------- stabilization

@@ -339,8 +339,6 @@ def kernel_basis(m):
         vec = {f: ONE}
         for r, c in reversed(pivots):
             row = rows[r]
-            if c not in row:
-                continue
             s = ZERO
             for cc, vv in row.items():
                 if cc == c:
@@ -352,6 +350,25 @@ def kernel_basis(m):
                 vec[c] = -s / row[c]
         basis.append(vec)
     return Subspace(m.cols, tuple(basis))
+
+
+def independent_modulo(d_in, vectors):
+    """(rank(d_in), the vectors independent modulo the column space of d_in).
+
+    One elimination of [d_in | vectors].  Row operations keep every linear
+    relation among the columns, so column j of an echelon form is a pivot
+    exactly when it is not in the span of columns 0..j-1, whichever pivot
+    rows were chosen.  Hence the pivots among d_in's own columns count its
+    rank, and the pivots among the appended columns pick, left to right, the
+    greedy set of vectors independent modulo the image of d_in: the same
+    set a pass over [image_basis(d_in) | vectors] would keep.
+    """
+    vectors = list(vectors)
+    stacked = SparseMatrix.hstack(
+        [d_in, SparseMatrix.from_columns(d_in.rows, vectors)])
+    pivots = pivot_columns(stacked)
+    r = sum(1 for c in pivots if c < d_in.cols)
+    return r, tuple(vectors[c - d_in.cols] for c in pivots[r:])
 
 
 def image_basis(m):

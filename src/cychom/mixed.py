@@ -64,10 +64,10 @@ def chain_space(algebra_dim, n):
     return ChainSpace(n, top, bottom)
 
 
-def hochschild_b(a, n):
-    """b on A^{(n tensor)} -> A^{(n-1 tensor)}; n = 1 maps to the zero space."""
+def _face_sum(a, n, wrap):
+    """b' on A^{(n tensor)}, plus the wrap term of b when wrap is set."""
     if n < 1:
-        raise DegreeOutOfRange("hochschild_b defined for n >= 1")
+        raise DegreeOutOfRange("b and b' are defined for n >= 1")
     d = a.dim
     if n == 1:
         return SparseMatrix(0, d)
@@ -80,32 +80,23 @@ def hochschild_b(a, n):
                 for k, c in a.product(w[i - 1], w[i]).items():
                     target = w[:i - 1] + (k,) + w[i + 1:]
                     yield word_to_index(target, d), col, sign * c
-            sign = ONE if (n - 1) % 2 == 0 else -ONE
-            for k, c in a.product(w[n - 1], w[0]).items():
-                target = (k,) + w[1:n - 1]
-                yield word_to_index(target, d), col, sign * c
+            if wrap:
+                sign = ONE if (n - 1) % 2 == 0 else -ONE
+                for k, c in a.product(w[n - 1], w[0]).items():
+                    target = (k,) + w[1:n - 1]
+                    yield word_to_index(target, d), col, sign * c
 
     return SparseMatrix(d ** (n - 1), d ** n, gen())
+
+
+def hochschild_b(a, n):
+    """b on A^{(n tensor)} -> A^{(n-1 tensor)}; n = 1 maps to the zero space."""
+    return _face_sum(a, n, wrap=True)
 
 
 def bar_bprime(a, n):
     """b' on A^{(n tensor)}: the alternating sum without the wrap term."""
-    if n < 1:
-        raise DegreeOutOfRange("bar_bprime defined for n >= 1")
-    d = a.dim
-    if n == 1:
-        return SparseMatrix(0, d)
-
-    def gen():
-        for w in product(range(d), repeat=n):
-            col = word_to_index(w, d)
-            for i in range(1, n):
-                sign = ONE if i % 2 == 1 else -ONE
-                for k, c in a.product(w[i - 1], w[i]).items():
-                    target = w[:i - 1] + (k,) + w[i + 1:]
-                    yield word_to_index(target, d), col, sign * c
-
-    return SparseMatrix(d ** (n - 1), d ** n, gen())
+    return _face_sum(a, n, wrap=False)
 
 
 def cyclic_lambda(a, n):

@@ -9,17 +9,26 @@ stage, the filtration grows with the stage, and the last stage fills it.
 Periodic continuity is gated the same way single-algebra reports are: every
 stage must carry a vanishing certificate, a common bound is taken, and the
 periodic dimensions are read off at the stabilized cyclic degrees.
+
+The tower command builds each stage's mixed complex once: hp_continuity_check
+takes the HH continuity result's complexes and reports.  Per theory and
+degree n, an earlier stage costs kernel_basis(d_n) and one
+independent_modulo(d_{n+1}) for its representatives, the final stage one
+rank(d_{n+1}), and each filtration entry one independent_modulo of the
+pushed representatives against the final stage's d_{n+1}.
+homology_of_stages also needs the final stage's representatives and solves
+once per degree for every stage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .algebra import AlgebraHom, group_algebra, hecke_algebra, hecke_inclusion
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
-from .homology import (cyclic_homology, hochschild_homology,
-                       homology_representatives, periodic_via_stabilization,
-                       stabilization_certificate, total_components,
-                       total_differential)
-from .linalg import SparseMatrix, rank, solve_columns
+from .homology import (cyclic_homology, differential, hochschild_homology,
+                       periodic_via_stabilization, stabilization_certificate,
+                       total_components)
+from .linalg import SparseMatrix, independent_modulo, solve_columns
 from .mixed import build_mixed_complex, induced_chain_map
 
 
@@ -109,8 +118,42 @@ def _induced_total_map(maps, src_mc, dst_mc, n):
         [src_mc.spaces[q].dim for q in comps])
 
 
-def _pushed_columns(reps, push):
-    return [push.apply(v) for v in reps]
+def _push(chain_maps, src_mc, dst_mc, theory, n, vectors):
+    """Images of degree-n chains of one stage in the final stage."""
+    push = (chain_maps[n] if theory == "HH"
+            else _induced_total_map(chain_maps, src_mc, dst_mc, n))
+    return [push.apply(v) for v in vectors]
+
+
+def _stage_reports(ds, mcs, theory, max_degree):
+    """One report per stage; all but the final one carry representatives."""
+    compute = hochschild_homology if theory == "HH" else cyclic_homology
+    last = len(ds) - 1
+    return tuple(compute(a, max_degree, mc=mc, representatives=i < last)
+                 for i, (a, mc) in enumerate(zip(ds.stages, mcs)))
+
+
+def _image_filtration(ds, mcs, reports, theory, degrees):
+    """Rows per stage: image dimensions in the final stage at each degree.
+
+    An earlier stage's entry is the number of its pushed representatives
+    independent modulo the final stage's boundaries, one elimination each;
+    the final stage's row is its own dimensions.
+    """
+    chain_maps = [induced_chain_map(f, max(degrees))
+                  for f in ds.to_final[:-1]]
+    columns = []
+    for n in degrees:
+        d_in = differential(mcs[-1], theory, n + 1)
+        column = []
+        for i, maps in enumerate(chain_maps):
+            reps = reports[i].representatives[n]
+            pushed = _push(maps, mcs[i], mcs[-1], theory, n, reps)
+            column.append(len(independent_modulo(d_in, pushed)[1])
+                          if reps else 0)
+        column.append(reports[-1].dims[n])
+        columns.append(column)
+    return tuple(zip(*columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +174,10 @@ def homology_of_stages(ds, theory, max_degree):
     """Stage-by-stage reports and induced maps on homology.
 
     Induced maps are computed by pushing representative cycles through the
-    composite chain map and solving against the final stage's boundaries
-    plus representatives; the coordinates on the representative block are
-    unique, so the matrices are well-defined.
+    composite chain map and solving, in one solve per degree for all stages,
+    against the final stage's boundaries plus representatives; the
+    coordinates on the representative block are unique, so the matrices are
+    well-defined.
     """
     if theory not in ("HH", "HC"):
         raise ValidationError(f"unknown theory {theory!r}")
@@ -141,37 +185,27 @@ def homology_of_stages(ds, theory, max_degree):
     mcs = [build_mixed_complex(a, max_degree + 1) for a in ds.stages]
     reports = tuple(compute(a, max_degree, mc=mc, representatives=True)
                     for a, mc in zip(ds.stages, mcs))
-    final_mc = mcs[-1]
-    final_reps = reports[-1].representatives
-    induced = []
-    for i in range(len(ds)):
-        chain_maps = induced_chain_map(ds.to_final[i], max_degree)
-        per_degree = {}
-        for n in range(max_degree + 1):
-            if theory == "HH":
-                push = chain_maps[n]
-                d_in = final_mc.b_tilde[n + 1]
-                ambient = final_mc.spaces[n].dim
-            else:
-                push = _induced_total_map(chain_maps, mcs[i], final_mc, n)
-                d_in = total_differential(final_mc, n + 1)
-                ambient = sum(final_mc.spaces[q].dim
-                              for q in total_components(n))
-            basis = final_reps[n]
-            stacked = SparseMatrix.hstack(
-                [d_in, SparseMatrix.from_columns(ambient, list(basis))])
-            pushed = _pushed_columns(reports[i].representatives[n], push)
-            sols = solve_columns(stacked, pushed)
+    chain_maps = [induced_chain_map(f, max_degree) for f in ds.to_final]
+    induced = tuple({} for _ in ds.stages)
+    for n in range(max_degree + 1):
+        d_in = differential(mcs[-1], theory, n + 1)
+        basis = reports[-1].representatives[n]
+        stacked = SparseMatrix.hstack(
+            [d_in, SparseMatrix.from_columns(d_in.rows, list(basis))])
+        pushed = [_push(maps, mcs[i], mcs[-1], theory, n,
+                        reports[i].representatives[n])
+                  for i, maps in enumerate(chain_maps)]
+        sols = iter(solve_columns(stacked, [v for vs in pushed for v in vs]))
+        for i, vs in enumerate(pushed):
             cols = []
-            for s in sols:
-                if s is None:
+            for sol in islice(sols, len(vs)):
+                if sol is None:
                     raise ValidationError(
                         "pushed class escaped the final homology basis")
-                cols.append({k - d_in.cols: v for k, v in s.items()
+                cols.append({k - d_in.cols: v for k, v in sol.items()
                              if k >= d_in.cols})
-            per_degree[n] = SparseMatrix.from_columns(len(basis), cols)
-        induced.append(per_degree)
-    return TowerHomology(theory, max_degree, reports, tuple(induced))
+            induced[i][n] = SparseMatrix.from_columns(len(basis), cols)
+    return TowerHomology(theory, max_degree, reports, induced)
 
 
 @dataclass(frozen=True)
@@ -179,17 +213,18 @@ class ContinuityReport:
     """Image filtration of stage homology inside the final stage.
 
     image_filtration[i][n] is the dimension of the image of stage i's
-    degree-n homology in the final stage.  The union over all stages equals
-    the final dimension outright (the last stage maps by the identity), so
-    the verdict is structural; the filtration is the informative content.
+    degree-n homology in the final stage; the last row is the final stage's
+    own dimensions, since it maps by the identity.  complexes and
+    stage_reports keep each stage's mixed complex and report, so that
+    hp_continuity_check can reuse them.
     """
 
     theory: str
     max_degree: int
     final_dims: tuple
     image_filtration: tuple
-    union_dims: tuple
-    verdict: tuple
+    complexes: tuple = field(repr=False, compare=False)
+    stage_reports: tuple = field(repr=False, compare=False)
 
     @property
     def monotone(self):
@@ -199,51 +234,17 @@ class ContinuityReport:
                 return False
         return True
 
-    @property
-    def all_pass(self):
-        return all(self.verdict) and self.monotone
-
-
-def _image_dims(ds, mcs, final_report, theory, max_degree):
-    """Rank of (boundaries + pushed stage cycles) minus boundary rank."""
-    final_mc = mcs[-1]
-    rows = []
-    for i in range(len(ds) - 1):
-        chain_maps = induced_chain_map(ds.to_final[i], max_degree)
-        dims = []
-        for n in range(max_degree + 1):
-            reps = homology_representatives(mcs[i], theory, n)
-            if theory == "HH":
-                push = chain_maps[n]
-                d_in = final_mc.b_tilde[n + 1]
-            else:
-                push = _induced_total_map(chain_maps, mcs[i], final_mc, n)
-                d_in = total_differential(final_mc, n + 1)
-            if not reps:
-                dims.append(0)
-                continue
-            pushed = _pushed_columns(reps, push)
-            ambient = d_in.rows
-            stacked = SparseMatrix.hstack(
-                [d_in, SparseMatrix.from_columns(ambient, pushed)])
-            dims.append(rank(stacked) - final_report.boundary_ranks[n + 1])
-        rows.append(tuple(dims))
-    rows.append(tuple(final_report.dims))
-    return tuple(rows)
-
 
 def continuity_check(ds, theory, max_degree):
-    """Compare the union of stage images with the final stage's homology."""
+    """Image filtration of every stage's homology in the final stage."""
     if theory not in ("HH", "HC"):
         raise ValidationError(f"unknown theory {theory!r}")
-    compute = hochschild_homology if theory == "HH" else cyclic_homology
-    mcs = [build_mixed_complex(a, max_degree + 1) for a in ds.stages]
-    final_report = compute(ds.stages[-1], max_degree, mc=mcs[-1])
-    filtration = _image_dims(ds, mcs, final_report, theory, max_degree)
-    union = tuple(final_report.dims)
-    verdict = tuple(u == f for u, f in zip(union, final_report.dims))
-    return ContinuityReport(theory, max_degree, tuple(final_report.dims),
-                            filtration, union, verdict)
+    mcs = tuple(build_mixed_complex(a, max_degree + 1) for a in ds.stages)
+    reports = _stage_reports(ds, mcs, theory, max_degree)
+    filtration = _image_filtration(ds, mcs, reports, theory,
+                                   range(max_degree + 1))
+    return ContinuityReport(theory, max_degree, reports[-1].dims,
+                            filtration, mcs, reports)
 
 
 @dataclass(frozen=True)
@@ -281,18 +282,22 @@ class HpContinuityReport:
                         zip(self.odd_filtration, self.odd_filtration[1:])))
 
 
-def hp_continuity_check(ds, max_degree):
+def hp_continuity_check(ds, max_degree, hh_continuity=None):
     """Periodic dimensions along the tower under a common certificate.
 
     Every stage must admit a vanishing certificate within max_degree; the
     common bound is the largest stage bound, and the periodic dimensions of
     all stages are read at the degrees stabilized by that common bound.
     Raises CertMissing when any stage lacks a certificate or the stabilized
-    degrees do not fit under the truncation.
+    degrees do not fit under the truncation.  The stages' mixed complexes
+    and HH reports come from hh_continuity, the result of
+    continuity_check(ds, "HH", max_degree), which is computed when not given.
     """
-    mcs = [build_mixed_complex(a, max_degree + 1) for a in ds.stages]
-    hh_reports = [hochschild_homology(a, max_degree, mc=mc)
-                  for a, mc in zip(ds.stages, mcs)]
+    cont = hh_continuity or continuity_check(ds, "HH", max_degree)
+    if (cont.theory, cont.max_degree) != ("HH", max_degree):
+        raise ValidationError(
+            f"hp_continuity_check needs the HH continuity at {max_degree}")
+    mcs, hh_reports = cont.complexes, cont.stage_reports
     certs = []
     for i, (a, hh) in enumerate(zip(ds.stages, hh_reports)):
         cert = stabilization_certificate(a, max_degree, hh_report=hh)
@@ -307,43 +312,20 @@ def hp_continuity_check(ds, max_degree):
         raise CertMissing(
             f"common bound {common} stabilizes at degrees {even_deg}, "
             f"{odd_deg}, beyond truncation {max_degree}")
-    hc_reports = [cyclic_homology(a, max_degree, mc=mc)
-                  for a, mc in zip(ds.stages, mcs)]
-    stage_even = []
-    stage_odd = []
+    hc_reports = _stage_reports(ds, mcs, "HC", max_degree)
     for a, mc, hh, hc in zip(ds.stages, mcs, hh_reports, hc_reports):
         hp = periodic_via_stabilization(a, max_degree, mc=mc,
                                         hh_report=hh, hc_report=hc)
-        at_common = (hc.dims[even_deg], hc.dims[odd_deg])
-        if hp.dims != at_common:
+        if hp.dims != (hc.dims[even_deg], hc.dims[odd_deg]):
             raise ValidationError(
                 "stabilized cyclic dimensions disagree between the stage "
                 "bound and the common bound")
-        stage_even.append(at_common[0])
-        stage_odd.append(at_common[1])
-    final_hc = hc_reports[-1]
-    even_filt = []
-    odd_filt = []
-    for i in range(len(ds) - 1):
-        chain_maps = induced_chain_map(ds.to_final[i], max_degree)
-        per = []
-        for deg in (even_deg, odd_deg):
-            reps = homology_representatives(mcs[i], "HC", deg)
-            if not reps:
-                per.append(0)
-                continue
-            push = _induced_total_map(chain_maps, mcs[i], mcs[-1], deg)
-            d_in = total_differential(mcs[-1], deg + 1)
-            stacked = SparseMatrix.hstack(
-                [d_in, SparseMatrix.from_columns(
-                    d_in.rows, _pushed_columns(reps, push))])
-            per.append(rank(stacked) - final_hc.boundary_ranks[deg + 1])
-        even_filt.append(per[0])
-        odd_filt.append(per[1])
-    even_filt.append(final_hc.dims[even_deg])
-    odd_filt.append(final_hc.dims[odd_deg])
+    filtration = _image_filtration(ds, mcs, hc_reports, "HC",
+                                   (even_deg, odd_deg))
     return HpContinuityReport(
         common_bound=common, even_degree=even_deg, odd_degree=odd_deg,
         checked_through=max_degree, certificates=tuple(certs),
-        stage_even=tuple(stage_even), stage_odd=tuple(stage_odd),
-        even_filtration=tuple(even_filt), odd_filtration=tuple(odd_filt))
+        stage_even=tuple(hc.dims[even_deg] for hc in hc_reports),
+        stage_odd=tuple(hc.dims[odd_deg] for hc in hc_reports),
+        even_filtration=tuple(row[0] for row in filtration),
+        odd_filtration=tuple(row[1] for row in filtration))

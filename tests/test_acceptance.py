@@ -175,7 +175,6 @@ def test_criterion_6_tower_continuity():
             cont = continuity_check(ds, "HH", 3)
             assert tuple(row[0] for row in cont.image_filtration) == hh0
             assert cont.monotone
-            assert cont.all_pass
             hp = hp_continuity_check(ds, 3)
             assert hp.common_bound == 0
             assert hp.stage_even == hh0

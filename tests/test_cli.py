@@ -213,10 +213,43 @@ def test_tower_command(capsys):
     assert report["stage_dims"] == [2, 6]
     assert report["hh"]["final_dims"] == [3, 0, 0, 0]
     assert report["hh"]["filtration"][0][0] == 2
-    assert report["hh"]["pass"] is True
+    assert report["hh"]["monotone"] is True
     assert report["hp"]["status"] == "ESTABLISHED"
     assert report["hp"]["stage_even"] == [2, 3]
     assert report["hp"]["stage_odd"] == [0, 0]
+
+
+def test_tower_builds_each_stage_once(capsys, monkeypatch):
+    from cychom import mixed
+    original = mixed.build_mixed_complex
+    built = []
+
+    def counting(a, *args, **kwargs):
+        built.append(a.dim)
+        return original(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cychom") and \
+                vars(module).get("build_mixed_complex") is original:
+            monkeypatch.setattr(module, "build_mixed_complex", counting)
+    code, _ = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),
+                       "--format", "json", "--max-degree", "3"], capsys)
+    assert code == 0
+    assert sorted(built) == [2, 4]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda table: table[0].pop(),
+    lambda table: table[2].__setitem__(1, "x"),
+    lambda table: table[3].__setitem__(0, None),
+], ids=["short-first-row", "string-entry", "null-entry"])
+def test_malformed_group_table_is_a_parse_error(capsys, tmp_path, mutate):
+    doc = json.loads((DATA / "towers" / "z4_tower.json").read_text())
+    mutate(doc["group"])
+    code, out = run_cli(["tower", str(write(tmp_path, doc)), "--format",
+                         "json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "parse"
 
 
 def test_tower_without_certificate(capsys, tmp_path):

@@ -10,12 +10,13 @@ from cychom.errors import (DegreeOutOfRange, NoCertificate,
 from cychom.homology import (EvenLift, ObstructedLift, TotChainIndex,
                              cyclic_homologous, cyclic_homology, embed_total,
                              extend_bounding_chain, hochschild_homology,
-                             is_cyclic_boundary, is_hochschild_boundary,
-                             lift_to_periodic, morita_compare,
-                             periodic_via_stabilization, split_total,
-                             stabilization_certificate, total_differential,
-                             total_offsets)
-from cychom.linalg import QQ, SparseMatrix, kernel_basis, rank
+                             homology_representatives, is_cyclic_boundary,
+                             is_hochschild_boundary, lift_to_periodic,
+                             morita_compare, periodic_via_stabilization,
+                             split_total, stabilization_certificate,
+                             total_differential, total_offsets)
+from cychom.linalg import (QQ, SparseMatrix, image_basis, kernel_basis,
+                           pivot_columns, rank)
 from cychom.mixed import build_mixed_complex
 
 # dimension tables pinned ahead of the engine by the independent rank
@@ -125,6 +126,33 @@ def test_representatives_are_independent_cycles(algebras, mixed_complexes):
         assert rank(stacked) == r0 + len(reps)
     hc = cyclic_homology(a, 2, mc=mc, representatives=True)
     assert len(hc.representatives[2]) == hc.dims[2] == 2
+
+
+def _three_step_representatives(d_out, d_in):
+    """Cycles kept by a pivot pass over [image basis | kernel basis]."""
+    cycles = kernel_basis(d_out).basis
+    bounds = image_basis(d_in).basis
+    stacked = SparseMatrix.from_columns(d_in.rows,
+                                        list(bounds) + list(cycles))
+    return tuple(cycles[i - len(bounds)] for i in pivot_columns(stacked)
+                 if i >= len(bounds))
+
+
+@pytest.mark.parametrize("name", ["dual", "z3", "hecke_s3_s2"])
+def test_representatives_match_three_step_reference(name, algebras,
+                                                    mixed_complexes):
+    a = algebras[name]
+    mc = mixed_complexes(name)
+    for theory, compute, diff in (
+            ("HH", hochschild_homology, lambda n: mc.b_tilde[n]),
+            ("HC", cyclic_homology, lambda n: total_differential(mc, n))):
+        reps = compute(a, 3, mc=mc, representatives=True).representatives
+        for n in range(4):
+            d_in = diff(n + 1)
+            d_out = diff(n) if n >= 1 else SparseMatrix(0, d_in.rows)
+            want = _three_step_representatives(d_out, d_in)
+            assert reps[n] == want, (theory, n)
+            assert homology_representatives(mc, theory, n) == want
 
 
 def test_certificates(algebras, homology_reports):

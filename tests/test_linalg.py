@@ -6,8 +6,8 @@ import pytest
 
 from cychom.errors import CompositionNonzero
 from cychom.linalg import (QQ, SparseMatrix, as_rational, homology_dimension,
-                           image_basis, kernel_basis, rank, solve,
-                           solve_columns, vec_eq)
+                           image_basis, independent_modulo, kernel_basis,
+                           rank, solve, solve_columns, vec_eq)
 
 
 def dense(rows):
@@ -53,6 +53,15 @@ def test_image_basis_small_cases():
     assert len(sub) == 1
     v = sub.basis[0]
     assert v[1] == 2 * v[0]
+
+
+def test_independent_modulo_keeps_the_greedy_set():
+    d_in = dense([[1, 1], [0, 0], [0, 0]])
+    vectors = [{0: QQ(3)}, {1: QQ(2)}, {0: QQ(1), 1: QQ(1)}, {2: QQ(1)}]
+    r, kept = independent_modulo(d_in, vectors)
+    assert r == 1
+    assert kept == (vectors[1], vectors[3])
+    assert independent_modulo(d_in, []) == (1, ())
 
 
 def test_solve_identity_and_underdetermined():

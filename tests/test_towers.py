@@ -89,7 +89,7 @@ def test_constant_system_is_trivial():
             d = th.reports[0].dims[n]
             assert per_degree[n] == SparseMatrix.identity(d)
     cont = continuity_check(ds, "HH", 2)
-    assert cont.all_pass
+    assert cont.monotone
     for n in range(3):
         column = {row[n] for row in cont.image_filtration}
         assert len(column) == 1
@@ -120,7 +120,6 @@ def test_s3_tower_continuity(s3_tower, s3_data):
     cont = continuity_check(s3_tower, "HH", 3)
     assert cont.final_dims == (3, 0, 0, 0)
     assert [row[0] for row in cont.image_filtration] == [2, 3]
-    assert cont.all_pass
     assert cont.monotone
     direct = hochschild_homology(group_algebra(g), 3)
     assert cont.final_dims == direct.dims
@@ -130,7 +129,7 @@ def test_z4_tower_continuity(z4_tower):
     cont = continuity_check(z4_tower, "HH", 3)
     assert cont.final_dims == (4, 0, 0, 0)
     assert [row[0] for row in cont.image_filtration] == [2, 4]
-    assert cont.all_pass
+    assert cont.monotone
     direct = hochschild_homology(group_algebra(FiniteGroup.cyclic(4)), 3)
     assert cont.final_dims == direct.dims
 
@@ -169,6 +168,15 @@ def test_hp_continuity_z4(z4_tower):
     assert rep.even_filtration == (2, 4)
     assert rep.odd_filtration == (0, 0)
     assert rep.monotone
+
+
+def test_hp_reuses_hh_continuity(z4_tower):
+    cont = continuity_check(z4_tower, "HH", 3)
+    assert hp_continuity_check(z4_tower, 3, hh_continuity=cont) == \
+        hp_continuity_check(z4_tower, 3)
+    with pytest.raises(ValidationError):
+        hp_continuity_check(z4_tower, 3,
+                            hh_continuity=continuity_check(z4_tower, "HC", 3))
 
 
 def test_hp_constant_ground():
