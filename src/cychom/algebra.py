@@ -3,19 +3,14 @@
 Algebras are given by structure constants over exact rationals: e_i e_j =
 sum_k c_{ij}^k e_k with an optional unit vector.  Constructors cover
 unitization, matrix algebras M_n(A), group algebras, double-coset algebras of
-a finite group pair (G, K) under convolution, direct sums, and invariant
-(matrix-valued) function algebras for a finite group action carried by an
-invertible cocycle with trivially acting isotropy.
+a finite group pair (G, K) under convolution, and direct sums.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import (CocycleInvalid, NotASubgroup, NotMultiplicative,
-                     OverflowGuard, ValidationError)
+from .errors import NotASubgroup, NotMultiplicative, ValidationError
 from .linalg import ONE, QQ, SparseMatrix, as_rational, invert, rank, vec_eq
-
-DEFAULT_DIM_CAP = 64
 
 
 class Algebra:
@@ -134,11 +129,9 @@ def unitization_embedding(a, unitized):
     return AlgebraHom(a, unitized, m)
 
 
-def matrix_algebra(a, n, dim_cap=DEFAULT_DIM_CAP):
+def matrix_algebra(a, n):
     """M_n(A): basis e_pq (x) a_i at index (p*n + q)*dim(A) + i."""
     d = n * n * a.dim
-    if d > dim_cap:
-        raise OverflowGuard(f"matrix algebra dimension {d} exceeds cap {dim_cap}")
 
     def idx(p, q, i):
         return (p * n + q) * a.dim + i
@@ -451,175 +444,3 @@ def hecke_inclusion(g, k_elems, kp_elems, source=None, target=None):
         inside = sorted({small_of[x] for x in coset})
         entries.extend((dsm, dbig, coeff) for dsm in inside)
     return AlgebraHom(source, target, SparseMatrix(target.dim, source.dim, entries))
-
-
-class GroupActionWithCocycle:
-    """A finite group acting on points, with an invertible matrix cocycle.
-
-    perms[w][x] is the action of group element w on point x; cocycle (w, x)
-    is an invertible m x m rational matrix a(w : x).  validate() checks the
-    action axioms, the cocycle identity a(w1 w2 : x) = a(w1 : w2 x) a(w2 : x),
-    invertibility, and that stabilizer elements carry the identity matrix.
-    """
-
-    __slots__ = ("n_points", "group", "perms", "fiber_dim", "cocycle")
-
-    def __init__(self, n_points, group, perms, fiber_dim, cocycle):
-        self.n_points = n_points
-        self.group = group
-        self.perms = tuple(tuple(p) for p in perms)
-        self.fiber_dim = fiber_dim
-        self.cocycle = dict(cocycle)
-
-    def act(self, w, x):
-        return self.perms[w][x]
-
-    def a(self, w, x):
-        return self.cocycle[(w, x)]
-
-    def validate(self):
-        g, n = self.group, self.n_points
-        if len(self.perms) != g.order:
-            raise CocycleInvalid("one permutation required per group element")
-        for p in self.perms:
-            if sorted(p) != list(range(n)):
-                raise CocycleInvalid("group element does not permute the points")
-        if self.perms[g.identity] != tuple(range(n)):
-            raise CocycleInvalid("identity element acts nontrivially")
-        for w1 in range(g.order):
-            for w2 in range(g.order):
-                prod = g.table[w1][w2]
-                for x in range(n):
-                    if self.act(prod, x) != self.act(w1, self.act(w2, x)):
-                        raise CocycleInvalid("perms do not define an action")
-        ident = SparseMatrix.identity(self.fiber_dim)
-        for w in range(g.order):
-            for x in range(n):
-                mat = self.cocycle.get((w, x))
-                if mat is None or mat.shape != (self.fiber_dim, self.fiber_dim):
-                    raise CocycleInvalid(f"cocycle missing or misshapen at ({w}, {x})")
-                if invert(mat) is None:
-                    raise CocycleInvalid(f"cocycle not invertible at ({w}, {x})")
-                if self.act(w, x) == x and mat != ident:
-                    raise CocycleInvalid(
-                        f"stabilizer element {w} acts nontrivially in the fiber at {x}")
-        for w1 in range(g.order):
-            for w2 in range(g.order):
-                prod = g.table[w1][w2]
-                for x in range(n):
-                    lhs = self.cocycle[(prod, x)]
-                    rhs = self.cocycle[(w1, self.act(w2, x))] @ self.cocycle[(w2, x)]
-                    if lhs != rhs:
-                        raise CocycleInvalid(
-                            f"cocycle identity fails at (w1={w1}, w2={w2}, x={x})")
-        return True
-
-    def orbits(self):
-        """Sorted tuple of sorted point orbits."""
-        seen = set()
-        out = []
-        for x in range(self.n_points):
-            if x in seen:
-                continue
-            orbit = {self.act(w, x) for w in range(self.group.order)}
-            seen |= orbit
-            out.append(tuple(sorted(orbit)))
-        return tuple(out)
-
-
-def identity_cocycle(n_points, group, perms, fiber_dim):
-    ident = SparseMatrix.identity(fiber_dim)
-    cocycle = {(w, x): ident for w in range(group.order) for x in range(n_points)}
-    return GroupActionWithCocycle(n_points, group, perms, fiber_dim, cocycle)
-
-
-def average_section(t, action):
-    """Average a section over the group: s(x) = sum_w a(w : w^-1 x) t(w^-1 x).
-
-    The result is invariant: s(wx) = a(w : x) s(x) for all w and x.
-    """
-    action.validate()
-    g = action.group
-    m = action.fiber_dim
-    out = []
-    for x in range(action.n_points):
-        acc = [QQ(0)] * m
-        for w in range(g.order):
-            winv = g.inverse(w)
-            y = action.act(winv, x)
-            mat = action.a(w, y)
-            ty = t[y]
-            for r in range(m):
-                s = QQ(0)
-                for c in range(m):
-                    val = ty[c]
-                    if val:
-                        s += mat.data.get((r, c), QQ(0)) * val
-                acc[r] += s
-        out.append(tuple(acc))
-    return out
-
-
-def invariant_function_algebra(n_points, group, perms):
-    """W-invariant functions on a finite set under pointwise product.
-
-    Basis = orbit indicator functions, ordered by minimal point; commutative
-    and unital of dimension = number of orbits.
-    """
-    action = identity_cocycle(n_points, group, perms, 1)
-    action.validate()
-    orbs = action.orbits()
-    dim = len(orbs)
-    table = {(i, i): {i: ONE} for i in range(dim)}
-    labels = tuple(f"orb{o[0]}" for o in orbs)
-    return Algebra(dim, table, unit={i: ONE for i in range(dim)},
-                   basis_labels=labels)
-
-
-def invariant_matrix_function_algebra(action):
-    """W-invariant End(Q^m)-valued functions under pointwise matrix product.
-
-    Sections satisfy F(wx) = a(w:x) F(x) a(w:x)^{-1}; with trivially acting
-    isotropy a section is freely determined by its values at orbit
-    representatives, so the basis is (orbit, matrix unit) and the dimension is
-    m^2 times the number of orbits.
-    """
-    action.validate()
-    orbs = action.orbits()
-    m = action.fiber_dim
-    dim = len(orbs) * m * m
-
-    def idx(o, i, j):
-        return (o * m + i) * m + j
-
-    table = {}
-    for o in range(len(orbs)):
-        for i in range(m):
-            for j in range(m):
-                for l in range(m):
-                    table[(idx(o, i, j), idx(o, j, l))] = {idx(o, i, l): ONE}
-    unit = {idx(o, i, i): ONE for o in range(len(orbs)) for i in range(m)}
-    labels = tuple(f"orb{orbs[o][0]}:E{i}{j}"
-                   for o in range(len(orbs)) for i in range(m) for j in range(m))
-    return Algebra(dim, table, unit=unit, basis_labels=labels)
-
-
-def materialize_section(action, coords):
-    """Expand invariant-matrix-algebra coordinates into per-point matrices.
-
-    Transport from the orbit representative r to y uses the lowest-index group
-    element carrying r to y; trivial isotropy makes the result independent of
-    that choice.
-    """
-    orbs = action.orbits()
-    m = action.fiber_dim
-    values = [None] * action.n_points
-    for o, orbit in enumerate(orbs):
-        r = orbit[0]
-        base = SparseMatrix(m, m, ((i, j, coords.get((o * m + i) * m + j, QQ(0)))
-                                   for i in range(m) for j in range(m)))
-        for y in orbit:
-            w = min(w for w in range(action.group.order) if action.act(w, r) == y)
-            aw = action.a(w, r)
-            values[y] = aw @ base @ invert(aw)
-    return values

@@ -6,9 +6,11 @@ report is reproducible from the file it names.  JSON output is canonical
 (sorted keys, two-space indent, rationals as "num/den" strings) and
 round-trips byte-identically through json.loads/dumps.
 
-Exit codes: 0 success; 1 parse or validation failure; 2 size-cap refusal;
-3 a periodic computation refused for lack of a vanishing certificate (a
-mathematical outcome, not an error).
+Exit codes: 0 success; 1 parse or validation failure; 2 size-cap refusal,
+raised before the work starts: a chain space over mixed.CELL_CAP cells, or
+a group closure over orbifold.ORDER_CAP elements; 3 a periodic computation
+refused for lack of a vanishing certificate (a mathematical outcome, not an
+error).
 """
 
 import argparse
@@ -32,9 +34,11 @@ from .towers import DirectSystem, continuity_check, hecke_tower, \
     hp_continuity_check
 
 DEFAULT_MAX_DEGREE = 4
-DEFAULT_DIM_CAP = 16
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# json.loads and Fraction raise ValueError for an integer literal longer
+# than the interpreter's int-string limit (sys.get_int_max_str_digits())
+_TOO_MANY_DIGITS = "an integer has more digits than the input limit"
 
 
 def format_rational(q):
@@ -52,7 +56,10 @@ def _parse_rational(value, where):
     if isinstance(value, str):
         if not _RATIONAL.match(value):
             raise ParseError(f"{where}: {value!r} is not num or num/den")
-        return QQ(value)
+        try:
+            return QQ(value)
+        except ValueError:
+            raise ParseError(f"{where}: {_TOO_MANY_DIGITS}")
     raise ParseError(f"{where}: rationals must be integers or strings, "
                      f"not {type(value).__name__}")
 
@@ -67,6 +74,12 @@ def _load_json(path):
         return json.loads(data)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: byte {e.start} is not valid UTF-8")
+    except ValueError:
+        raise ParseError(f"{path}: {_TOO_MANY_DIGITS}")
+    except RecursionError:
+        raise ParseError(f"{path}: arrays or objects nested too deeply")
 
 
 def _require_keys(doc, allowed, required, path):
@@ -272,19 +285,8 @@ class JobSpec:
     max_degree: int = DEFAULT_MAX_DEGREE
     fmt: str = "text"
     validate: bool = True
-    cap_dim: int = DEFAULT_DIM_CAP
     certificate: bool = False
     oracle: bool = False
-    i_know: bool = False
-
-
-def _check_dim_cap(job, dim):
-    if job.i_know:
-        return
-    if job.max_degree >= 4 and dim > job.cap_dim:
-        raise SizeCapExceeded(
-            f"dimension {dim} exceeds the cap {job.cap_dim} for "
-            f"max_degree >= 4 (raise with --cap-dim or pass --i-know)")
 
 
 def _certificate_fields(cert):
@@ -302,7 +304,6 @@ def _certificate_fields(cert):
 
 def _homology_report(job, theory):
     a = parse_algebra_file(job.path, validate=job.validate)
-    _check_dim_cap(job, a.dim)
     compute = hochschild_homology if theory == "HH" else cyclic_homology
     report = compute(a, job.max_degree)
     body = {"theory": theory,
@@ -317,7 +318,6 @@ def _homology_report(job, theory):
 
 def _hp_report(job):
     a = parse_algebra_file(job.path, validate=job.validate)
-    _check_dim_cap(job, a.dim)
     mc = build_mixed_complex(a, job.max_degree + 1)
     hh = hochschild_homology(a, job.max_degree, mc=mc)
     try:
@@ -349,7 +349,6 @@ def _check_report(job):
 
 def _identities_report(job):
     a = parse_algebra_file(job.path, validate=job.validate)
-    _check_dim_cap(job, a.dim)
     mc = build_mixed_complex(a, max(2, job.max_degree))
     result = verify_mixed_identities(mc)
     body = {"depth": mc.n_max,
@@ -366,8 +365,6 @@ def _identities_report(job):
 
 def _tower_report(job):
     ds = parse_tower_file(job.path, validate=job.validate)
-    for a in ds.stages:
-        _check_dim_cap(job, a.dim)
     cont = continuity_check(ds, "HH", job.max_degree)
     body = {"stage_dims": [a.dim for a in ds.stages],
             "hh": {"final_dims": list(cont.final_dims),
@@ -516,15 +513,11 @@ def build_parser():
                        help="report format")
         p.add_argument("--no-validate", action="store_true",
                        help="skip associativity validation of inputs")
-        p.add_argument("--cap-dim", type=int, default=DEFAULT_DIM_CAP,
-                       help="algebra dimension cap for max_degree >= 4")
         p.add_argument("--certificate", action="store_true",
                        help="include full stabilization evidence")
         p.add_argument("--oracle", action="store_true",
                        help="run independent cross-checks where defined "
                             "(orbifold projector ranks)")
-        p.add_argument("--i-know", action="store_true",
-                       help="bypass the dimension cap")
     return parser
 
 
@@ -537,14 +530,10 @@ def main(argv=None):
     if ns.max_degree < 0:
         sys.stderr.write("cychom: --max-degree must be nonnegative\n")
         return 1
-    if ns.cap_dim < 1:
-        sys.stderr.write("cychom: --cap-dim must be positive\n")
-        return 1
     job = JobSpec(command=ns.command, path=ns.path,
                   max_degree=ns.max_degree, fmt=ns.format,
-                  validate=not ns.no_validate, cap_dim=ns.cap_dim,
-                  certificate=ns.certificate, oracle=ns.oracle,
-                  i_know=ns.i_know)
+                  validate=not ns.no_validate,
+                  certificate=ns.certificate, oracle=ns.oracle)
     return run(job)
 
 

@@ -15,11 +15,7 @@ class CompositionNonzero(CychomError):
 
 
 class SizeCapExceeded(CychomError):
-    """A requested chain space or algebra exceeds the configured size cap."""
-
-
-class OverflowGuard(SizeCapExceeded):
-    """A constructed algebra would exceed the dimension cap."""
+    """A requested chain space exceeds the cell cap (mixed.CELL_CAP)."""
 
 
 class DegreeOutOfRange(CychomError):
@@ -42,10 +38,6 @@ class NotInjective(CychomError):
     """A stage map of a direct system fails to have full column rank."""
 
 
-class CocycleInvalid(CychomError):
-    """A group action cocycle violates the cocycle identity or isotropy rule."""
-
-
 class NotACycle(CychomError):
     """The input chain is not a cycle for the relevant differential."""
 
@@ -63,7 +55,7 @@ class CertMissing(NoCertificate):
 
 
 class OrderCapExceeded(CychomError):
-    """Group closure enumeration exceeded the configured order cap."""
+    """Group closure enumeration exceeded the order cap (orbifold.ORDER_CAP)."""
 
 
 class NonIntegerAverage(CychomError):

@@ -20,7 +20,7 @@ from .errors import (DegreeOutOfRange, NoCertificate, NotABoundingChain,
                      NotACycle, ValidationError)
 from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
                      rank, solve, vec_eq, vec_sub)
-from .mixed import DEFAULT_CELL_CAP, build_mixed_complex
+from .mixed import build_mixed_complex
 
 
 # ---------------------------------------------------------------- total complex
@@ -196,22 +196,20 @@ def _homology(theory, max_degree, space_dims, diffs, representatives):
                           boundary_ranks=tuple(ranks), representatives=reps)
 
 
-def hochschild_homology(a, max_degree, mc=None, representatives=False,
-                        cell_cap=DEFAULT_CELL_CAP):
+def hochschild_homology(a, max_degree, mc=None, representatives=False):
     """HH_0 .. HH_{max_degree}; builds one guard degree beyond the top."""
     if mc is None:
-        mc = build_mixed_complex(a, max_degree + 1, cell_cap)
+        mc = build_mixed_complex(a, max_degree + 1)
     _require_depth(mc, max_degree)
     space_dims = [mc.spaces[n].dim for n in range(max_degree + 2)]
     return _homology("HH", max_degree, space_dims, mc.b_tilde,
                      representatives)
 
 
-def cyclic_homology(a, max_degree, mc=None, representatives=False,
-                    cell_cap=DEFAULT_CELL_CAP):
+def cyclic_homology(a, max_degree, mc=None, representatives=False):
     """HC_0 .. HC_{max_degree} from the total complex."""
     if mc is None:
-        mc = build_mixed_complex(a, max_degree + 1, cell_cap)
+        mc = build_mixed_complex(a, max_degree + 1)
     _require_depth(mc, max_degree)
     space_dims = [total_dim(mc, n) for n in range(max_degree + 2)]
     diffs = {n: total_differential(mc, n) for n in range(1, max_degree + 2)}
@@ -277,7 +275,7 @@ def stabilization_certificate(a, max_degree, mc=None, hh_report=None):
 
 
 def periodic_via_stabilization(a, max_degree, mc=None, hh_report=None,
-                               hc_report=None, cell_cap=DEFAULT_CELL_CAP):
+                               hc_report=None):
     """HP report (even, odd) through the vanishing certificate, or refusal.
 
     Raises NoCertificate when vanishing is not established within the
@@ -285,7 +283,7 @@ def periodic_via_stabilization(a, max_degree, mc=None, hh_report=None,
     periodic dimensions are never extrapolated.
     """
     if mc is None:
-        mc = build_mixed_complex(a, max_degree + 1, cell_cap)
+        mc = build_mixed_complex(a, max_degree + 1)
     cert = stabilization_certificate(a, max_degree, mc=mc, hh_report=hh_report)
     if cert is None:
         raise NoCertificate(
@@ -485,11 +483,10 @@ class MoritaReport:
         return all(self.equal)
 
 
-def morita_compare(a, k, max_degree, cell_cap=DEFAULT_CELL_CAP):
+def morita_compare(a, k, max_degree):
     """HH dims of A versus M_k(A), degree by degree."""
     from .algebra import matrix_algebra
-    base = hochschild_homology(a, max_degree, cell_cap=cell_cap)
-    big = hochschild_homology(matrix_algebra(a, k), max_degree,
-                              cell_cap=cell_cap)
+    base = hochschild_homology(a, max_degree)
+    big = hochschild_homology(matrix_algebra(a, k), max_degree)
     equal = tuple(x == y for x, y in zip(base.dims, big.dims))
     return MoritaReport(k, base.dims, big.dims, equal)

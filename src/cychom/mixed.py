@@ -28,7 +28,10 @@ from itertools import product
 from .errors import DegreeOutOfRange, SizeCapExceeded
 from .linalg import ONE, SparseMatrix
 
-DEFAULT_CELL_CAP = 2_000_000
+# The one size guard for chain complexes: build_mixed_complex refuses a
+# complex whose top chain space would hold more cells than this.  Read at
+# call time, so it can be lowered for a single run.
+CELL_CAP = 2_000_000
 
 
 def word_to_index(word, dim):
@@ -152,14 +155,18 @@ class MixedComplex:
         return self.spaces[n]
 
 
-def build_mixed_complex(a, n_max, cell_cap=DEFAULT_CELL_CAP):
-    """Assemble all chain spaces and differentials up to degree n_max."""
+def build_mixed_complex(a, n_max):
+    """Assemble all chain spaces and differentials up to degree n_max.
+
+    Raises SizeCapExceeded, before building anything, when Omega^{n_max}
+    has more than CELL_CAP cells.
+    """
     if n_max < 0:
         raise DegreeOutOfRange("n_max must be nonnegative")
     top_cells = a.dim ** (n_max + 1) + (a.dim ** n_max if n_max >= 1 else 0)
-    if top_cells > cell_cap:
+    if top_cells > CELL_CAP:
         raise SizeCapExceeded(
-            f"chain space in degree {n_max} has {top_cells} cells; cap {cell_cap}")
+            f"chain space in degree {n_max} has {top_cells} cells; cap {CELL_CAP}")
     spaces = tuple(chain_space(a.dim, n) for n in range(n_max + 1))
     b_tilde = {}
     B_tilde = {}

@@ -16,7 +16,8 @@ from itertools import combinations, permutations
 from .errors import (NonIntegerAverage, OrderCapExceeded, ValidationError)
 from .linalg import QQ, SparseMatrix, rank
 
-DEFAULT_ORDER_CAP = 10080
+# enumerate_group refuses a closure larger than this; read at call time.
+ORDER_CAP = 10080
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,13 @@ def exterior_trace(w, p):
     return c if p % 2 == 0 else -c
 
 
-def enumerate_group(c, order_cap=DEFAULT_ORDER_CAP):
+def enumerate_group(c):
     """The full finite group generated by the component's matrices.
 
     Breadth-first closure under multiplication, returned in sorted order
     (tuples compare entrywise, so the ordering is canonical).  Exceeding
-    order_cap raises OrderCapExceeded; a generator of infinite order is
-    caught the same way.
+    ORDER_CAP raises OrderCapExceeded; a generator of infinite order is
+    caught the same way, and this is the only stop for one.
     """
     for g in c.generators:
         if _det(g) not in (1, -1):
@@ -121,9 +122,9 @@ def enumerate_group(c, order_cap=DEFAULT_ORDER_CAP):
                 y = _mat_mul(x, g)
                 if y not in group:
                     group.add(y)
-                    if len(group) > order_cap:
+                    if len(group) > ORDER_CAP:
                         raise OrderCapExceeded(
-                            f"group closure exceeded {order_cap} elements")
+                            f"group closure exceeded {ORDER_CAP} elements")
                     nxt.append(y)
         frontier = nxt
     return sorted(group)
@@ -173,7 +174,7 @@ def averaged_projector_rank(elements, p):
     return rank(total)
 
 
-def invariant_betti(c, order_cap=DEFAULT_ORDER_CAP, cross_check=False):
+def invariant_betti(c, cross_check=False):
     """Betti numbers (beta_0, ..., beta_k) of the invariant forms on T^k/W.
 
     beta_p is the character average of tr Lambda^p over the group; a
@@ -183,7 +184,7 @@ def invariant_betti(c, order_cap=DEFAULT_ORDER_CAP, cross_check=False):
     for rank <= 6; larger ranks skip the check since the exterior power
     matrices grow combinatorially).
     """
-    elements = enumerate_group(c, order_cap=order_cap)
+    elements = enumerate_group(c)
     order = len(elements)
     polys = [_charpoly(w) for w in elements]
     betti = []
@@ -214,8 +215,7 @@ class BettiTable:
     odd: int
 
 
-def even_odd_totals(components, gl_rank=None, order_cap=DEFAULT_ORDER_CAP,
-                    cross_check=False):
+def even_odd_totals(components, gl_rank=None, cross_check=False):
     """Sum even- and odd-degree invariant Betti numbers across components.
 
     A component list modeling a reductive group of rank n should have all
@@ -230,8 +230,7 @@ def even_odd_totals(components, gl_rank=None, order_cap=DEFAULT_ORDER_CAP,
     rows = []
     labels = []
     for c in components:
-        rows.append(invariant_betti(c, order_cap=order_cap,
-                                    cross_check=cross_check))
+        rows.append(invariant_betti(c, cross_check=cross_check))
         labels.append(c.label)
     even = sum(row[p] for row in rows for p in range(0, len(row), 2))
     odd = sum(row[p] for row in rows for p in range(1, len(row), 2))

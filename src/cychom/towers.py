@@ -118,6 +118,17 @@ def _induced_total_map(maps, src_mc, dst_mc, n):
         [src_mc.spaces[q].dim for q in comps])
 
 
+def _stage_complexes(ds, n_max):
+    """Every stage's mixed complex, in stage order.
+
+    Stage maps are injective, so no stage is larger than the final one; it
+    is built first, and a size refusal then comes before any build.
+    """
+    final = build_mixed_complex(ds.stages[-1], n_max)
+    return tuple(build_mixed_complex(a, n_max)
+                 for a in ds.stages[:-1]) + (final,)
+
+
 def _push(chain_maps, src_mc, dst_mc, theory, n, vectors):
     """Images of degree-n chains of one stage in the final stage."""
     push = (chain_maps[n] if theory == "HH"
@@ -182,7 +193,7 @@ def homology_of_stages(ds, theory, max_degree):
     if theory not in ("HH", "HC"):
         raise ValidationError(f"unknown theory {theory!r}")
     compute = hochschild_homology if theory == "HH" else cyclic_homology
-    mcs = [build_mixed_complex(a, max_degree + 1) for a in ds.stages]
+    mcs = _stage_complexes(ds, max_degree + 1)
     reports = tuple(compute(a, max_degree, mc=mc, representatives=True)
                     for a, mc in zip(ds.stages, mcs))
     chain_maps = [induced_chain_map(f, max_degree) for f in ds.to_final]
@@ -239,7 +250,7 @@ def continuity_check(ds, theory, max_degree):
     """Image filtration of every stage's homology in the final stage."""
     if theory not in ("HH", "HC"):
         raise ValidationError(f"unknown theory {theory!r}")
-    mcs = tuple(build_mixed_complex(a, max_degree + 1) for a in ds.stages)
+    mcs = _stage_complexes(ds, max_degree + 1)
     reports = _stage_reports(ds, mcs, theory, max_degree)
     filtration = _image_filtration(ds, mcs, reports, theory,
                                    range(max_degree + 1))

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from cychom import mixed
+from cychom.algebra import Algebra
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.cli import (JobSpec, algebra_to_doc, format_rational, main,
                         parse_algebra_file, parse_component_file,
@@ -183,18 +186,41 @@ def test_check_command(capsys, tmp_path):
 
 
 def test_size_cap_and_override(capsys):
-    path = str(DATA / "algebras" / "dual_numbers.json")
-    code, out = run_cli(["hh", path, "--format", "json",
-                         "--cap-dim", "1"], capsys)
+    # hh -d20 builds Omega^21, which has 2^22 + 2^21 cells for dimension 2;
+    # the refusal comes before any build
+    started = time.perf_counter()
+    code, out = run_cli(["hh", str(DATA / "algebras" / "dual_numbers.json"),
+                         "--format", "json", "--max-degree", "20"], capsys)
+    assert time.perf_counter() - started < 1
     assert code == 2
-    assert json.loads(out)["error"] == "size_cap"
-    code, out = run_cli(["hh", path, "--format", "json",
-                         "--cap-dim", "1", "--i-know"], capsys)
-    assert code == 0
-    # below degree four the cap does not apply
-    code, out = run_cli(["hh", path, "--format", "json", "--cap-dim", "1",
-                         "--max-degree", "3"], capsys)
-    assert code == 0
+    report = json.loads(out)
+    assert report["error"] == "size_cap"
+    assert report["message"] == \
+        "chain space in degree 21 has 6291456 cells; cap 2000000"
+
+
+def diagonal_doc(dim):
+    """The algebra Q x ... x Q (dim copies) as an algebra-file document."""
+    return algebra_to_doc(Algebra(dim, {(i, i): {i: 1} for i in range(dim)},
+                                  unit={i: 1 for i in range(dim)}))
+
+
+@pytest.mark.parametrize("dim, over", [(17, 1), (2, 1), (2, 0)])
+def test_one_guard_for_every_command(capsys, tmp_path, monkeypatch, dim,
+                                     over):
+    # hh -d3 and identities -d4 both build Omega^4: the same complex must
+    # get the same verdict, whatever the algebra's dimension
+    monkeypatch.setattr(mixed, "CELL_CAP", dim ** 5 + dim ** 4 - over)
+    path = str(write(tmp_path, diagonal_doc(dim)))
+    hh_code, hh_out = run_cli(["hh", path, "--format", "json",
+                               "--max-degree", "3"], capsys)
+    id_code, id_out = run_cli(["identities", path, "--format", "json",
+                               "--max-degree", "4"], capsys)
+    assert hh_code == id_code == (2 if over else 0)
+    if over:
+        hh_report, id_report = json.loads(hh_out), json.loads(id_out)
+        assert hh_report["error"] == id_report["error"] == "size_cap"
+        assert hh_report["message"] == id_report["message"]
 
 
 def test_order_cap_exit(capsys, tmp_path):
@@ -219,23 +245,41 @@ def test_tower_command(capsys):
     assert report["hp"]["stage_odd"] == [0, 0]
 
 
-def test_tower_builds_each_stage_once(capsys, monkeypatch):
-    from cychom import mixed
+def record_builds(monkeypatch):
+    """The dimensions of the algebras whose mixed complex builds complete."""
     original = mixed.build_mixed_complex
     built = []
 
     def counting(a, *args, **kwargs):
+        mc = original(a, *args, **kwargs)
         built.append(a.dim)
-        return original(a, *args, **kwargs)
+        return mc
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cychom") and \
                 vars(module).get("build_mixed_complex") is original:
             monkeypatch.setattr(module, "build_mixed_complex", counting)
+    return built
+
+
+def test_tower_builds_each_stage_once(capsys, monkeypatch):
+    built = record_builds(monkeypatch)
     code, _ = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),
                        "--format", "json", "--max-degree", "3"], capsys)
     assert code == 0
     assert sorted(built) == [2, 4]
+
+
+def test_tower_refusal_costs_no_build(capsys, monkeypatch):
+    # at -d3 the stages (dims 2 and 6) build Omega^4 with 48 and 9072
+    # cells; the final stage is the largest and is refused first
+    monkeypatch.setattr(mixed, "CELL_CAP", 1000)
+    built = record_builds(monkeypatch)
+    code, out = run_cli(["tower", str(DATA / "towers" / "s3_tower.json"),
+                         "--format", "json", "--max-degree", "3"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "size_cap"
+    assert built == []
 
 
 @pytest.mark.parametrize("mutate", [
@@ -248,6 +292,25 @@ def test_malformed_group_table_is_a_parse_error(capsys, tmp_path, mutate):
     mutate(doc["group"])
     code, out = run_cli(["tower", str(write(tmp_path, doc)), "--format",
                          "json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "parse"
+
+
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("payload", [
+    json.dumps({"dim": 1, "table": [[[[0, LONG]]]]}).encode(),
+    ('{"dim": 1, "table": [[[[0, %s]]]]}' % LONG).encode(),
+    json.dumps({"dim": 1, "table": [[[[0, "1/" + LONG]]]]}).encode(),
+    b"[" * 100_000,
+    b'{"dim": 1, "table": [[[[0, "1"]]]], "basis": ["\xff"]}',
+], ids=["long-rational", "long-number", "long-denominator", "deep-nesting",
+        "non-utf8"])
+def test_malformed_bytes_are_parse_errors(capsys, tmp_path, payload):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    code, out = run_cli(["check", str(path), "--format", "json"], capsys)
     assert code == 1
     assert json.loads(out)["error"] == "parse"
 

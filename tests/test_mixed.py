@@ -225,4 +225,4 @@ def test_tensor_power_matches_kronecker():
 
 def test_size_cap_refuses_oversized_build(algebras):
     with pytest.raises(SizeCapExceeded):
-        build_mixed_complex(algebras["m2q"], 12, cell_cap=1_000_000)
+        build_mixed_complex(algebras["m2q"], 12)

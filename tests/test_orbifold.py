@@ -50,7 +50,7 @@ def test_enumerate_small_groups():
 def test_enumerate_guards():
     shear = TorusComponent(2, (((1, 1), (0, 1)),))
     with pytest.raises(OrderCapExceeded):
-        enumerate_group(shear, order_cap=50)
+        enumerate_group(shear)
     stretch = TorusComponent(1, (((2,),),))
     with pytest.raises(ValidationError):
         enumerate_group(stretch)
