@@ -6,9 +6,10 @@ report is reproducible from the file it names.  JSON output is canonical
 (sorted keys, two-space indent, rationals as "num/den" strings) and
 round-trips byte-identically through json.loads/dumps.
 
-Exit codes: 0 success; 1 parse or validation failure; 2 size-cap refusal,
-raised before the work starts: a chain space over mixed.CELL_CAP cells, or
-a group closure over orbifold.ORDER_CAP elements; 3 a periodic computation
+Exit codes: 0 success; 1 parse or validation failure; 2 size-cap refusal:
+a chain space over mixed.CELL_CAP cells or a group closure over
+orbifold.ORDER_CAP elements, refused before the work starts, or an orbifold
+component whose work would exceed orbifold.WORK_CAP; 3 a periodic computation
 refused for lack of a vanishing certificate (a mathematical outcome, not an
 error).
 """

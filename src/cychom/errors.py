@@ -15,7 +15,8 @@ class CompositionNonzero(CychomError):
 
 
 class SizeCapExceeded(CychomError):
-    """A requested chain space exceeds the cell cap (mixed.CELL_CAP)."""
+    """A requested chain space exceeds the cell cap (mixed.CELL_CAP), or an
+    orbifold component exceeds the work cap (orbifold.WORK_CAP)."""
 
 
 class DegreeOutOfRange(CychomError):

@@ -11,9 +11,17 @@ All operations are pure and deterministic: elimination processes columns left
 to right and picks the pivot row with the fewest stored entries (ties broken
 by the lowest row index), and solve() sets free variables to zero, so the
 particular solutions and bases produced are reproducible bit for bit.
+
+Elimination is fraction-free: each row is scaled once to coprime integers
+and every row operation keeps it that way, so the inner loop multiplies and
+subtracts integers and never normalizes a fraction.  An integer row is a
+nonzero rational multiple of the row rational elimination would hold, and
+everything read off the echelon form (supports, pivots, back substitution)
+is invariant under such scaling; _echelon spells the argument out.
 """
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import CompositionNonzero
 
@@ -77,7 +85,8 @@ class SparseMatrix:
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index ({r}, {c}) out of range")
-            v = as_rational(v)
+            if type(v) is not QQ:
+                v = as_rational(v)
             if not v:
                 continue
             key = (r, c)
@@ -245,12 +254,6 @@ class SparseMatrix:
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
-    def to_dense(self):
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.data.items():
-            out[r][c] = v
-        return out
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -263,20 +266,47 @@ class Subspace:
         return len(self.basis)
 
 
+def _primitive(row):
+    """The row {col: rational} scaled to coprime integers: times the lcm of
+    its denominators, then divided by the gcd of the resulting numerators."""
+    den = lcm(*[v.denominator for v in row.values()])
+    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g != 1 else ints
+
+
 def _echelon(m, rhs_cols=0):
     """Row echelon form of m (its last rhs_cols columns excluded from pivots).
 
     Returns (pivots, rows) where pivots is a list of (row, col) in increasing
-    column order and rows maps row index to its reduced sparse row dict.
-    Pivot rule: columns left to right; pivot row = fewest stored entries,
-    ties by lowest row index.  After processing, every pivot row has support
-    only in its pivot column and later ones.
+    column order and rows maps row index to its reduced sparse row dict of
+    coprime integers.  Pivot rule: columns left to right; pivot row = fewest
+    stored entries, ties by lowest row index.  After processing, every pivot
+    row has support only in its pivot column and later ones.
+
+    Each row starts as its primitive integer multiple (_primitive).  To clear
+    column c of row r against pivot row p, with a = r[c], pval = p[c] and
+    g = gcd(a, pval), the row becomes (pval/g) r - (a/g) p, whose entry at c
+    is 0, and is then divided by the gcd of its entries.  If r = x R and
+    p = y P for the rows R, P rational elimination holds, with x, y nonzero
+    rationals, the new row is (x y P[c] / g) (R - (R[c]/P[c]) P): a nonzero
+    multiple of rational elimination's update of R.  By induction every
+    stored row is a nonzero rational multiple of the rational one, so:
+
+    - supports are identical, hence the pivot rule (which reads only
+      supports and row lengths) picks the same pivots in the same order;
+    - the inconsistency test of solve_columns reads supports only;
+    - back substitution in kernel_basis and solve_columns divides a sum of
+      row entries by the row's own pivot entry, which is unchanged when the
+      whole row is scaled, so they return the same Fractions.
     """
     rows = {}
     col_rows = {}
     for (r, c), v in m.data.items():
         rows.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
+    for r, row in rows.items():
+        rows[r] = _primitive(row)
     pivot_limit = m.cols - rhs_cols
     done = set()
     pivots = []
@@ -296,17 +326,25 @@ def _echelon(m, rhs_cols=0):
             if r == best:
                 continue
             rrow = rows[r]
-            f = rrow[c] / pval
+            a = rrow[c]
+            g = gcd(a, pval)
+            s, t = pval // g, a // g
+            if s != 1:
+                rrow = {cc: s * vv for cc, vv in rrow.items()}
             for cc, vv in prow.items():
                 cur = rrow.get(cc)
-                nv = (cur - f * vv) if cur is not None else -f * vv
+                nv = (cur - t * vv) if cur is not None else -t * vv
                 if nv:
                     rrow[cc] = nv
                     if cc != c:
                         col_rows.setdefault(cc, set()).add(r)
-                else:
-                    if cur is not None:
-                        del rrow[cc]
+                elif cur is not None:
+                    del rrow[cc]
+            if rrow:
+                g = gcd(*rrow.values())
+                if g != 1:
+                    rrow = {cc: vv // g for cc, vv in rrow.items()}
+            rows[r] = rrow
         if len(done) == m.rows:
             break
     return pivots, rows
@@ -418,7 +456,8 @@ def solve_columns(m, vectors):
         x = {}
         for r, c in reversed(pivots):
             row = rows[r]
-            s = row.get(rhs_col, ZERO)
+            # ZERO first: the row's entries are ints, and int / int is a float
+            s = ZERO + row.get(rhs_col, 0)
             for cc, vv in row.items():
                 if cc == c or cc >= m.cols:
                     continue

@@ -13,11 +13,30 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import (NonIntegerAverage, OrderCapExceeded, ValidationError)
+from .errors import (NonIntegerAverage, OrderCapExceeded, SizeCapExceeded,
+                     ValidationError)
 from .linalg import QQ, SparseMatrix, rank
 
 # enumerate_group refuses a closure larger than this; read at call time.
 ORDER_CAP = 10080
+
+# Work cap in integer multiply-adds: one characteristic polynomial of a
+# rank-k matrix costs about k^4 of them, one group product k^3.  Measured
+# (Python 3.11, shared 2-vCPU VM): 70-75 ns per unit for trivial W at ranks
+# 40-80 (rank 80, 4.1e7 units: 3.0 s), 210-260 ns for the character average
+# of a large W at small rank (S_7 on rank 7, 1.2e7 units: 3.2 s) and 200 ns
+# for the closure of S_7 from 100 generators (1.7e8 units: 35 s), so an
+# accepted component takes at most about 5 s.  Read at call time.
+WORK_CAP = 2 * 10**7
+
+
+def _refuse_costly(c, work, what):
+    """SizeCapExceeded when work exceeds WORK_CAP.  The message names no
+    number taken from the input, which may be too long to print."""
+    if work > WORK_CAP:
+        raise SizeCapExceeded(
+            f"component {c.label!r}: {what} exceeds the orbifold work cap "
+            f"{WORK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -60,23 +79,24 @@ def _charpoly(w):
     """Coefficients (c_0, ..., c_k) of det(tI - w), c_p at power t^(k-p).
 
     Computed by the trace recursion M_1 = w, c_p = -tr(M_p)/p,
-    M_{p+1} = w (M_p + c_p I); all divisions are exact and the
-    coefficients of an integer matrix are integers.
+    M_{p+1} = w (M_p + c_p I).  Every M_p of an integer matrix is an integer
+    matrix, so the recursion runs in ints; each division is checked exact.
     """
     k = len(w)
     coeffs = [1]
-    m = [[QQ(x) for x in row] for row in w]
+    m = w
     for p in range(1, k + 1):
-        c = -sum(m[i][i] for i in range(k)) / p
-        if c.denominator != 1:
+        c, rem = divmod(-sum(m[i][i] for i in range(k)), p)
+        if rem:
             raise ValidationError("characteristic coefficient not integral")
-        coeffs.append(int(c))
+        coeffs.append(c)
         if p == k:
             break
-        shifted = [[m[i][j] + (c if i == j else 0) for j in range(k)]
-                   for i in range(k)]
-        m = [[sum(QQ(w[i][t]) * shifted[t][j] for t in range(k))
-              for j in range(k)] for i in range(k)]
+        shifted_cols = list(zip(*(
+            [x + c if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(m))))
+        m = [[sum(a * b for a, b in zip(row, col)) for col in shifted_cols]
+             for row in w]
     return tuple(coeffs)
 
 
@@ -105,8 +125,15 @@ def enumerate_group(c):
     Breadth-first closure under multiplication, returned in sorted order
     (tuples compare entrywise, so the ordering is canonical).  Exceeding
     ORDER_CAP raises OrderCapExceeded; a generator of infinite order is
-    caught the same way, and this is the only stop for one.
+    caught the same way, and this is the only stop for one.  Work over
+    WORK_CAP raises SizeCapExceeded: before anything is allocated, when the
+    generators' determinant checks and one characteristic polynomial
+    already exceed it, and during the closure, when multiplying the
+    elements found so far by every generator would.
     """
+    k = c.rank
+    _refuse_costly(c, (len(c.generators) + 1) * k ** 4,
+                   "(generators + 1) * rank^4")
     for g in c.generators:
         if _det(g) not in (1, -1):
             raise ValidationError(
@@ -115,6 +142,7 @@ def enumerate_group(c):
     group = {ident}
     frontier = [ident]
     gens = list(c.generators)
+    step = len(gens) * k ** 3
     while frontier:
         nxt = []
         for x in frontier:
@@ -125,6 +153,8 @@ def enumerate_group(c):
                     if len(group) > ORDER_CAP:
                         raise OrderCapExceeded(
                             f"group closure exceeded {ORDER_CAP} elements")
+                    _refuse_costly(c, len(group) * step,
+                                   "|W| * generators * rank^3")
                     nxt.append(y)
         frontier = nxt
     return sorted(group)
@@ -182,10 +212,13 @@ def invariant_betti(c, cross_check=False):
     impossible for a genuine finite group action.  cross_check additionally
     compares every degree against the averaged-projector rank (supported
     for rank <= 6; larger ranks skip the check since the exterior power
-    matrices grow combinatorially).
+    matrices grow combinatorially).  A component with |W| * rank^4 over
+    WORK_CAP is refused with SizeCapExceeded before any average is taken.
     """
     elements = enumerate_group(c)
     order = len(elements)
+    _refuse_costly(c, order * c.rank ** 4,
+                   f"|W| * rank^4 with |W| = {order}")
     polys = [_charpoly(w) for w in elements]
     betti = []
     for p in range(c.rank + 1):

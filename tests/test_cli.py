@@ -231,6 +231,21 @@ def test_order_cap_exit(capsys, tmp_path):
     assert json.loads(out)["error"] == "size_cap"
 
 
+def test_orbifold_huge_rank_refused_before_work(capsys, tmp_path):
+    # a rank that passes the parser but whose identity matrix alone would
+    # need 10^8000 entries
+    path = tmp_path / "huge.json"
+    path.write_text('{"components": [{"label": "huge", "generators": [], '
+                    '"rank": 1' + "0" * 4000 + "}]}")
+    started = time.perf_counter()
+    code, out = run_cli(["orbifold", str(path), "--format", "json"], capsys)
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "size_cap"
+    assert "work cap" in report["message"]
+
+
 def test_tower_command(capsys):
     code, out = run_cli(["tower", str(DATA / "towers" / "s3_tower.json"),
                          "--format", "json", "--max-degree", "3"], capsys)

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+import oracles
+from cychom import linalg
 from cychom.errors import CompositionNonzero
 from cychom.linalg import (QQ, SparseMatrix, as_rational, homology_dimension,
-                           image_basis, independent_modulo, kernel_basis,
-                           rank, solve, solve_columns, vec_eq)
+                           image_basis, independent_modulo, invert,
+                           kernel_basis, pivot_columns, rank, solve,
+                           solve_columns, vec_eq)
 
 
 def dense(rows):
@@ -189,3 +192,132 @@ def test_determinism_repeated_runs():
     assert k1 == k2
     v = m.apply({0: QQ(1), 3: QQ(-2)})
     assert solve(m, v) == solve(m, v)
+
+
+def fraction_echelon(m, rhs_cols=0):
+    """Reference: the rational elimination _echelon ran before it became
+    fraction-free; same pivot rule, rows held as reduced rationals."""
+    rows = {}
+    col_rows = {}
+    for (r, c), v in m.data.items():
+        rows.setdefault(r, {})[c] = v
+        col_rows.setdefault(c, set()).add(r)
+    pivot_limit = m.cols - rhs_cols
+    done = set()
+    pivots = []
+    for c in sorted(col_rows):
+        if c >= pivot_limit:
+            break
+        members = col_rows[c]
+        live = [r for r in members if r not in done and c in rows[r]]
+        if not live:
+            continue
+        best = min(live, key=lambda r: (len(rows[r]), r))
+        done.add(best)
+        pivots.append((best, c))
+        prow = rows[best]
+        pval = prow[c]
+        for r in live:
+            if r == best:
+                continue
+            rrow = rows[r]
+            f = rrow[c] / pval
+            for cc, vv in prow.items():
+                cur = rrow.get(cc)
+                nv = (cur - f * vv) if cur is not None else -f * vv
+                if nv:
+                    rrow[cc] = nv
+                    if cc != c:
+                        col_rows.setdefault(cc, set()).add(r)
+                else:
+                    if cur is not None:
+                        del rrow[cc]
+        if len(done) == m.rows:
+            break
+    return pivots, rows
+
+
+# Hecke-style denominators (1/2, 1/3) next to integers of both signs
+VALUES = [QQ(x) for x in (1, -1, 2, -2, 3, -3, 5, -7)] + \
+    [QQ(1, 2), QQ(-1, 2), QQ(1, 3), QQ(-2, 3), QQ(3, 2), QQ(-5, 6)]
+
+
+def random_rational_matrix(rng):
+    """A small sparse matrix with zero rows and rescaled duplicate rows."""
+    n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice((0.2, 0.4, 0.7))
+    dense_rows = [[rng.choice(VALUES) if rng.random() < density else QQ(0)
+                   for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(rng.randint(0, 2)):
+        src, dst = rng.randrange(n_rows), rng.randrange(n_rows)
+        factor = rng.choice(VALUES)
+        dense_rows[dst] = [factor * x for x in dense_rows[src]]
+    if rng.random() < 0.3:
+        dense_rows[rng.randrange(n_rows)] = [QQ(0)] * n_cols
+    return SparseMatrix.from_dense(dense_rows)
+
+
+def right_hand_sides(rng, m):
+    """One consistent rhs (m times a rational vector), one arbitrary rhs
+    (usually inconsistent when m is rank deficient), and the zero rhs."""
+    x = {c: rng.choice(VALUES) for c in range(m.cols) if rng.random() < 0.6}
+    arbitrary = {r: rng.choice(VALUES) for r in range(m.rows)
+                 if rng.random() < 0.6}
+    return [m.apply(x), arbitrary, {}]
+
+
+def test_fraction_free_elimination_matches_rational_reference(monkeypatch):
+    rng = random.Random(20240601)
+    cases = [random_rational_matrix(rng) for _ in range(250)]
+    outcomes = {"consistent": 0, "inconsistent": 0}
+    negative_pivots = 0
+    for m in cases:
+        rhs = right_hand_sides(rng, m)
+        aug = SparseMatrix.hstack(
+            [m, SparseMatrix.from_columns(m.rows, rhs)])
+        pivots, rows = linalg._echelon(aug, rhs_cols=len(rhs))
+        ref_pivots, ref_rows = fraction_echelon(aug, rhs_cols=len(rhs))
+        assert pivots == ref_pivots
+        assert rows.keys() == ref_rows.keys()
+        for r, row in rows.items():
+            ref = ref_rows[r]
+            assert row.keys() == ref.keys()
+            assert all(type(v) is int for v in row.values())
+            if row:
+                ratio = QQ(row[min(row)]) / ref[min(ref)]
+                assert all(QQ(v) == ratio * ref[c] for c, v in row.items())
+        negative_pivots += sum(1 for r, c in ref_pivots if ref_rows[r][c] < 0)
+
+        got = (pivot_columns(m), kernel_basis(m), solve_columns(m, rhs))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_echelon", fraction_echelon)
+            want = (pivot_columns(m), kernel_basis(m), solve_columns(m, rhs))
+        assert got == want
+        for sol, v in zip(got[2], rhs):
+            if sol is None:
+                outcomes["inconsistent"] += 1
+            else:
+                outcomes["consistent"] += 1
+                assert vec_eq(m.apply(sol), v)
+        assert got[2][0] is not None
+        assert rank(m) == oracles.oracle_rank(m.rows, dict(m.data))
+    assert outcomes["inconsistent"] >= 50 and outcomes["consistent"] >= 250
+    assert negative_pivots >= 100
+
+
+def test_results_are_rationals_not_ints_or_floats():
+    def all_qq(vectors):
+        return all(type(x) is QQ for vec in vectors for x in vec.values())
+
+    x = solve(SparseMatrix.identity(3), {0: QQ(2)})
+    assert x == {0: QQ(2)} and all_qq([x])
+    m = dense([[2, 4, 0], [1, 3, 1], [3, 7, 1]])
+    assert all_qq(kernel_basis(m).basis)
+    assert all_qq(image_basis(m).basis)
+    assert all_qq([solve(m, {0: QQ(2), 1: QQ(1), 2: QQ(3)})])
+    assert all_qq(c for c in solve_columns(m, [{0: QQ(2)}, {1: QQ(3)}])
+                  if c is not None)
+    inv = invert(dense([[2, 1], [1, 1]]))
+    assert all(type(v) is QQ for _, _, v in inv.entries())
+    assert all(type(v) is QQ for _, _, v in
+               SparseMatrix(2, 2, [(0, 0, 3), (1, 1, "1/2")]).entries())

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from cychom.errors import OrderCapExceeded, ValidationError
+from cychom import orbifold
+from cychom.errors import OrderCapExceeded, SizeCapExceeded, ValidationError
 from cychom.orbifold import (TorusComponent, averaged_projector_rank,
                              enumerate_group, even_odd_totals,
                              exterior_trace, invariant_betti)
@@ -54,6 +55,27 @@ def test_enumerate_guards():
     stretch = TorusComponent(1, (((2,),),))
     with pytest.raises(ValidationError):
         enumerate_group(stretch)
+
+
+def test_work_cap_refuses_before_during_and_after_enumeration(monkeypatch):
+    s3 = TorusComponent(3, S3_GENS, "s3")
+    # (2 generators + 1) * 3^4 = 243 before the closure, |W| * 2 * 3^3 = 324
+    # during it, |W| * 3^4 = 486 for the character average
+    monkeypatch.setattr(orbifold, "WORK_CAP", 242)
+    with pytest.raises(SizeCapExceeded, match=r"\(generators \+ 1\)"):
+        enumerate_group(s3)
+    monkeypatch.setattr(orbifold, "WORK_CAP", 323)
+    with pytest.raises(SizeCapExceeded, match="generators \\* rank"):
+        enumerate_group(s3)
+    monkeypatch.setattr(orbifold, "WORK_CAP", 485)
+    assert len(enumerate_group(s3)) == 6
+    with pytest.raises(SizeCapExceeded, match=r"\|W\| = 6"):
+        invariant_betti(s3)
+    monkeypatch.setattr(orbifold, "WORK_CAP", 486)
+    assert invariant_betti(s3) == (1, 1, 0, 0)
+    monkeypatch.undo()
+    with pytest.raises(SizeCapExceeded):
+        invariant_betti(TorusComponent(80, ()))
 
 
 def test_exterior_trace_values():
