@@ -23,17 +23,6 @@ def dual_numbers():
     return Algebra(2, table, unit={0: 1}, basis_labels=("one", "x"))
 
 
-def truncated_polynomials(k):
-    """Q[x] / (x^k): basis 1, x, ..., x^{k-1}."""
-    table = {}
-    for i in range(k):
-        for j in range(k):
-            if i + j < k:
-                table[(i, j)] = {i + j: 1}
-    labels = tuple("one" if i == 0 else f"x^{i}" for i in range(k))
-    return Algebra(k, table, unit={0: 1}, basis_labels=labels)
-
-
 def polynomial_quotient(relation):
     """Q[x] / (x^d - r_{d-1} x^{d-1} - ... - r_0), relation = (r_0, ..., r_{d-1}).
 

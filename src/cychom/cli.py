@@ -1,6 +1,11 @@
 """Command-line surface: input files, commands, canonical reports.
 
-Commands: check, hh, hc, hp, identities, tower, orbifold.  Every report
+Every command reads an input path and takes --format text|json.  Besides
+those, hh and hp take --max-degree and --certificate; hc, identities and
+tower take --max-degree; orbifold takes --oracle; check takes nothing
+else.  Any other option is an argument error (exit 1).  Every algebra read,
+alone or as a tower stage, is checked for associativity, since homology is
+only defined when it holds.  Every report
 embeds the tool version, the input digest and the truncation degree, so a
 report is reproducible from the file it names.  JSON output is canonical
 (sorted keys, two-space indent, rationals as "num/den" strings) and
@@ -94,7 +99,7 @@ def _require_keys(doc, allowed, required, path):
             raise ParseError(f"{path}: missing key {key!r}")
 
 
-def _algebra_from_doc(doc, path, validate=True):
+def _algebra_from_doc(doc, path):
     _require_keys(doc, {"dim", "basis", "unit", "table"}, {"dim", "table"},
                   path)
     dim = doc["dim"]
@@ -139,17 +144,16 @@ def _algebra_from_doc(doc, path, validate=True):
             if vec:
                 table[(i, j)] = vec
     algebra = Algebra(dim, table, unit=unit, basis_labels=labels)
-    if validate:
-        result = check_associativity(algebra)
-        if not result.ok:
-            raise ValidationError(
-                f"associativity fails on basis triple {result.failing_triple}")
+    result = check_associativity(algebra)
+    if not result.ok:
+        raise ValidationError(
+            f"associativity fails on basis triple {result.failing_triple}")
     return algebra
 
 
-def parse_algebra_file(path, validate=True):
-    """Load an algebra description; associativity checked unless disabled."""
-    return _algebra_from_doc(_load_json(path), path, validate=validate)
+def parse_algebra_file(path):
+    """Load an algebra description and check that it is associative."""
+    return _algebra_from_doc(_load_json(path), path)
 
 
 def algebra_to_doc(a):
@@ -183,7 +187,7 @@ def _parse_matrix(rows, target_dim, source_dim, where):
     return SparseMatrix(target_dim, source_dim, entries)
 
 
-def parse_tower_file(path, validate=True):
+def parse_tower_file(path):
     """Load a direct system, either as stages-and-maps or as a Hecke tower."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -214,8 +218,7 @@ def parse_tower_file(path, validate=True):
     stages = []
     for i, entry in enumerate(raw_stages):
         if isinstance(entry, dict):
-            stages.append(_algebra_from_doc(entry, f"{path}: stages[{i}]",
-                                            validate=validate))
+            stages.append(_algebra_from_doc(entry, f"{path}: stages[{i}]"))
         else:
             raise ParseError(f"{path}: stages[{i}] must be an inline algebra")
     raw_maps = doc["maps"]
@@ -279,13 +282,12 @@ def parse_component_file(path):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One CLI invocation: a command, an input path and the shared flags."""
+    """One CLI invocation: a command, an input path and its options."""
 
     command: str
     path: str
     max_degree: int = DEFAULT_MAX_DEGREE
     fmt: str = "text"
-    validate: bool = True
     certificate: bool = False
     oracle: bool = False
 
@@ -304,7 +306,7 @@ def _certificate_fields(cert):
 
 
 def _homology_report(job, theory):
-    a = parse_algebra_file(job.path, validate=job.validate)
+    a = parse_algebra_file(job.path)
     compute = hochschild_homology if theory == "HH" else cyclic_homology
     report = compute(a, job.max_degree)
     body = {"theory": theory,
@@ -318,7 +320,7 @@ def _homology_report(job, theory):
 
 
 def _hp_report(job):
-    a = parse_algebra_file(job.path, validate=job.validate)
+    a = parse_algebra_file(job.path)
     mc = build_mixed_complex(a, job.max_degree + 1)
     hh = hochschild_homology(a, job.max_degree, mc=mc)
     try:
@@ -339,17 +341,17 @@ def _hp_report(job):
 
 
 def _check_report(job):
-    a = parse_algebra_file(job.path, validate=job.validate)
+    a = parse_algebra_file(job.path)
     body = {"dim": a.dim,
             "unital": a.is_unital(),
             "basis": list(a.basis_labels),
             "table_entries": len(a.table),
-            "associative": True if job.validate else None}
+            "associative": True}
     return 0, body
 
 
 def _identities_report(job):
-    a = parse_algebra_file(job.path, validate=job.validate)
+    a = parse_algebra_file(job.path)
     mc = build_mixed_complex(a, max(2, job.max_degree))
     result = verify_mixed_identities(mc)
     body = {"depth": mc.n_max,
@@ -365,7 +367,7 @@ def _identities_report(job):
 
 
 def _tower_report(job):
-    ds = parse_tower_file(job.path, validate=job.validate)
+    ds = parse_tower_file(job.path)
     cont = continuity_check(ds, "HH", job.max_degree)
     body = {"stage_dims": [a.dim for a in ds.stages],
             "hh": {"final_dims": list(cont.final_dims),
@@ -491,51 +493,58 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# Each command's help text and the options it reads besides path and --format
+_COMMANDS = {
+    "check": ("parse and validate an algebra file", ()),
+    "hh": ("Hochschild homology dimensions",
+           ("--max-degree", "--certificate")),
+    "hc": ("cyclic homology dimensions", ("--max-degree",)),
+    "hp": ("periodic cyclic homology through a vanishing certificate",
+           ("--max-degree", "--certificate")),
+    "identities": ("verify the three mixed-complex operator identities",
+                   ("--max-degree",)),
+    "tower": ("continuity of homology along a tower of inclusions",
+              ("--max-degree",)),
+    "orbifold": ("invariant Betti numbers of torus quotient components",
+                 ("--oracle",)),
+}
+_OPTIONS = {
+    "--max-degree": {"type": int, "default": DEFAULT_MAX_DEGREE,
+                     "help": "truncation degree (default 4)"},
+    "--certificate": {"action": "store_true",
+                      "help": "include full stabilization evidence"},
+    "--oracle": {"action": "store_true",
+                 "help": "cross-check every Betti number against the rank "
+                         "of the averaged projector (rank <= 6)"},
+}
+
+
 def build_parser():
     parser = _Parser(prog="cychom",
                      description="Exact Hochschild/cyclic/periodic homology "
                                  "of finite-dimensional rational algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "check": "parse and validate an algebra file",
-        "hh": "Hochschild homology dimensions",
-        "hc": "cyclic homology dimensions",
-        "hp": "periodic cyclic homology through a vanishing certificate",
-        "identities": "verify the three mixed-complex operator identities",
-        "tower": "continuity of homology along a tower of inclusions",
-        "orbifold": "invariant Betti numbers of torus quotient components",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="input file")
-        p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
-                       help="truncation degree (default 4)")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format")
-        p.add_argument("--no-validate", action="store_true",
-                       help="skip associativity validation of inputs")
-        p.add_argument("--certificate", action="store_true",
-                       help="include full stabilization evidence")
-        p.add_argument("--oracle", action="store_true",
-                       help="run independent cross-checks where defined "
-                            "(orbifold projector ranks)")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None):
     try:
-        ns = build_parser().parse_args(argv)
+        opts = vars(build_parser().parse_args(argv))
     except ParseError as e:
         sys.stderr.write(f"cychom: {e}\n")
         return 1
-    if ns.max_degree < 0:
+    if opts.get("max_degree", 0) < 0:
         sys.stderr.write("cychom: --max-degree must be nonnegative\n")
         return 1
-    job = JobSpec(command=ns.command, path=ns.path,
-                  max_degree=ns.max_degree, fmt=ns.format,
-                  validate=not ns.no_validate,
-                  certificate=ns.certificate, oracle=ns.oracle)
-    return run(job)
+    # options a command does not take keep the JobSpec defaults
+    return run(JobSpec(fmt=opts.pop("format"), **opts))
 
 
 if __name__ == "__main__":

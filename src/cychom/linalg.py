@@ -2,9 +2,7 @@
 
 Every homology computation in this package reduces to ranks, kernels and
 particular solutions of sparse matrices over Q.  Arithmetic is exact; there
-is no floating point anywhere.  The scalar type is gmpy2.mpq when available
-(an order of magnitude faster) and fractions.Fraction otherwise; the two are
-interchangeable in arithmetic, comparison and hashing.
+is no floating point anywhere.  The scalar type QQ is fractions.Fraction.
 
 Vectors are sparse dicts {index: rational} with zero entries absent.
 All operations are pure and deterministic: elimination processes columns left
@@ -21,14 +19,10 @@ is invariant under such scaling; _echelon spells the argument out.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction as QQ
 from math import gcd, lcm
 
 from .errors import CompositionNonzero
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)
@@ -203,13 +197,9 @@ class SparseMatrix:
                 out.pop(r, None)
         return out
 
-    def scale(self, c):
-        c = as_rational(c)
-        return SparseMatrix(self.rows, self.cols,
-                            ((r, cc, c * v) for (r, cc), v in self.data.items()))
-
     def __neg__(self):
-        return self.scale(-ONE)
+        return SparseMatrix(self.rows, self.cols,
+                            ((r, c, -v) for (r, c), v in self.data.items()))
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -296,9 +286,10 @@ def _echelon(m, rhs_cols=0):
     - supports are identical, hence the pivot rule (which reads only
       supports and row lengths) picks the same pivots in the same order;
     - the inconsistency test of solve_columns reads supports only;
-    - back substitution in kernel_basis and solve_columns divides a sum of
-      row entries by the row's own pivot entry, which is unchanged when the
-      whole row is scaled, so they return the same Fractions.
+    - back substitution (_back_substitute, behind kernel_basis and
+      solve_columns) divides a sum of row entries by the row's own pivot
+      entry, which is unchanged when the whole row is scaled, so it returns
+      the same Fractions.
     """
     rows = {}
     col_rows = {}
@@ -350,6 +341,25 @@ def _echelon(m, rhs_cols=0):
     return pivots, rows
 
 
+def _back_substitute(pivots, rows, x):
+    """Fill x's pivot coordinates, last pivot first, so that every pivot
+    row annihilates x: x[c] = -s / row[c], s = the row's other entries
+    times x.  x starts as {f: ONE} for the kernel vector of free column f,
+    or {rhs_col: -ONE} for a solution with right-hand side column rhs_col.
+    """
+    for r, c in reversed(pivots):
+        row = rows[r]
+        s = ZERO  # not 0: the row's entries are ints, and int / int is a float
+        for cc, vv in row.items():
+            if cc != c:
+                xv = x.get(cc)
+                if xv is not None:
+                    s += vv * xv
+        if s:
+            x[c] = -s / row[c]
+    return x
+
+
 def rank(m):
     """Exact rank over Q."""
     pivots, _ = _echelon(m)
@@ -372,22 +382,8 @@ def kernel_basis(m):
     pivots, rows = _echelon(m)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        vec = {f: ONE}
-        for r, c in reversed(pivots):
-            row = rows[r]
-            s = ZERO
-            for cc, vv in row.items():
-                if cc == c:
-                    continue
-                x = vec.get(cc)
-                if x is not None:
-                    s += vv * x
-            if s:
-                vec[c] = -s / row[c]
-        basis.append(vec)
-    return Subspace(m.cols, tuple(basis))
+    return Subspace(m.cols, tuple(_back_substitute(pivots, rows, {f: ONE})
+                                  for f in free_cols))
 
 
 def independent_modulo(d_in, vectors):
@@ -453,19 +449,8 @@ def solve_columns(m, vectors):
             out.append(None)
             continue
         rhs_col = m.cols + j
-        x = {}
-        for r, c in reversed(pivots):
-            row = rows[r]
-            # ZERO first: the row's entries are ints, and int / int is a float
-            s = ZERO + row.get(rhs_col, 0)
-            for cc, vv in row.items():
-                if cc == c or cc >= m.cols:
-                    continue
-                xv = x.get(cc)
-                if xv is not None:
-                    s -= vv * xv
-            if s:
-                x[c] = s / row[c]
+        x = _back_substitute(pivots, rows, {rhs_col: -ONE})
+        del x[rhs_col]
         out.append(x)
     return out
 

@@ -79,15 +79,15 @@ def _face_sum(a, n, wrap):
         for w in product(range(d), repeat=n):
             col = word_to_index(w, d)
             for i in range(1, n):
-                sign = ONE if i % 2 == 1 else -ONE
+                odd = i % 2 == 1
                 for k, c in a.product(w[i - 1], w[i]).items():
                     target = w[:i - 1] + (k,) + w[i + 1:]
-                    yield word_to_index(target, d), col, sign * c
+                    yield word_to_index(target, d), col, c if odd else -c
             if wrap:
-                sign = ONE if (n - 1) % 2 == 0 else -ONE
+                even = (n - 1) % 2 == 0
                 for k, c in a.product(w[n - 1], w[0]).items():
                     target = (k,) + w[1:n - 1]
-                    yield word_to_index(target, d), col, sign * c
+                    yield word_to_index(target, d), col, c if even else -c
 
     return SparseMatrix(d ** (n - 1), d ** n, gen())
 

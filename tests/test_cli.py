@@ -1,6 +1,7 @@
 """File formats, commands, exit codes and canonical report output."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -89,7 +90,22 @@ def test_validation_error_names_triple(tmp_path):
         "table": [[[[1, "1"]], [[0, "1"]]], [[[0, "1"]], []]]})
     with pytest.raises(ValidationError, match=r"\(0, 0, 1\)"):
         parse_algebra_file(path)
-    assert parse_algebra_file(path, validate=False).dim == 2
+
+
+# (e0 e0) e1 = 2 e0 e1 = 2 e1 but e0 (e0 e1) = e1: fails first at (0, 0, 1)
+NONASSOCIATIVE = {"dim": 2, "table": [[[[0, 2]], [[1, 1]]], [[[1, 1]], []]]}
+
+
+@pytest.mark.parametrize("command", ["hh", "hc"])
+def test_homology_of_a_nonassociative_table_is_refused(capsys, tmp_path,
+                                                       command):
+    path = str(write(tmp_path, NONASSOCIATIVE))
+    code, out = run_cli([command, path, "--format", "json", "--max-degree",
+                         "2"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "validation"
+    assert "(0, 0, 1)" in report["message"]
 
 
 def test_parse_tower_files():
@@ -361,6 +377,25 @@ def test_orbifold_command(capsys):
     assert (report["even"], report["odd"]) == (2, 2)
 
 
+def test_oracle_names_the_components_it_skips(capsys, tmp_path):
+    # the projector cross-check runs up to rank 6; a rank-7 reflection
+    # group is still averaged, and the report says it was not cross-checked
+    reflection = [[-1 if i == j == 0 else int(i == j) for j in range(7)]
+                  for i in range(7)]
+    path = write(tmp_path, {"components": [
+        {"label": "seven-torus", "rank": 7, "generators": [reflection]},
+        {"label": "circle", "rank": 1, "generators": []}]})
+    code, out = run_cli(["orbifold", str(path), "--format", "json",
+                         "--oracle"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["components"][0]["betti"] == [1, 6, 15, 20, 15, 6, 1, 0]
+    assert report["oracle_checked"] is True
+    assert report["warnings"] == [
+        "component 'seven-torus' has rank 7 > 6: projector cross-check "
+        "skipped"]
+
+
 def test_json_reports_roundtrip(capsys, tmp_path):
     cases = [
         ["hh", str(DATA / "algebras" / "cyclic3.json"), "--max-degree", "2"],
@@ -391,11 +426,42 @@ def test_text_format_header(capsys):
     assert "sha256" in first
 
 
-def test_argument_errors(capsys):
+def test_argument_errors(capsys, tmp_path):
     assert main(["frobnicate", "x.json"]) == 1
     assert main(["hh"]) == 1
     assert main(["hh", "x.json", "--max-degree", "-1"]) == 1
     assert main(["hh", "x.json", "--cap-dim", "0"]) == 1
+    # every algebra is validated, and no command takes an option it would
+    # ignore; valid inputs, so only the argument can fail, before any report
+    nonassociative = str(write(tmp_path, NONASSOCIATIVE))
+    mat2 = str(DATA / "algebras" / "mat2.json")
+    components = str(DATA / "components" / "torus_quotients.json")
+    tower = str(DATA / "towers" / "z4_tower.json")
+    assert main(["hh", nonassociative, "--no-validate"]) == 1
+    assert main(["check", mat2, "--max-degree", "3"]) == 1
+    assert main(["orbifold", components, "--max-degree", "3"]) == 1
+    assert main(["orbifold", components, "--certificate"]) == 1
+    assert main(["hc", mat2, "--certificate"]) == 1
+    assert main(["tower", tower, "--oracle"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, options", [
+    ("check", []),
+    ("hh", ["--certificate", "--max-degree"]),
+    ("hc", ["--max-degree"]),
+    ("hp", ["--certificate", "--max-degree"]),
+    ("identities", ["--max-degree"]),
+    ("tower", ["--max-degree"]),
+    ("orbifold", ["--oracle"]),
+])
+def test_help_lists_only_the_options_a_command_reads(capsys, command,
+                                                     options):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert sorted(listed - {"--help", "--format"}) == options
 
 
 def test_console_entry_point():

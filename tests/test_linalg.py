@@ -128,7 +128,8 @@ def test_matmul_add_transpose():
 
 def test_from_blocks():
     i2 = SparseMatrix.identity(2)
-    m = SparseMatrix.from_blocks([[i2, None], [None, i2.scale(3)]], [2, 2], [2, 2])
+    m = SparseMatrix.from_blocks([[i2, None], [None, dense([[3, 0], [0, 3]])]],
+                                 [2, 2], [2, 2])
     assert m == dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
     with pytest.raises(ValueError):
         SparseMatrix.from_blocks([[i2]], [3], [2])
