@@ -270,9 +270,6 @@ class FiniteGroup:
                         raise ValidationError(
                             f"multiplication table not associative at ({i},{j},{k})")
 
-    def mult(self, i, j):
-        return self.table[i][j]
-
     def inverse(self, i):
         for j in range(self.order):
             if self.table[i][j] == self.identity:
@@ -321,11 +318,6 @@ class FiniteGroup:
                  for p in elems]
         names = ["".join(map(str, p)) for p in elems]
         return cls(table, element_names=names, validate=False)
-
-    def stabilizer_of_point(self, point, perms):
-        """Indices of elements whose permutation (from perms) fixes point."""
-        return tuple(sorted(i for i in range(self.order)
-                            if perms[i][point] == point))
 
 
 def symmetric_group_with_perms(n):

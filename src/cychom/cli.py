@@ -374,7 +374,7 @@ def _tower_report(job):
                    "filtration": [list(row) for row in cont.image_filtration],
                    "monotone": cont.monotone}}
     try:
-        hp = hp_continuity_check(ds, job.max_degree, hh_continuity=cont)
+        hp = hp_continuity_check(ds, cont)
     except NoCertificate as e:
         body["hp"] = {"status": "NOT_ESTABLISHED", "reason": str(e)}
         return 3, body

@@ -10,10 +10,6 @@ class CychomError(Exception):
     """Base class for all package errors."""
 
 
-class CompositionNonzero(CychomError):
-    """Two supposed consecutive differentials do not compose to zero."""
-
-
 class SizeCapExceeded(CychomError):
     """A requested chain space exceeds the cell cap (mixed.CELL_CAP), or an
     orbifold component exceeds the work cap (orbifold.WORK_CAP)."""
@@ -41,10 +37,6 @@ class NotInjective(CychomError):
 
 class NotACycle(CychomError):
     """The input chain is not a cycle for the relevant differential."""
-
-
-class NotABoundingChain(CychomError):
-    """The given chain does not bound the given cycle as required."""
 
 
 class NoCertificate(CychomError):

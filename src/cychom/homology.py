@@ -16,10 +16,9 @@ nose or the run fails loudly.
 
 from dataclasses import dataclass, replace
 
-from .errors import (DegreeOutOfRange, NoCertificate, NotABoundingChain,
-                     NotACycle, ValidationError)
+from .errors import DegreeOutOfRange, NoCertificate, NotACycle, ValidationError
 from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
-                     rank, solve, vec_eq, vec_sub)
+                     rank, solve)
 from .mixed import build_mixed_complex
 
 
@@ -28,16 +27,6 @@ from .mixed import build_mixed_complex
 def total_components(n):
     """Degrees of the summands of Tot_n, descending: n, n-2, ..., 1 or 0."""
     return tuple(range(n, -1, -2))
-
-
-def total_offsets(mc, n):
-    """Starting coordinate of each summand inside the flat Tot_n vector."""
-    offsets = {}
-    at = 0
-    for q in total_components(n):
-        offsets[q] = at
-        at += mc.spaces[q].dim
-    return offsets
 
 
 def total_dim(mc, n):
@@ -86,39 +75,6 @@ def check_tot_chain(mc, chain):
         for i in vec:
             if not 0 <= i < d:
                 raise ValidationError(f"coordinate {i} out of range in degree {q}")
-
-
-def embed_total(mc, chain):
-    """Flatten a TotChainIndex to coordinates of the block Tot vector."""
-    check_tot_chain(mc, chain)
-    offsets = total_offsets(mc, chain.degree)
-    flat = {}
-    for q, vec in chain.components.items():
-        off = offsets[q]
-        for i, v in vec.items():
-            if v:
-                flat[off + i] = v
-    return flat
-
-
-def split_total(mc, n, flat):
-    """Inverse of embed_total: split a flat Tot_n vector by summand."""
-    comps = {}
-    bounds = []
-    at = 0
-    for q in total_components(n):
-        bounds.append((at, at + mc.spaces[q].dim, q))
-        at += mc.spaces[q].dim
-    for i, v in flat.items():
-        if not v:
-            continue
-        for lo, hi, q in bounds:
-            if lo <= i < hi:
-                comps.setdefault(q, {})[i - lo] = v
-                break
-        else:
-            raise ValidationError(f"coordinate {i} outside Tot_{n}")
-    return TotChainIndex(n, comps)
 
 
 # ------------------------------------------------------------------- reports
@@ -349,13 +305,12 @@ def _check_even_cycle(mc, chain):
     check_tot_chain(mc, chain)
     for q in range(1, chain.degree, 2):
         res = mc.b_tilde[q + 1].apply(chain.component(q + 1))
-        if q >= 1:
-            for i, v in mc.B_tilde[q - 1].apply(chain.component(q - 1)).items():
-                s = res.get(i, 0) + v
-                if s:
-                    res[i] = s
-                else:
-                    res.pop(i, None)
+        for i, v in mc.B_tilde[q - 1].apply(chain.component(q - 1)).items():
+            s = res.get(i, 0) + v
+            if s:
+                res[i] = s
+            else:
+                res.pop(i, None)
         if res:
             raise NotACycle(
                 f"b~ f_{q + 1} + B~ f_{q - 1} nonzero in degree {q}")
@@ -387,106 +342,3 @@ def lift_to_periodic(c, mc, top_degree=None):
         if found:
             comps[2 * k + 2] = found
     return EvenLift(base_degree=c.degree, top_degree=top, components=comps)
-
-
-def extend_bounding_chain(lift, h, mc):
-    """Extend an odd chain h with (b~+B~) h = lift truncated at h's degree.
-
-    h is a TotChainIndex of odd total degree 2n+1 whose total boundary equals
-    the truncation of the even lift to Tot_{2n}.  Solves
-    b~ h_{2k+3} = f_{2k+2} - B~ h_{2k+1} degree by degree up to the lift's
-    top; returns the extended TotChainIndex or an ObstructedLift.
-    """
-    if h.degree % 2 == 0:
-        raise DegreeOutOfRange("bounding chain must have odd total degree")
-    if lift.top_degree + 1 > mc.n_max:
-        raise DegreeOutOfRange(
-            f"extension to degree {lift.top_degree + 1} exceeds truncation "
-            f"{mc.n_max}; truncate the lift first")
-    check_tot_chain(mc, h)
-    n = (h.degree - 1) // 2
-    for j in range(0, n + 1):
-        got = mc.b_tilde[2 * j + 1].apply(h.component(2 * j + 1))
-        if j >= 1:
-            for i, v in mc.B_tilde[2 * j - 1].apply(
-                    h.component(2 * j - 1)).items():
-                s = got.get(i, 0) + v
-                if s:
-                    got[i] = s
-                else:
-                    got.pop(i, None)
-        want = lift.components.get(2 * j, {})
-        if not vec_eq(got, want):
-            raise NotABoundingChain(
-                f"b~ h_{2 * j + 1} + B~ h_{2 * j - 1} != f_{2 * j}")
-    comps = {q: dict(v) for q, v in h.components.items() if v}
-    for k in range(n, lift.top_degree // 2):
-        rhs = vec_sub(lift.components.get(2 * k + 2, {}),
-                      mc.B_tilde[2 * k + 1].apply(comps.get(2 * k + 1, {})))
-        found = solve(mc.b_tilde[2 * k + 3], rhs)
-        if found is None:
-            return ObstructedLift(degree=2 * k + 3, witness_degree=2 * k + 2,
-                                  witness=rhs, partial=comps)
-        if found:
-            comps[2 * k + 3] = found
-    return TotChainIndex(lift.top_degree + 1, comps)
-
-
-# ----------------------------------------------------- class membership tests
-
-def is_hochschild_boundary(mc, n, vec):
-    """Whether a b~-cycle in Omega^n bounds; raises NotACycle otherwise."""
-    if n >= 1 and mc.b_tilde[n].apply(vec):
-        raise NotACycle(f"vector is not a b~-cycle in degree {n}")
-    if n + 1 > mc.n_max:
-        raise DegreeOutOfRange("boundary test needs one degree of headroom")
-    return solve(mc.b_tilde[n + 1], vec) is not None
-
-
-def is_cyclic_boundary(mc, chain):
-    """Whether a D-cycle in Tot_n bounds; raises NotACycle otherwise."""
-    n = chain.degree
-    flat = embed_total(mc, chain)
-    if n >= 1 and total_differential(mc, n).apply(flat):
-        raise NotACycle(f"chain is not a cycle in Tot_{n}")
-    if n + 1 > mc.n_max:
-        raise DegreeOutOfRange("boundary test needs one degree of headroom")
-    return solve(total_differential(mc, n + 1), flat) is not None
-
-
-def cyclic_homologous(mc, x, y):
-    """Whether two Tot cycles of equal degree differ by a total boundary."""
-    if x.degree != y.degree:
-        raise DegreeOutOfRange("chains live in different total degrees")
-    diff = {}
-    degrees = set(x.components) | set(y.components)
-    for q in degrees:
-        v = vec_sub(x.component(q), y.component(q))
-        if v:
-            diff[q] = v
-    return is_cyclic_boundary(mc, TotChainIndex(x.degree, diff))
-
-
-# ------------------------------------------------------------------- Morita
-
-@dataclass(frozen=True)
-class MoritaReport:
-    """Degree-wise comparison of HH for A and the k x k matrices over A."""
-
-    matrix_size: int
-    dims_base: tuple
-    dims_matrix: tuple
-    equal: tuple
-
-    @property
-    def all_equal(self):
-        return all(self.equal)
-
-
-def morita_compare(a, k, max_degree):
-    """HH dims of A versus M_k(A), degree by degree."""
-    from .algebra import matrix_algebra
-    base = hochschild_homology(a, max_degree)
-    big = hochschild_homology(matrix_algebra(a, k), max_degree)
-    equal = tuple(x == y for x, y in zip(base.dims, big.dims))
-    return MoritaReport(k, base.dims, big.dims, equal)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 from math import gcd, lcm
 
-from .errors import CompositionNonzero
-
 ZERO = QQ(0)
 ONE = QQ(1)
 
@@ -33,27 +31,6 @@ def as_rational(x):
     if isinstance(x, float):
         raise TypeError("floats are not accepted; use strings or rationals")
     return QQ(x)
-
-
-def vec_add(u, v):
-    w = dict(u)
-    for i, x in v.items():
-        s = w.get(i, ZERO) + x
-        if s:
-            w[i] = s
-        else:
-            w.pop(i, None)
-    return w
-
-
-def vec_sub(u, v):
-    return vec_add(u, vec_scale(v, -ONE))
-
-
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {i: c * x for i, x in u.items()}
 
 
 def vec_eq(u, v):
@@ -167,10 +144,6 @@ class SparseMatrix:
             return None
         r, c = min(self.data)
         return (r, c, self.data[(r, c)])
-
-    def transpose(self):
-        return SparseMatrix(self.cols, self.rows,
-                            ((c, r, v) for (r, c), v in self.data.items()))
 
     def column(self, j):
         """Column j as a sparse vector dict."""
@@ -464,19 +437,3 @@ def invert(m):
         return None
     inv = SparseMatrix.from_columns(m.rows, cols)
     return inv if (m @ inv) == SparseMatrix.identity(m.rows) else None
-
-
-def homology_dimension(d_in, d_out):
-    """dim ker(d_out) - rank(d_in) for consecutive differentials.
-
-    Convention: d_out maps C_n to C_{n-1} and d_in maps C_{n+1} to C_n, so
-    cols(d_out) = rows(d_in) = dim C_n.  Raises CompositionNonzero when
-    d_out . d_in != 0, which signals a broken complex upstream.
-    """
-    if d_out.cols != d_in.rows:
-        raise ValueError("differentials not composable: cols(d_out) != rows(d_in)")
-    comp = d_out @ d_in
-    if not comp.is_zero():
-        witness = comp.first_nonzero()
-        raise CompositionNonzero(f"d_out . d_in has nonzero entry {witness}")
-    return (d_out.cols - rank(d_out)) - rank(d_in)

@@ -41,13 +41,6 @@ def word_to_index(word, dim):
     return i
 
 
-def index_to_word(i, n, dim):
-    word = [0] * n
-    for t in range(n - 1, -1, -1):
-        i, word[t] = divmod(i, dim)
-    return tuple(word)
-
-
 @dataclass(frozen=True)
 class ChainSpace:
     """Dimensions of Omega^n: top = A^{(n+1)}, bottom = A^{(n)} (none at n=0)."""
@@ -150,9 +143,6 @@ class MixedComplex:
     spaces: tuple
     b_tilde: dict
     B_tilde: dict
-
-    def space(self, n):
-        return self.spaces[n]
 
 
 def build_mixed_complex(a, n_max):

@@ -106,19 +106,6 @@ def _det(w):
     return cs[-1] if len(w) % 2 == 0 else -cs[-1]
 
 
-def exterior_trace(w, p):
-    """tr of the induced action on Lambda^p: the p-th elementary symmetric
-    function of the eigenvalues, equal to (-1)^p times the coefficient of
-    t^(k-p) in det(tI - w)."""
-    if p < 0:
-        raise ValidationError("exterior power degree must be nonnegative")
-    k = len(w)
-    if p > k:
-        return 0
-    c = _charpoly(w)[p]
-    return c if p % 2 == 0 else -c
-
-
 def enumerate_group(c):
     """The full finite group generated by the component's matrices.
 

@@ -16,19 +16,16 @@ degree n, an earlier stage costs kernel_basis(d_n) and one
 independent_modulo(d_{n+1}) for its representatives, the final stage one
 rank(d_{n+1}), and each filtration entry one independent_modulo of the
 pushed representatives against the final stage's d_{n+1}.
-homology_of_stages also needs the final stage's representatives and solves
-once per degree for every stage.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .algebra import AlgebraHom, group_algebra, hecke_algebra, hecke_inclusion
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
 from .homology import (cyclic_homology, differential, hochschild_homology,
                        periodic_via_stabilization, stabilization_certificate,
                        total_components)
-from .linalg import SparseMatrix, independent_modulo, solve_columns
+from .linalg import SparseMatrix, independent_modulo
 from .mixed import build_mixed_complex, induced_chain_map
 
 
@@ -75,13 +72,6 @@ class DirectSystem:
 
 def identity_hom(a):
     return AlgebraHom(a, a, SparseMatrix.identity(a.dim))
-
-
-def constant_system(a, length):
-    """The system A -> A -> ... -> A along identity maps."""
-    if length < 1:
-        raise ValidationError("length must be at least 1")
-    return DirectSystem([a] * length, [identity_hom(a)] * (length - 1))
 
 
 def hecke_tower(g, chain):
@@ -167,58 +157,6 @@ def _image_filtration(ds, mcs, reports, theory, degrees):
     return tuple(zip(*columns))
 
 
-@dataclass(frozen=True, eq=False)
-class TowerHomology:
-    """Per-stage reports plus the maps induced on homology into the final stage.
-
-    induced[i][n] expresses the pushforward of stage i's degree-n class
-    representatives in the final stage's representative basis.
-    """
-
-    theory: str
-    max_degree: int
-    reports: tuple
-    induced: tuple
-
-
-def homology_of_stages(ds, theory, max_degree):
-    """Stage-by-stage reports and induced maps on homology.
-
-    Induced maps are computed by pushing representative cycles through the
-    composite chain map and solving, in one solve per degree for all stages,
-    against the final stage's boundaries plus representatives; the
-    coordinates on the representative block are unique, so the matrices are
-    well-defined.
-    """
-    if theory not in ("HH", "HC"):
-        raise ValidationError(f"unknown theory {theory!r}")
-    compute = hochschild_homology if theory == "HH" else cyclic_homology
-    mcs = _stage_complexes(ds, max_degree + 1)
-    reports = tuple(compute(a, max_degree, mc=mc, representatives=True)
-                    for a, mc in zip(ds.stages, mcs))
-    chain_maps = [induced_chain_map(f, max_degree) for f in ds.to_final]
-    induced = tuple({} for _ in ds.stages)
-    for n in range(max_degree + 1):
-        d_in = differential(mcs[-1], theory, n + 1)
-        basis = reports[-1].representatives[n]
-        stacked = SparseMatrix.hstack(
-            [d_in, SparseMatrix.from_columns(d_in.rows, list(basis))])
-        pushed = [_push(maps, mcs[i], mcs[-1], theory, n,
-                        reports[i].representatives[n])
-                  for i, maps in enumerate(chain_maps)]
-        sols = iter(solve_columns(stacked, [v for vs in pushed for v in vs]))
-        for i, vs in enumerate(pushed):
-            cols = []
-            for sol in islice(sols, len(vs)):
-                if sol is None:
-                    raise ValidationError(
-                        "pushed class escaped the final homology basis")
-                cols.append({k - d_in.cols: v for k, v in sol.items()
-                             if k >= d_in.cols})
-            induced[i][n] = SparseMatrix.from_columns(len(basis), cols)
-    return TowerHomology(theory, max_degree, reports, induced)
-
-
 @dataclass(frozen=True)
 class ContinuityReport:
     """Image filtration of stage homology inside the final stage.
@@ -278,14 +216,6 @@ class HpContinuityReport:
     odd_filtration: tuple
 
     @property
-    def final_even(self):
-        return self.stage_even[-1]
-
-    @property
-    def final_odd(self):
-        return self.stage_odd[-1]
-
-    @property
     def monotone(self):
         return (all(a <= b for a, b in
                     zip(self.even_filtration, self.even_filtration[1:]))
@@ -293,22 +223,22 @@ class HpContinuityReport:
                         zip(self.odd_filtration, self.odd_filtration[1:])))
 
 
-def hp_continuity_check(ds, max_degree, hh_continuity=None):
+def hp_continuity_check(ds, hh_continuity):
     """Periodic dimensions along the tower under a common certificate.
 
-    Every stage must admit a vanishing certificate within max_degree; the
-    common bound is the largest stage bound, and the periodic dimensions of
-    all stages are read at the degrees stabilized by that common bound.
-    Raises CertMissing when any stage lacks a certificate or the stabilized
-    degrees do not fit under the truncation.  The stages' mixed complexes
-    and HH reports come from hh_continuity, the result of
-    continuity_check(ds, "HH", max_degree), which is computed when not given.
+    hh_continuity is the result of continuity_check(ds, "HH", max_degree);
+    its stages' mixed complexes and HH reports are reused, and max_degree is
+    read from it.  Every stage must admit a vanishing certificate within
+    max_degree; the common bound is the largest stage bound, and the
+    periodic dimensions of all stages are read at the degrees stabilized by
+    that common bound.  Raises CertMissing when any stage lacks a
+    certificate or the stabilized degrees do not fit under the truncation.
     """
-    cont = hh_continuity or continuity_check(ds, "HH", max_degree)
-    if (cont.theory, cont.max_degree) != ("HH", max_degree):
-        raise ValidationError(
-            f"hp_continuity_check needs the HH continuity at {max_degree}")
-    mcs, hh_reports = cont.complexes, cont.stage_reports
+    if hh_continuity.theory != "HH":
+        raise ValidationError("hp_continuity_check needs the HH continuity, "
+                              f"not {hh_continuity.theory}")
+    max_degree = hh_continuity.max_degree
+    mcs, hh_reports = hh_continuity.complexes, hh_continuity.stage_reports
     certs = []
     for i, (a, hh) in enumerate(zip(ds.stages, hh_reports)):
         cert = stabilization_certificate(a, max_degree, hh_report=hh)

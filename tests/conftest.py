@@ -10,7 +10,8 @@ import pytest
 from cychom.algebra import (FiniteGroup, group_algebra, hecke_algebra,
                             matrix_algebra, symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
-from cychom.homology import cyclic_homology, hochschild_homology
+from cychom.homology import (TotChainIndex, cyclic_homology,
+                             hochschild_homology, total_components)
 from cychom.mixed import build_mixed_complex
 
 # depth each named algebra is built to when first requested; rand3 has a
@@ -25,6 +26,18 @@ CANONICAL_NMAX = {
     "hecke_s3_s2": 6,
     "rand3": 5,
 }
+
+
+def split_flat(mc, n, flat):
+    """The Tot_n chain of a flat vector, split into its Omega^q summands."""
+    components, at = {}, 0
+    for q in total_components(n):
+        dim = mc.spaces[q].dim
+        part = {i - at: v for i, v in flat.items() if at <= i < at + dim and v}
+        if part:
+            components[q] = part
+        at += dim
+    return TotChainIndex(n, components)
 
 
 def build_named_algebra(name):

@@ -2,16 +2,25 @@
 
 import pytest
 
+from cychom import homology, towers
 from cychom.algebra import (AlgebraHom, FiniteGroup, group_algebra,
                             symmetric_group_with_perms)
 from cychom.catalog import cyclic_group_rationals, dual_numbers, ground_field
 from cychom.errors import (CertMissing, NotAChain, NotInjective,
                            ValidationError)
 from cychom.homology import hochschild_homology
-from cychom.linalg import QQ, SparseMatrix, rank
-from cychom.towers import (DirectSystem, constant_system, continuity_check,
-                           hecke_tower, homology_of_stages,
-                           hp_continuity_check)
+from cychom.linalg import QQ, SparseMatrix
+from cychom.towers import (DirectSystem, continuity_check, hecke_tower,
+                           hp_continuity_check, identity_hom)
+
+
+def constant_tower(a, length):
+    """A -> A -> ... -> A along identity maps."""
+    return DirectSystem([a] * length, [identity_hom(a)] * (length - 1))
+
+
+def hp_along(ds, max_degree):
+    return hp_continuity_check(ds, continuity_check(ds, "HH", max_degree))
 
 
 @pytest.fixture(scope="module")
@@ -80,39 +89,12 @@ def test_direct_system_validation():
 
 
 def test_constant_system_is_trivial():
-    ds = constant_system(cyclic_group_rationals(2), 3)
-    th = homology_of_stages(ds, "HH", 2)
-    for rep in th.reports[1:]:
-        assert rep.dims == th.reports[0].dims
-    for per_degree in th.induced:
-        for n in range(3):
-            d = th.reports[0].dims[n]
-            assert per_degree[n] == SparseMatrix.identity(d)
+    ds = constant_tower(cyclic_group_rationals(2), 3)
     cont = continuity_check(ds, "HH", 2)
     assert cont.monotone
     for n in range(3):
         column = {row[n] for row in cont.image_filtration}
         assert len(column) == 1
-
-
-def test_homology_of_stages_s3(s3_tower):
-    th = homology_of_stages(s3_tower, "HH", 2)
-    assert [rep.dims[0] for rep in th.reports] == [2, 3]
-    assert th.induced[1][0] == SparseMatrix.identity(3)
-    pushed = th.induced[0][0]
-    assert pushed.shape == (3, 2)
-    # the two double-coset classes stay independent among class functions
-    assert rank(pushed) == 2
-
-
-def test_induced_maps_compose(s3_full_tower):
-    full = s3_full_tower
-    sub = DirectSystem(full.stages[:2], full.maps[:1])
-    th_full = homology_of_stages(full, "HH", 2)
-    th_sub = homology_of_stages(sub, "HH", 2)
-    for n in range(3):
-        composite = th_full.induced[1][n] @ th_sub.induced[0][n]
-        assert th_full.induced[0][n] == composite
 
 
 def test_s3_tower_continuity(s3_tower, s3_data):
@@ -143,7 +125,7 @@ def test_hc_degree_zero_filtration_matches(s3_tower):
 
 
 def test_hp_continuity_s3(s3_tower):
-    rep = hp_continuity_check(s3_tower, 3)
+    rep = hp_along(s3_tower, 3)
     assert rep.common_bound == 0
     assert (rep.even_degree, rep.odd_degree) == (2, 3)
     assert rep.stage_even == (2, 3)
@@ -151,7 +133,7 @@ def test_hp_continuity_s3(s3_tower):
     assert rep.even_filtration == (2, 3)
     assert rep.odd_filtration == (0, 0)
     assert rep.monotone
-    assert (rep.final_even, rep.final_odd) == (3, 0)
+    assert (rep.stage_even[-1], rep.stage_odd[-1]) == (3, 0)
     # the common bound is certified per stage across the whole range
     for cert in rep.certificates:
         assert cert.vanishing_bound <= rep.common_bound
@@ -161,7 +143,7 @@ def test_hp_continuity_s3(s3_tower):
 
 
 def test_hp_continuity_z4(z4_tower):
-    rep = hp_continuity_check(z4_tower, 3)
+    rep = hp_along(z4_tower, 3)
     assert rep.common_bound == 0
     assert rep.stage_even == (2, 4)
     assert rep.stage_odd == (0, 0)
@@ -170,17 +152,22 @@ def test_hp_continuity_z4(z4_tower):
     assert rep.monotone
 
 
-def test_hp_reuses_hh_continuity(z4_tower):
+def test_hp_reuses_hh_continuity(z4_tower, monkeypatch):
     cont = continuity_check(z4_tower, "HH", 3)
-    assert hp_continuity_check(z4_tower, 3, hh_continuity=cont) == \
-        hp_continuity_check(z4_tower, 3)
+    hc_cont = continuity_check(z4_tower, "HC", 3)
+
+    def no_build(*args):
+        raise AssertionError("hp_continuity_check built a mixed complex")
+
+    for module in (homology, towers):
+        monkeypatch.setattr(module, "build_mixed_complex", no_build)
+    assert hp_continuity_check(z4_tower, cont).stage_even == (2, 4)
     with pytest.raises(ValidationError):
-        hp_continuity_check(z4_tower, 3,
-                            hh_continuity=continuity_check(z4_tower, "HC", 3))
+        hp_continuity_check(z4_tower, hc_cont)
 
 
 def test_hp_constant_ground():
-    rep = hp_continuity_check(constant_system(ground_field(), 3), 3)
+    rep = hp_along(constant_tower(ground_field(), 3), 3)
     assert rep.stage_even == (1, 1, 1)
     assert rep.stage_odd == (0, 0, 0)
     assert rep.even_filtration == (1, 1, 1)
@@ -188,7 +175,7 @@ def test_hp_constant_ground():
 
 def test_hp_refusals():
     with pytest.raises(CertMissing):
-        hp_continuity_check(constant_system(dual_numbers(), 2), 4)
+        hp_along(constant_tower(dual_numbers(), 2), 4)
     # certificate exists but the stabilized degrees poke past the truncation
     with pytest.raises(CertMissing):
-        hp_continuity_check(constant_system(ground_field(), 2), 2)
+        hp_along(constant_tower(ground_field(), 2), 2)
