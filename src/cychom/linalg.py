@@ -16,6 +16,8 @@ subtracts integers and never normalizes a fraction.  An integer row is a
 nonzero rational multiple of the row rational elimination would hold, and
 everything read off the echelon form (supports, pivots, back substitution)
 is invariant under such scaling; _echelon spells the argument out.
+Matrix products likewise multiply and add integers, and make a Fraction
+only for a nonzero entry of the result (SparseMatrix.__matmul__).
 """
 
 from dataclasses import dataclass
@@ -96,27 +98,46 @@ class SparseMatrix:
                                         for i, v in col.items()))
 
     @classmethod
+    def _trusted(cls, rows, cols, data):
+        """A matrix over data, a dict {(row, col): value} that is already a
+        valid store, taken as it is.
+
+        __init__ checks every entry: index in range, value a QQ, not zero,
+        position not seen before.  Each caller passes data that meets all
+        four by construction, and says why next to the call.
+        """
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def from_blocks(cls, grid, row_dims, col_dims):
-        """Assemble from a 2D list of blocks (None = zero block)."""
+        """Assemble from a 2D list of blocks (None = zero block).
+
+        Each block's shape is checked against its slot, so its entries land
+        inside the slot, and slots do not overlap: the entries are in range
+        and at distinct positions, and they are nonzero QQ values taken from
+        valid matrices.
+        """
         row_off = [0]
         for d in row_dims:
             row_off.append(row_off[-1] + d)
         col_off = [0]
         for d in col_dims:
             col_off.append(col_off[-1] + d)
-
-        def gen():
-            for bi, row_of_blocks in enumerate(grid):
-                for bj, block in enumerate(row_of_blocks):
-                    if block is None:
-                        continue
-                    if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
-                        raise ValueError("block shape mismatch")
-                    ro, co = row_off[bi], col_off[bj]
-                    for (r, c), v in block.data.items():
-                        yield ro + r, co + c, v
-
-        return cls(row_off[-1], col_off[-1], gen())
+        data = {}
+        for bi, row_of_blocks in enumerate(grid):
+            for bj, block in enumerate(row_of_blocks):
+                if block is None:
+                    continue
+                if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
+                    raise ValueError("block shape mismatch")
+                ro, co = row_off[bi], col_off[bj]
+                for (r, c), v in block.data.items():
+                    data[(ro + r, co + c)] = v
+        return cls._trusted(row_off[-1], col_off[-1], data)
 
     @classmethod
     def hstack(cls, blocks):
@@ -171,44 +192,63 @@ class SparseMatrix:
         return out
 
     def __neg__(self):
-        return SparseMatrix(self.rows, self.cols,
-                            ((r, c, -v) for (r, c), v in self.data.items()))
+        # the negative of a nonzero QQ is a nonzero QQ, at the same position
+        return SparseMatrix._trusted(
+            self.rows, self.cols, {k: -v for k, v in self.data.items()})
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix addition")
-
-        def gen():
-            for (r, c), v in self.data.items():
-                yield r, c, v
-            for (r, c), v in other.data.items():
-                yield r, c, v
-
-        return SparseMatrix(self.rows, self.cols, gen())
+        # both operands are valid stores of one shape; only the positions
+        # they share need a sum, and a zero sum is dropped
+        data = dict(self.data)
+        for key, v in other.data.items():
+            cur = data.get(key)
+            if cur is None:
+                data[key] = v
+            else:
+                s = cur + v
+                if s:
+                    data[key] = s
+                else:
+                    del data[key]
+        return SparseMatrix._trusted(self.rows, self.cols, data)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __matmul__(self, other):
+        """The product, summed in integers.
+
+        Each operand is scaled once by the lcm of its denominators: entries
+        p/q of self become P = p (L1/q), entries r/s of other R = r (L2/s).
+        Then sum (p/q)(r/s) = (sum P R) / (L1 L2) exactly, so the products
+        and sums are of ints, and a QQ is made only for a nonzero sum.  Its
+        position pairs a row of self with a column of other: in range.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        lden = lcm(*[v.denominator for v in self.data.values()])
+        rden = lcm(*[v.denominator for v in other.data.values()])
         left_cols = {}
         for (r, c), v in self.data.items():
-            left_cols.setdefault(c, []).append((r, v))
+            left_cols.setdefault(c, []).append(
+                (r, v.numerator * (lden // v.denominator)))
         acc = {}
         for (k, j), w in other.data.items():
             hits = left_cols.get(k)
             if hits is None:
                 continue
+            w = w.numerator * (rden // w.denominator)
             for r, v in hits:
                 key = (r, j)
-                s = acc.get(key, ZERO) + v * w
+                s = acc.get(key, 0) + v * w
                 if s:
                     acc[key] = s
                 else:
                     del acc[key]
-        return SparseMatrix(self.rows, other.cols,
-                            ((r, c, v) for (r, c), v in acc.items()))
+        return SparseMatrix._trusted(self.rows, other.cols,
+                                     _quotients(acc, lden * rden))
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.shape == other.shape
@@ -216,6 +256,21 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _quotients(ints, den):
+    """{key: v / den} for a dict of nonzero ints, with one QQ per distinct v.
+
+    A QQ is immutable, so entries that hold the same value can share it.
+    """
+    made = {}
+    out = {}
+    for key, v in ints.items():
+        q = made.get(v)
+        if q is None:
+            q = made[v] = QQ(v, den)
+        out[key] = q
+    return out
 
 
 @dataclass(frozen=True)

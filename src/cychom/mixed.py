@@ -24,21 +24,15 @@ significant, so the word (i_1, ..., i_n) has index sum i_t * dim^(n-t).
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
 from .errors import DegreeOutOfRange, SizeCapExceeded
-from .linalg import ONE, SparseMatrix
+from .linalg import ONE, SparseMatrix, _quotients
 
 # The one size guard for chain complexes: build_mixed_complex refuses a
 # complex whose top chain space would hold more cells than this.  Read at
 # call time, so it can be lowered for a single run.
 CELL_CAP = 2_000_000
-
-
-def word_to_index(word, dim):
-    i = 0
-    for a in word:
-        i = i * dim + a
-    return i
 
 
 @dataclass(frozen=True)
@@ -60,29 +54,52 @@ def chain_space(algebra_dim, n):
     return ChainSpace(n, top, bottom)
 
 
+# b, b' and N below sum their entries in ints, scaled by a common
+# denominator, and drop a position whose sum reaches zero; lambda is a
+# permutation.  Row indices are computed in range, so the entries go to
+# SparseMatrix._trusted as nonzero QQ.
+
 def _face_sum(a, n, wrap):
-    """b' on A^{(n tensor)}, plus the wrap term of b when wrap is set."""
+    """b' on A^{(n tensor)}, plus the wrap term of b when wrap is set.
+
+    Face i merges letters i and i+1 of the word at column col: for e_x e_y
+    = sum c_k e_k it hits prefix * d^(n-i) + k * d^(n-i-1) + suffix, where
+    prefix = col // d^(n-i+1) and suffix = col mod d^(n-i-1) index the
+    letters before and after the pair.  The wrap term sends the word to
+    k * d^(n-2) + middle, for e_{w_n} e_{w_1} = sum c_k e_k.
+    """
     if n < 1:
         raise DegreeOutOfRange("b and b' are defined for n >= 1")
     d = a.dim
     if n == 1:
         return SparseMatrix(0, d)
-
-    def gen():
-        for w in product(range(d), repeat=n):
-            col = word_to_index(w, d)
-            for i in range(1, n):
-                odd = i % 2 == 1
-                for k, c in a.product(w[i - 1], w[i]).items():
-                    target = w[:i - 1] + (k,) + w[i + 1:]
-                    yield word_to_index(target, d), col, c if odd else -c
-            if wrap:
-                even = (n - 1) % 2 == 0
-                for k, c in a.product(w[n - 1], w[0]).items():
-                    target = (k,) + w[1:n - 1]
-                    yield word_to_index(target, d), col, c if even else -c
-
-    return SparseMatrix(d ** (n - 1), d ** n, gen())
+    den = lcm(*[c.denominator for vec in a.table.values() for c in vec.values()])
+    # e_x e_y as (k, C, -C) with C = den * c_k: both signs are taken once
+    signed = [[tuple((k, c.numerator * (den // c.denominator),
+                      -c.numerator * (den // c.denominator))
+                     for k, c in a.product(x, y).items())
+               for y in range(d)] for x in range(d)]
+    pw = [d ** e for e in range(n + 1)]
+    # face i as (letter index, d^(n-i+1), d^(n-i), d^(n-i-1), sign slot)
+    faces = [(i - 1, pw[n - i + 1], pw[n - i], pw[n - i - 1], 2 - i % 2)
+             for i in range(1, n)]
+    wrap_slot = 1 if (n - 1) % 2 == 0 else 2
+    acc = {}
+    for col, w in enumerate(product(range(d), repeat=n)):
+        hits = [(col // high * mid + col % low, low, signed[w[at]][w[at + 1]],
+                 slot) for at, high, mid, low, slot in faces]
+        if wrap:
+            hits.append((col % pw[n - 1] // d, pw[n - 2],
+                         signed[w[n - 1]][w[0]], wrap_slot))
+        for base, step, terms, slot in hits:
+            for term in terms:
+                key = (base + term[0] * step, col)
+                s = acc.get(key, 0) + term[slot]
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+    return SparseMatrix._trusted(pw[n - 1], pw[n], _quotients(acc, den))
 
 
 def hochschild_b(a, n):
@@ -96,38 +113,43 @@ def bar_bprime(a, n):
 
 
 def cyclic_lambda(a, n):
-    """The signed cyclic shift on A^{(n tensor)}; lambda^n = identity."""
+    """The signed cyclic shift on A^{(n tensor)}; lambda^n = identity.
+
+    It moves the last letter to the front: column i goes to row
+    (i mod d) * d^(n-1) + i div d, a permutation.
+    """
     if n < 1:
         raise DegreeOutOfRange("cyclic_lambda defined for n >= 1")
     d = a.dim
+    top = d ** (n - 1)
     sign = ONE if (n - 1) % 2 == 0 else -ONE
-
-    def gen():
-        for w in product(range(d), repeat=n):
-            target = (w[n - 1],) + w[:n - 1]
-            yield word_to_index(target, d), word_to_index(w, d), sign
-
-    return SparseMatrix(d ** n, d ** n, gen())
+    return SparseMatrix._trusted(d ** n, d ** n, {
+        (i % d * top + i // d, i): sign for i in range(d ** n)})
 
 
 def norm_N(a, n):
-    """N = sum of lambda^i for i = 0..n-1 on A^{(n tensor)}."""
+    """N = sum of lambda^i for i = 0..n-1 on A^{(n tensor)}.
+
+    The n rotations of a periodic word repeat, so their signs add up.
+    """
     if n < 1:
         raise DegreeOutOfRange("norm_N defined for n >= 1")
     d = a.dim
-    base_sign = 1 if (n - 1) % 2 == 0 else -1
-
-    def gen():
-        for w in product(range(d), repeat=n):
-            col = word_to_index(w, d)
-            cur = w
-            s = 1
-            for _ in range(n):
-                yield word_to_index(cur, d), col, ONE if s == 1 else -ONE
-                cur = (cur[-1],) + cur[:-1]
-                s *= base_sign
-
-    return SparseMatrix(d ** n, d ** n, gen())
+    top = d ** (n - 1)
+    step = 1 if (n - 1) % 2 == 0 else -1
+    acc = {}
+    for col in range(d ** n):
+        cur, sign = col, 1
+        for _ in range(n):
+            key = (cur, col)
+            s = acc.get(key, 0) + sign
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+            cur = cur % d * top + cur // d
+            sign *= step
+    return SparseMatrix._trusted(d ** n, d ** n, _quotients(acc, 1))
 
 
 @dataclass(frozen=True, eq=False)

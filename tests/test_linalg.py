@@ -123,6 +123,43 @@ def test_matmul_add_transpose():
     assert (a - a).is_zero()
 
 
+def naive_product(a, b):
+    """a @ b by the Fraction triple loop over dense rows and columns."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = QQ(0)
+            for k in range(a.cols):
+                s += a.data.get((i, k), QQ(0)) * b.data.get((k, j), QQ(0))
+            row.append(s)
+        out.append(row)
+    return SparseMatrix(a.rows, b.cols, ((i, j, v) for i, row in enumerate(out)
+                                         for j, v in enumerate(row)))
+
+
+def test_matmul_with_rational_entries_matches_triple_loop():
+    # entry (0, 0) is (1/2)(1/3) + (-1/3)(1/2) = 0: it must not be stored
+    a = dense([["1/2", "-1/3", 0], ["1/6", "1/2", "-5/6"]])
+    b = dense([["1/3", 3], ["1/2", -1], [0, "2/3"]])
+    product = a @ b
+    assert product.entries() == [(0, 1, QQ(11, 6)), (1, 0, QQ(11, 36)),
+                                 (1, 1, QQ(-5, 9))]
+    assert product == naive_product(a, b)
+    rng = random.Random(11)
+    values = [0, 0, 1, -1, QQ(1, 2), QQ(-1, 3), QQ(5, 6), QQ(-7, 6), QQ(2, 3)]
+    for _ in range(60):
+        n, k, m = (rng.randint(0, 5) for _ in range(3))
+        left = SparseMatrix(n, k, ((i, j, rng.choice(values))
+                                   for i in range(n) for j in range(k)))
+        right = SparseMatrix(k, m, ((i, j, rng.choice(values))
+                                    for i in range(k) for j in range(m)))
+        got = left @ right
+        assert got.shape == (n, m)
+        assert got == naive_product(left, right)
+        assert all(type(v) is QQ and v for v in got.data.values())
+
+
 def test_from_blocks():
     i2 = SparseMatrix.identity(2)
     m = SparseMatrix.from_blocks([[i2, None], [None, dense([[3, 0], [0, 3]])]],

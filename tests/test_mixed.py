@@ -1,18 +1,27 @@
 """Operator identities and assembly conventions for the mixed complex."""
 
+import random
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from cychom.algebra import AlgebraHom, hecke_algebra, hecke_inclusion, \
-    symmetric_group_with_perms, group_algebra
+import reference_mixed
+from cychom import cli, mixed
+from cychom.algebra import AlgebraHom, change_of_basis, hecke_algebra, \
+    hecke_inclusion, symmetric_group_with_perms, group_algebra
 from cychom.catalog import dual_numbers, ground_field
 from cychom.errors import DegreeOutOfRange, NotMultiplicative, SizeCapExceeded
 from cychom.linalg import ONE, SparseMatrix
 from cychom.mixed import (MixedComplex, bar_bprime, build_mixed_complex,
                           chain_space, cyclic_lambda, hochschild_b,
                           induced_chain_map, norm_N, tensor_power,
-                          verify_mixed_identities, word_to_index)
+                          verify_mixed_identities)
+from reference_mixed import word_to_index
+
+DATA_ALGEBRAS = sorted(
+    (Path(__file__).resolve().parent.parent / "data" / "algebras").glob("*.json"))
 
 
 def s3_hecke_pair():
@@ -226,3 +235,55 @@ def test_tensor_power_matches_kronecker():
 def test_size_cap_refuses_oversized_build(algebras):
     with pytest.raises(SizeCapExceeded):
         build_mixed_complex(algebras["m2q"], 12)
+
+
+OPERATORS = ("hochschild_b", "bar_bprime", "cyclic_lambda", "norm_N")
+
+
+def _assert_same_store(got, want):
+    assert got.shape == want.shape
+    assert got.data == want.data
+    assert all(type(v) is Fraction and v for v in got.data.values())
+
+
+def _basis_variants(a, seed):
+    """a, a with seeded basis signs f_i = +-e_i, and a in a rational basis
+    (its structure constants get denominators, so the ints are scaled)."""
+    rng = random.Random(seed)
+    flips = [rng.choice((1, -1)) for _ in range(a.dim)]
+    flips[rng.randrange(a.dim)] = -1
+    signs = SparseMatrix(a.dim, a.dim, ((i, i, f) for i, f in enumerate(flips)))
+    entries = [(i, i, 1) for i in range(a.dim)]
+    entries += [(0, a.dim - 1, "1/2"), (a.dim - 1, 0, "-1/3")]
+    rational = SparseMatrix(a.dim, a.dim, entries)
+    return a, change_of_basis(a, signs), change_of_basis(a, rational)
+
+
+def _cross_check(a, n_max=4):
+    """Every operator with n <= n_max, and b~, B~ built from them, equal
+    the tuple-based reference entry for entry."""
+    for n in range(1, n_max + 1):
+        for name in OPERATORS:
+            _assert_same_store(getattr(mixed, name)(a, n),
+                               getattr(reference_mixed, name)(a, n))
+    mc = build_mixed_complex(a, n_max - 1)
+    b_ref, B_ref = reference_mixed.mixed_differentials(a, n_max - 1)
+    assert mc.b_tilde.keys() == b_ref.keys()
+    assert mc.B_tilde.keys() == B_ref.keys()
+    for n in b_ref:
+        _assert_same_store(mc.b_tilde[n], b_ref[n])
+    for n in B_ref:
+        _assert_same_store(mc.B_tilde[n], B_ref[n])
+
+
+@pytest.mark.parametrize("path", DATA_ALGEBRAS, ids=lambda p: p.stem)
+def test_operators_match_tuple_reference_on_data(path):
+    a = cli.parse_algebra_file(path)
+    for variant in _basis_variants(a, DATA_ALGEBRAS.index(path)):
+        _cross_check(variant)
+
+
+def test_operators_match_tuple_reference_on_fixtures(algebras):
+    for i, name in enumerate(sorted(algebras)):
+        for variant in _basis_variants(algebras[name], i):
+            _cross_check(variant)
