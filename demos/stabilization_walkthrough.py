@@ -17,7 +17,7 @@ from cychom.mixed import build_mixed_complex
 
 def show(name, algebra, max_degree=5):
     mc = build_mixed_complex(algebra, max_degree + 1)
-    hh = hochschild_homology(algebra, max_degree, mc=mc)
+    hh = hochschild_homology(algebra, max_degree, mc=mc, hp_floor=0)
     print(f"{name}: HH dims {hh.dims}")
     try:
         hp = periodic_via_stabilization(algebra, max_degree, mc=mc,

@@ -322,7 +322,7 @@ def _homology_report(job, theory):
 def _hp_report(job):
     a = parse_algebra_file(job.path)
     mc = build_mixed_complex(a, job.max_degree + 1)
-    hh = hochschild_homology(a, job.max_degree, mc=mc)
+    hh = hochschild_homology(a, job.max_degree, mc=mc, hp_floor=0)
     try:
         report = periodic_via_stabilization(a, job.max_degree, mc=mc,
                                             hh_report=hh)

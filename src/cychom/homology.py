@@ -8,7 +8,9 @@ reported through the stabilization route: once HH_n = 0 has been verified
 for all n > N up to the truncation depth, the cyclic dimensions repeat with
 period two above N and the repeating values are the periodic ones.  Without
 such a certificate the tool refuses rather than guesses; every certificate
-records how far vanishing was actually checked.
+records how far vanishing was actually checked.  When HP follows HH on one
+mixed complex, the top degree is eliminated once, as D, for both theories
+(hochschild_homology's hp_floor).
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DegreeOutOfRange, NoCertificate, NotACycle, ValidationError
 from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
-                     rank, solve)
+                     pivot_columns, rank, solve)
 from .mixed import build_mixed_complex
 
 
@@ -50,6 +52,22 @@ def total_differential(mc, n):
         grid,
         [mc.spaces[q].dim for q in dst],
         [mc.spaces[q].dim for q in src])
+
+
+def total_rank_split(mc, n):
+    """(rank b~_n, rank D_n) from one elimination of D_n.
+
+    total_differential puts the Omega^n summand first and applies no B~ to
+    it, so the first dim Omega^n columns of D_n are exactly [b~_n; 0].
+    Row operations keep every linear relation among the columns, so column
+    j of an echelon form is a pivot exactly when it is not in the span of
+    columns 0..j-1, whichever pivot rows were chosen (independent_modulo
+    relies on the same fact).  Hence the pivots below dim Omega^n count
+    rank [b~_n; 0] = rank b~_n, and all the pivots count rank D_n.
+    """
+    pivots = pivot_columns(total_differential(mc, n))
+    top = mc.spaces[n].dim
+    return sum(1 for c in pivots if c < top), len(pivots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +104,8 @@ class HomologyReport:
     theory is "HH", "HC", or "HP".  For HH and HC, dims[n] is the degree-n
     dimension for 0 <= n <= max_degree.  For HP, dims is the pair
     (even, odd) and certificate carries the stabilization data.
+    total_top_rank is rank D_{max_degree+1} when an HH run with hp_floor
+    eliminated it (see hochschild_homology), else None.
     """
 
     theory: str
@@ -95,6 +115,7 @@ class HomologyReport:
     boundary_ranks: tuple | None = None
     representatives: dict | None = None
     certificate: object | None = None
+    total_top_rank: int | None = None
 
 
 def differential(mc, theory, n):
@@ -123,12 +144,16 @@ def _require_depth(mc, max_degree):
             f"needs the differential at {max_degree + 1}")
 
 
-def _homology(theory, max_degree, space_dims, diffs, representatives):
+def _homology(theory, max_degree, space_dims, diffs, representatives,
+              top_rank=None):
     """Dimensions, and optionally class representatives, of a chain complex.
 
     space_dims[n] is dim C_n and diffs[n] : C_n -> C_{n-1} for
     1 <= n <= max_degree + 1.  Without representatives, each differential is
-    eliminated once, by rank.  With them, degree n costs kernel_basis(d_n)
+    eliminated once, by rank; top_rank, when given, is called with the ranks
+    once those of d_1 .. d_{max_degree} are in, and returns
+    rank(d_{max_degree+1}) in place of that elimination (diffs then need no
+    top entry).  With representatives, degree n costs kernel_basis(d_n)
     (none at n = 0, where every chain is a cycle) and one
     independent_modulo(d_{n+1}, cycles), which also yields rank(d_{n+1}).
     """
@@ -139,6 +164,8 @@ def _homology(theory, max_degree, space_dims, diffs, representatives):
         if representatives:
             d_out = diffs[n] if n >= 1 else SparseMatrix(0, space_dims[0])
             ranks[n + 1], reps[n] = _class_representatives(d_out, diffs[n + 1])
+        elif n + 1 == top and top_rank is not None:
+            ranks[top] = top_rank(ranks)
         else:
             ranks[n + 1] = rank(diffs[n + 1])
     dims = []
@@ -152,24 +179,69 @@ def _homology(theory, max_degree, space_dims, diffs, representatives):
                           boundary_ranks=tuple(ranks), representatives=reps)
 
 
-def hochschild_homology(a, max_degree, mc=None, representatives=False):
-    """HH_0 .. HH_{max_degree}; builds one guard degree beyond the top."""
+def hochschild_homology(a, max_degree, mc=None, representatives=False,
+                        hp_floor=None):
+    """HH_0 .. HH_{max_degree}; builds one guard degree beyond the top.
+
+    hp_floor is for a caller that reports HP next from the same mixed
+    complex, held to a vanishing bound of at least hp_floor (0 for one
+    algebra; along a tower, the earlier stages' largest bound).  HP then
+    needs HC, whose top differential D_{max_degree+1} contains [b~; 0]
+    (total_rank_split).  So once b~_1 .. b~_{max_degree} are ranked, and
+    while HP can still be established, D_{max_degree+1} is eliminated in
+    place of b~_{max_degree+1}, and the report keeps its rank as
+    total_top_rank for cyclic_homology.  "Can still be established" takes
+    HH_{max_degree} as 0: neither refusal rule of periodic_via_stabilization
+    may apply to the vanishing bound of HH_1 .. HH_{max_degree-1} and
+    hp_floor.  When one applies already, b~_{max_degree+1} is ranked as
+    without hp_floor, so a refusal eliminates what it would without it.
+    Lower degrees rank b~, because the rules need their dimensions first;
+    each costs about 1/dim A of the top degree.
+    """
     if mc is None:
         mc = build_mixed_complex(a, max_degree + 1)
     _require_depth(mc, max_degree)
-    space_dims = [mc.spaces[n].dim for n in range(max_degree + 2)]
-    return _homology("HH", max_degree, space_dims, mc.b_tilde,
-                     representatives)
+    top = max_degree + 1
+    space_dims = [mc.spaces[n].dim for n in range(top + 1)]
+    total = []
+
+    def top_rank(ranks):
+        below = [space_dims[n] - ranks[n] - ranks[n + 1]
+                 for n in range(max_degree)]
+        bound = max(hp_floor, vanishing_bound(below, max_degree - 1))
+        # the refusal rules of stabilization_certificate and
+        # periodic_via_stabilization
+        if (bound > max_degree - 2
+                or stabilized_degrees(bound)[1] > max_degree):
+            return rank(mc.b_tilde[top])
+        b_rank, d_rank = total_rank_split(mc, top)
+        total.append(d_rank)
+        return b_rank
+
+    report = _homology("HH", max_degree, space_dims, mc.b_tilde,
+                       representatives,
+                       top_rank if hp_floor is not None else None)
+    return replace(report, total_top_rank=total[0]) if total else report
 
 
-def cyclic_homology(a, max_degree, mc=None, representatives=False):
-    """HC_0 .. HC_{max_degree} from the total complex."""
+def cyclic_homology(a, max_degree, mc=None, representatives=False,
+                    top_rank=None):
+    """HC_0 .. HC_{max_degree} from the total complex.
+
+    top_rank is rank D_{max_degree+1} when it is known already (an HH
+    report's total_top_rank); D_{max_degree+1} is then neither assembled
+    nor eliminated.  It is not read with representatives, which need
+    D_{max_degree+1} itself.
+    """
     if mc is None:
         mc = build_mixed_complex(a, max_degree + 1)
     _require_depth(mc, max_degree)
     space_dims = [total_dim(mc, n) for n in range(max_degree + 2)]
-    diffs = {n: total_differential(mc, n) for n in range(1, max_degree + 2)}
-    return _homology("HC", max_degree, space_dims, diffs, representatives)
+    known = top_rank is not None and not representatives
+    last = max_degree if known else max_degree + 1
+    diffs = {n: total_differential(mc, n) for n in range(1, last + 1)}
+    return _homology("HC", max_degree, space_dims, diffs, representatives,
+                     (lambda ranks: top_rank) if known else None)
 
 
 def homology_representatives(mc, theory, degree):
@@ -206,6 +278,17 @@ class StabilizationCertificate:
     odd_repeat_equal: bool | None = None
 
 
+def vanishing_bound(dims, through):
+    """Least N >= 0 with dims[n] = 0 for N < n <= through."""
+    return max((n for n in range(1, through + 1) if dims[n]), default=0)
+
+
+def stabilized_degrees(bound):
+    """The cyclic degrees (even, odd) read off above a vanishing bound."""
+    even = 2 * (bound // 2 + 1)
+    return even, even + 1
+
+
 def stabilization_certificate(a, max_degree, mc=None, hh_report=None):
     """Least N <= max_degree - 2 with HH_n = 0 for N < n <= max_degree.
 
@@ -218,10 +301,7 @@ def stabilization_certificate(a, max_degree, mc=None, hh_report=None):
         hh = hochschild_homology(a, max_degree, mc=mc)
     if hh.max_degree < max_degree:
         raise DegreeOutOfRange("HH report shallower than requested bound")
-    bound = 0
-    for n in range(1, max_degree + 1):
-        if hh.dims[n]:
-            bound = n
+    bound = vanishing_bound(hh.dims, max_degree)
     if bound > max_degree - 2:
         return None
     return StabilizationCertificate(
@@ -236,24 +316,28 @@ def periodic_via_stabilization(a, max_degree, mc=None, hh_report=None,
 
     Raises NoCertificate when vanishing is not established within the
     truncation, or when the stabilized cyclic degrees do not fit under it;
-    periodic dimensions are never extrapolated.
+    periodic dimensions are never extrapolated.  Without hc_report, HC
+    reuses the HH report's total_top_rank.
     """
     if mc is None:
         mc = build_mixed_complex(a, max_degree + 1)
-    cert = stabilization_certificate(a, max_degree, mc=mc, hh_report=hh_report)
+    hh = hh_report
+    if hh is None:
+        hh = hochschild_homology(a, max_degree, mc=mc, hp_floor=0)
+    cert = stabilization_certificate(a, max_degree, hh_report=hh)
     if cert is None:
         raise NoCertificate(
             f"Hochschild homology does not vanish above any bound "
             f"<= {max_degree - 2} within truncation {max_degree}")
-    n_star = cert.vanishing_bound // 2 + 1
-    even_deg, odd_deg = 2 * n_star, 2 * n_star + 1
+    even_deg, odd_deg = stabilized_degrees(cert.vanishing_bound)
     if odd_deg > max_degree:
         raise NoCertificate(
             f"stabilized cyclic degrees {even_deg}, {odd_deg} exceed "
             f"truncation {max_degree}; deepen the computation")
     hc = hc_report
     if hc is None:
-        hc = cyclic_homology(a, max_degree, mc=mc)
+        hc = cyclic_homology(a, max_degree, mc=mc,
+                             top_rank=hh.total_top_rank)
     even, odd = hc.dims[even_deg], hc.dims[odd_deg]
     even_repeat = (hc.dims[even_deg + 2] == even
                    if even_deg + 2 <= max_degree else None)

@@ -15,7 +15,11 @@ takes the HH continuity result's complexes and reports.  Per theory and
 degree n, an earlier stage costs kernel_basis(d_n) and one
 independent_modulo(d_{n+1}) for its representatives, the final stage one
 rank(d_{n+1}), and each filtration entry one independent_modulo of the
-pushed representatives against the final stage's d_{n+1}.
+pushed representatives against the final stage's d_{n+1}.  The one
+exception is the final stage's top differential, at n + 1 = max_degree + 1:
+while HP can still be established, its HH and HC runs share one elimination
+of D_{max_degree+1}, which also yields rank b~_{max_degree+1}
+(homology.hochschild_homology, hp_floor).
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +28,7 @@ from .algebra import AlgebraHom, group_algebra, hecke_algebra, hecke_inclusion
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
 from .homology import (cyclic_homology, differential, hochschild_homology,
                        periodic_via_stabilization, stabilization_certificate,
-                       total_components)
+                       stabilized_degrees, total_components, vanishing_bound)
 from .linalg import SparseMatrix, independent_modulo
 from .mixed import build_mixed_complex, induced_chain_map
 
@@ -126,32 +130,51 @@ def _push(chain_maps, src_mc, dst_mc, theory, n, vectors):
     return [push.apply(v) for v in vectors]
 
 
-def _stage_reports(ds, mcs, theory, max_degree):
-    """One report per stage; all but the final one carry representatives."""
+def _stage_reports(ds, mcs, theory, max_degree, top_rank=None):
+    """One report per stage; all but the final one carry representatives.
+
+    The final stage is ranked for the HP report that follows.  Its HH run
+    takes the earlier stages' largest vanishing bound as hp_floor, so it
+    eliminates D_{max_degree+1} only while the common bound can still hold;
+    its HC run takes top_rank, the rank of D_{max_degree+1} that HH run
+    kept (None when it kept none).
+    """
     compute = hochschild_homology if theory == "HH" else cyclic_homology
-    last = len(ds) - 1
-    return tuple(compute(a, max_degree, mc=mc, representatives=i < last)
-                 for i, (a, mc) in enumerate(zip(ds.stages, mcs)))
+    reports = [compute(a, max_degree, mc=mc, representatives=True)
+               for a, mc in zip(ds.stages[:-1], mcs[:-1])]
+    if theory == "HH":
+        floor = max((vanishing_bound(r.dims, max_degree) for r in reports),
+                    default=0)
+        final = hochschild_homology(ds.stages[-1], max_degree, mc=mcs[-1],
+                                    hp_floor=floor)
+    else:
+        final = cyclic_homology(ds.stages[-1], max_degree, mc=mcs[-1],
+                                top_rank=top_rank)
+    return (*reports, final)
 
 
 def _image_filtration(ds, mcs, reports, theory, degrees):
     """Rows per stage: image dimensions in the final stage at each degree.
 
     An earlier stage's entry is the number of its pushed representatives
-    independent modulo the final stage's boundaries, one elimination each;
-    the final stage's row is its own dimensions.
+    independent modulo the final stage's boundaries, one elimination each
+    (none, and no pushing, for a stage without classes in that degree);
+    the final stage's row is its own dimensions.  The final stage's d_{n+1}
+    is assembled only when some stage has classes to test against it.
     """
     chain_maps = [induced_chain_map(f, max(degrees))
                   for f in ds.to_final[:-1]]
     columns = []
     for n in degrees:
-        d_in = differential(mcs[-1], theory, n + 1)
+        reps = [r.representatives[n] for r in reports[:-1]]
+        d_in = differential(mcs[-1], theory, n + 1) if any(reps) else None
         column = []
         for i, maps in enumerate(chain_maps):
-            reps = reports[i].representatives[n]
-            pushed = _push(maps, mcs[i], mcs[-1], theory, n, reps)
-            column.append(len(independent_modulo(d_in, pushed)[1])
-                          if reps else 0)
+            if reps[i]:
+                pushed = _push(maps, mcs[i], mcs[-1], theory, n, reps[i])
+                column.append(len(independent_modulo(d_in, pushed)[1]))
+            else:
+                column.append(0)
         column.append(reports[-1].dims[n])
         columns.append(column)
     return tuple(zip(*columns))
@@ -185,7 +208,11 @@ class ContinuityReport:
 
 
 def continuity_check(ds, theory, max_degree):
-    """Image filtration of every stage's homology in the final stage."""
+    """Image filtration of every stage's homology in the final stage.
+
+    An HH result is what hp_continuity_check takes, so its final stage is
+    ranked for the HP report as well (_stage_reports).
+    """
     if theory not in ("HH", "HC"):
         raise ValidationError(f"unknown theory {theory!r}")
     mcs = _stage_complexes(ds, max_degree + 1)
@@ -247,13 +274,13 @@ def hp_continuity_check(ds, hh_continuity):
                 f"stage {i} has no vanishing certificate within {max_degree}")
         certs.append(cert)
     common = max(c.vanishing_bound for c in certs)
-    even_deg = 2 * (common // 2 + 1)
-    odd_deg = even_deg + 1
+    even_deg, odd_deg = stabilized_degrees(common)
     if odd_deg > max_degree:
         raise CertMissing(
             f"common bound {common} stabilizes at degrees {even_deg}, "
             f"{odd_deg}, beyond truncation {max_degree}")
-    hc_reports = _stage_reports(ds, mcs, "HC", max_degree)
+    hc_reports = _stage_reports(ds, mcs, "HC", max_degree,
+                                hh_reports[-1].total_top_rank)
     for a, mc, hh, hc in zip(ds.stages, mcs, hh_reports, hc_reports):
         hp = periodic_via_stabilization(a, max_degree, mc=mc,
                                         hh_report=hh, hc_report=hc)

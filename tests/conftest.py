@@ -5,13 +5,17 @@ built once per session at a canonical depth per algebra and shared across
 test modules.
 """
 
+import random
+
 import pytest
 
-from cychom.algebra import (FiniteGroup, group_algebra, hecke_algebra,
-                            matrix_algebra, symmetric_group_with_perms)
+from cychom.algebra import (FiniteGroup, change_of_basis, group_algebra,
+                            hecke_algebra, matrix_algebra,
+                            symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.homology import (TotChainIndex, cyclic_homology,
                              hochschild_homology, total_components)
+from cychom.linalg import SparseMatrix
 from cychom.mixed import build_mixed_complex
 
 # depth each named algebra is built to when first requested; rand3 has a
@@ -38,6 +42,19 @@ def split_flat(mc, n, flat):
             components[q] = part
         at += dim
     return TotChainIndex(n, components)
+
+
+def basis_variants(a, seed):
+    """a, a with seeded basis signs f_i = +-e_i, and a in a rational basis
+    (its structure constants get denominators, so the ints are scaled)."""
+    rng = random.Random(seed)
+    flips = [rng.choice((1, -1)) for _ in range(a.dim)]
+    flips[rng.randrange(a.dim)] = -1
+    signs = SparseMatrix(a.dim, a.dim, ((i, i, f) for i, f in enumerate(flips)))
+    entries = [(i, i, 1) for i in range(a.dim)]
+    entries += [(0, a.dim - 1, "1/2"), (a.dim - 1, 0, "-1/3")]
+    rational = SparseMatrix(a.dim, a.dim, entries)
+    return a, change_of_basis(a, signs), change_of_basis(a, rational)
 
 
 def build_named_algebra(name):

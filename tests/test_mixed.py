@@ -1,6 +1,5 @@
 """Operator identities and assembly conventions for the mixed complex."""
 
-import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import reference_mixed
+from conftest import basis_variants
 from cychom import cli, mixed
-from cychom.algebra import AlgebraHom, change_of_basis, hecke_algebra, \
-    hecke_inclusion, symmetric_group_with_perms, group_algebra
+from cychom.algebra import AlgebraHom, hecke_algebra, hecke_inclusion, \
+    symmetric_group_with_perms, group_algebra
 from cychom.catalog import dual_numbers, ground_field
 from cychom.errors import DegreeOutOfRange, NotMultiplicative, SizeCapExceeded
 from cychom.linalg import ONE, SparseMatrix
@@ -246,19 +246,6 @@ def _assert_same_store(got, want):
     assert all(type(v) is Fraction and v for v in got.data.values())
 
 
-def _basis_variants(a, seed):
-    """a, a with seeded basis signs f_i = +-e_i, and a in a rational basis
-    (its structure constants get denominators, so the ints are scaled)."""
-    rng = random.Random(seed)
-    flips = [rng.choice((1, -1)) for _ in range(a.dim)]
-    flips[rng.randrange(a.dim)] = -1
-    signs = SparseMatrix(a.dim, a.dim, ((i, i, f) for i, f in enumerate(flips)))
-    entries = [(i, i, 1) for i in range(a.dim)]
-    entries += [(0, a.dim - 1, "1/2"), (a.dim - 1, 0, "-1/3")]
-    rational = SparseMatrix(a.dim, a.dim, entries)
-    return a, change_of_basis(a, signs), change_of_basis(a, rational)
-
-
 def _cross_check(a, n_max=4):
     """Every operator with n <= n_max, and b~, B~ built from them, equal
     the tuple-based reference entry for entry."""
@@ -279,11 +266,11 @@ def _cross_check(a, n_max=4):
 @pytest.mark.parametrize("path", DATA_ALGEBRAS, ids=lambda p: p.stem)
 def test_operators_match_tuple_reference_on_data(path):
     a = cli.parse_algebra_file(path)
-    for variant in _basis_variants(a, DATA_ALGEBRAS.index(path)):
+    for variant in basis_variants(a, DATA_ALGEBRAS.index(path)):
         _cross_check(variant)
 
 
 def test_operators_match_tuple_reference_on_fixtures(algebras):
     for i, name in enumerate(sorted(algebras)):
-        for variant in _basis_variants(algebras[name], i):
+        for variant in basis_variants(algebras[name], i):
             _cross_check(variant)
