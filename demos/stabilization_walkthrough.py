@@ -9,7 +9,7 @@ genuine obstruction.
 
 from cychom.catalog import cyclic_group_rationals, dual_numbers
 from cychom.homology import (ObstructedLift, TotChainIndex,
-                             hochschild_homology, lift_to_periodic,
+                             hochschild_and_cyclic, lift_to_periodic,
                              periodic_via_stabilization)
 from cychom.linalg import QQ
 from cychom.mixed import build_mixed_complex
@@ -17,11 +17,10 @@ from cychom.mixed import build_mixed_complex
 
 def show(name, algebra, max_degree=5):
     mc = build_mixed_complex(algebra, max_degree + 1)
-    hh = hochschild_homology(algebra, max_degree, mc=mc, hp_floor=0)
+    hh, hc = hochschild_and_cyclic(mc, max_degree)
     print(f"{name}: HH dims {hh.dims}")
     try:
-        hp = periodic_via_stabilization(algebra, max_degree, mc=mc,
-                                        hh_report=hh)
+        hp = periodic_via_stabilization(hh, hc)
     except Exception as e:
         print(f"{name}: HP refused ({e})")
         return mc

@@ -31,8 +31,9 @@ from . import __version__
 from .algebra import Algebra, AlgebraHom, FiniteGroup, check_associativity
 from .errors import (CychomError, NoCertificate, OrderCapExceeded,
                      ParseError, SizeCapExceeded, ValidationError)
-from .homology import (cyclic_homology, hochschild_homology,
-                       periodic_via_stabilization, stabilization_certificate)
+from .homology import (cyclic_homology, hochschild_and_cyclic,
+                       hochschild_homology, periodic_via_stabilization,
+                       stabilization_certificate)
 from .linalg import QQ, SparseMatrix
 from .mixed import build_mixed_complex, verify_mixed_identities
 from .orbifold import TorusComponent, even_odd_totals
@@ -314,18 +315,17 @@ def _homology_report(job, theory):
             "space_dims": list(report.space_dims),
             "boundary_ranks": list(report.boundary_ranks)}
     if job.certificate and theory == "HH":
-        cert = stabilization_certificate(a, job.max_degree, hh_report=report)
-        body["certificate"] = _certificate_fields(cert)
+        body["certificate"] = _certificate_fields(
+            stabilization_certificate(report))
     return 0, body
 
 
 def _hp_report(job):
     a = parse_algebra_file(job.path)
     mc = build_mixed_complex(a, job.max_degree + 1)
-    hh = hochschild_homology(a, job.max_degree, mc=mc, hp_floor=0)
+    hh, hc = hochschild_and_cyclic(mc, job.max_degree)
     try:
-        report = periodic_via_stabilization(a, job.max_degree, mc=mc,
-                                            hh_report=hh)
+        report = periodic_via_stabilization(hh, hc)
     except NoCertificate:
         body = {"status": "NOT_ESTABLISHED",
                 "hh_dims": list(hh.dims),
@@ -368,7 +368,7 @@ def _identities_report(job):
 
 def _tower_report(job):
     ds = parse_tower_file(job.path)
-    cont = continuity_check(ds, "HH", job.max_degree)
+    cont = continuity_check(ds, job.max_degree)
     body = {"stage_dims": [a.dim for a in ds.stages],
             "hh": {"final_dims": list(cont.final_dims),
                    "filtration": [list(row) for row in cont.image_filtration],

@@ -8,9 +8,17 @@ reported through the stabilization route: once HH_n = 0 has been verified
 for all n > N up to the truncation depth, the cyclic dimensions repeat with
 period two above N and the repeating values are the periodic ones.  Without
 such a certificate the tool refuses rather than guesses; every certificate
-records how far vanishing was actually checked.  When HP follows HH on one
-mixed complex, the top degree is eliminated once, as D, for both theories
-(hochschild_homology's hp_floor).
+records how far vanishing was actually checked.
+
+Every report is built from the ranks of its differentials
+(report_from_ranks), and a run eliminates each differential once:
+hochschild_homology ranks b~_n, and cyclic_homology D_n, for
+1 <= n <= max_degree + 1.  HP needs both theories on one mixed complex:
+hochschild_and_cyclic ranks b~_1 .. b~_{max_degree}; while HP can still be
+established (hp_can_hold) it then eliminates D_{max_degree+1} once, which
+yields rank b~_{max_degree+1} as well (total_rank_split), and ranks
+D_1 .. D_{max_degree}; otherwise it ranks b~_{max_degree+1} and makes no
+HC report.
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
@@ -29,10 +37,6 @@ from .mixed import build_mixed_complex
 def total_components(n):
     """Degrees of the summands of Tot_n, descending: n, n-2, ..., 1 or 0."""
     return tuple(range(n, -1, -2))
-
-
-def total_dim(mc, n):
-    return sum(mc.spaces[q].dim for q in total_components(n))
 
 
 def total_differential(mc, n):
@@ -99,13 +103,12 @@ def check_tot_chain(mc, chain):
 
 @dataclass(frozen=True, eq=False)
 class HomologyReport:
-    """Per-degree dimensions for one theory, with optional extras.
+    """Per-degree dimensions for one theory.
 
     theory is "HH", "HC", or "HP".  For HH and HC, dims[n] is the degree-n
-    dimension for 0 <= n <= max_degree.  For HP, dims is the pair
-    (even, odd) and certificate carries the stabilization data.
-    total_top_rank is rank D_{max_degree+1} when an HH run with hp_floor
-    eliminated it (see hochschild_homology), else None.
+    dimension and space_dims[n] = dim C_n for 0 <= n <= max_degree, and
+    boundary_ranks[n] = rank d_n for 0 <= n <= max_degree + 1.  For HP, dims
+    is the pair (even, odd) and certificate carries the stabilization data.
     """
 
     theory: str
@@ -113,26 +116,43 @@ class HomologyReport:
     dims: tuple
     space_dims: tuple | None = None
     boundary_ranks: tuple | None = None
-    representatives: dict | None = None
     certificate: object | None = None
-    total_top_rank: int | None = None
+
+
+def chain_dim(mc, theory, n):
+    """dim C_n: Omega^n for HH, Tot_n for HC."""
+    degrees = (n,) if theory == "HH" else total_components(n)
+    return sum(mc.spaces[q].dim for q in degrees)
 
 
 def differential(mc, theory, n):
-    """The degree-n differential of HH (b~) or HC (D); n = 0 maps to zero."""
-    if theory == "HH":
-        return mc.b_tilde[n] if n >= 1 else SparseMatrix(0, mc.spaces[0].dim)
-    if theory == "HC":
-        return (total_differential(mc, n) if n >= 1
-                else SparseMatrix(0, total_dim(mc, 0)))
-    raise ValidationError(f"unknown theory {theory!r}")
+    """The degree-n differential, n >= 1: b~ for HH, D for HC."""
+    return mc.b_tilde[n] if theory == "HH" else total_differential(mc, n)
 
 
-def _class_representatives(d_out, d_in):
-    """rank(d_in) and cycles of d_out independent modulo the image of d_in."""
-    cycles = (kernel_basis(d_out).basis if d_out.rows
-              else [{i: ONE} for i in range(d_out.cols)])
-    return independent_modulo(d_in, cycles)
+def cycle_basis(mc, theory, n):
+    """A basis of the degree-n cycles: every chain at n = 0, else ker d_n."""
+    if n == 0:
+        return tuple({i: ONE} for i in range(mc.spaces[0].dim))
+    return kernel_basis(differential(mc, theory, n)).basis
+
+
+def report_from_ranks(mc, theory, max_degree, ranks):
+    """The HH or HC report through max_degree from ranks[n] = rank d_n.
+
+    ranks runs over 0 <= n <= max_degree + 1, with ranks[0] = 0 (d_0 = 0);
+    H_n = dim C_n - rank d_n - rank d_{n+1}.
+    """
+    space_dims = [chain_dim(mc, theory, n) for n in range(max_degree + 1)]
+    dims = []
+    for n, space in enumerate(space_dims):
+        d = space - ranks[n] - ranks[n + 1]
+        if d < 0:
+            raise ValidationError(f"negative homology dimension at degree {n}")
+        dims.append(d)
+    return HomologyReport(theory, max_degree, tuple(dims),
+                          space_dims=tuple(space_dims),
+                          boundary_ranks=tuple(ranks))
 
 
 def _require_depth(mc, max_degree):
@@ -144,104 +164,50 @@ def _require_depth(mc, max_degree):
             f"needs the differential at {max_degree + 1}")
 
 
-def _homology(theory, max_degree, space_dims, diffs, representatives,
-              top_rank=None):
-    """Dimensions, and optionally class representatives, of a chain complex.
-
-    space_dims[n] is dim C_n and diffs[n] : C_n -> C_{n-1} for
-    1 <= n <= max_degree + 1.  Without representatives, each differential is
-    eliminated once, by rank; top_rank, when given, is called with the ranks
-    once those of d_1 .. d_{max_degree} are in, and returns
-    rank(d_{max_degree+1}) in place of that elimination (diffs then need no
-    top entry).  With representatives, degree n costs kernel_basis(d_n)
-    (none at n = 0, where every chain is a cycle) and one
-    independent_modulo(d_{n+1}, cycles), which also yields rank(d_{n+1}).
-    """
-    top = max_degree + 1
-    ranks = [0] * (top + 1)
-    reps = {} if representatives else None
-    for n in range(top):
-        if representatives:
-            d_out = diffs[n] if n >= 1 else SparseMatrix(0, space_dims[0])
-            ranks[n + 1], reps[n] = _class_representatives(d_out, diffs[n + 1])
-        elif n + 1 == top and top_rank is not None:
-            ranks[top] = top_rank(ranks)
-        else:
-            ranks[n + 1] = rank(diffs[n + 1])
-    dims = []
-    for n in range(top):
-        d = space_dims[n] - ranks[n] - ranks[n + 1]
-        if d < 0:
-            raise ValidationError(f"negative homology dimension at degree {n}")
-        dims.append(d)
-    return HomologyReport(theory, max_degree, tuple(dims),
-                          space_dims=tuple(space_dims[:top]),
-                          boundary_ranks=tuple(ranks), representatives=reps)
-
-
-def hochschild_homology(a, max_degree, mc=None, representatives=False,
-                        hp_floor=None):
-    """HH_0 .. HH_{max_degree}; builds one guard degree beyond the top.
-
-    hp_floor is for a caller that reports HP next from the same mixed
-    complex, held to a vanishing bound of at least hp_floor (0 for one
-    algebra; along a tower, the earlier stages' largest bound).  HP then
-    needs HC, whose top differential D_{max_degree+1} contains [b~; 0]
-    (total_rank_split).  So once b~_1 .. b~_{max_degree} are ranked, and
-    while HP can still be established, D_{max_degree+1} is eliminated in
-    place of b~_{max_degree+1}, and the report keeps its rank as
-    total_top_rank for cyclic_homology.  "Can still be established" takes
-    HH_{max_degree} as 0: neither refusal rule of periodic_via_stabilization
-    may apply to the vanishing bound of HH_1 .. HH_{max_degree-1} and
-    hp_floor.  When one applies already, b~_{max_degree+1} is ranked as
-    without hp_floor, so a refusal eliminates what it would without it.
-    Lower degrees rank b~, because the rules need their dimensions first;
-    each costs about 1/dim A of the top degree.
-    """
+def _ranked(theory, a, max_degree, mc):
     if mc is None:
         mc = build_mixed_complex(a, max_degree + 1)
     _require_depth(mc, max_degree)
-    top = max_degree + 1
-    space_dims = [mc.spaces[n].dim for n in range(top + 1)]
-    total = []
-
-    def top_rank(ranks):
-        below = [space_dims[n] - ranks[n] - ranks[n + 1]
-                 for n in range(max_degree)]
-        bound = max(hp_floor, vanishing_bound(below, max_degree - 1))
-        # the refusal rules of stabilization_certificate and
-        # periodic_via_stabilization
-        if (bound > max_degree - 2
-                or stabilized_degrees(bound)[1] > max_degree):
-            return rank(mc.b_tilde[top])
-        b_rank, d_rank = total_rank_split(mc, top)
-        total.append(d_rank)
-        return b_rank
-
-    report = _homology("HH", max_degree, space_dims, mc.b_tilde,
-                       representatives,
-                       top_rank if hp_floor is not None else None)
-    return replace(report, total_top_rank=total[0]) if total else report
+    ranks = [0] + [rank(differential(mc, theory, n))
+                   for n in range(1, max_degree + 2)]
+    return report_from_ranks(mc, theory, max_degree, ranks)
 
 
-def cyclic_homology(a, max_degree, mc=None, representatives=False,
-                    top_rank=None):
-    """HC_0 .. HC_{max_degree} from the total complex.
+def hochschild_homology(a, max_degree, mc=None):
+    """HH_0 .. HH_{max_degree}; builds one guard degree beyond the top."""
+    return _ranked("HH", a, max_degree, mc)
 
-    top_rank is rank D_{max_degree+1} when it is known already (an HH
-    report's total_top_rank); D_{max_degree+1} is then neither assembled
-    nor eliminated.  It is not read with representatives, which need
-    D_{max_degree+1} itself.
+
+def cyclic_homology(a, max_degree, mc=None):
+    """HC_0 .. HC_{max_degree} from the total complex."""
+    return _ranked("HC", a, max_degree, mc)
+
+
+def hochschild_and_cyclic(mc, max_degree, floor=0):
+    """(HH report, HC report or None) for an HP report that follows.
+
+    floor is the least vanishing bound HP is held to: 0 for one algebra,
+    and along a tower the earlier stages' largest bound.  b~_1 ..
+    b~_{max_degree} are ranked first, since the refusal rule needs HH_1 ..
+    HH_{max_degree-1}.  Taking HH_{max_degree} as 0, if HP can still be
+    established above the larger of floor and their vanishing bound, one
+    elimination of D_{max_degree+1} gives rank b~_{max_degree+1} as well
+    (total_rank_split), and D_1 .. D_{max_degree} are ranked for the HC
+    report.  Otherwise b~_{max_degree+1} is ranked and no HC report is
+    made, so a refusal eliminates what hochschild_homology would.
     """
-    if mc is None:
-        mc = build_mixed_complex(a, max_degree + 1)
     _require_depth(mc, max_degree)
-    space_dims = [total_dim(mc, n) for n in range(max_degree + 2)]
-    known = top_rank is not None and not representatives
-    last = max_degree if known else max_degree + 1
-    diffs = {n: total_differential(mc, n) for n in range(1, last + 1)}
-    return _homology("HC", max_degree, space_dims, diffs, representatives,
-                     (lambda ranks: top_rank) if known else None)
+    top = max_degree + 1
+    b = [0] + [rank(mc.b_tilde[n]) for n in range(1, top)]
+    below = [mc.spaces[n].dim - b[n] - b[n + 1] for n in range(max_degree)]
+    if not hp_can_hold(max(floor, vanishing_bound(below, max_degree - 1)),
+                       max_degree):
+        b.append(rank(mc.b_tilde[top]))
+        return report_from_ranks(mc, "HH", max_degree, b), None
+    b_top, d_top = total_rank_split(mc, top)
+    d = [0] + [rank(total_differential(mc, n)) for n in range(1, top)]
+    return (report_from_ranks(mc, "HH", max_degree, b + [b_top]),
+            report_from_ranks(mc, "HC", max_degree, d + [d_top]))
 
 
 def homology_representatives(mc, theory, degree):
@@ -253,8 +219,8 @@ def homology_representatives(mc, theory, degree):
     if degree < 0 or degree + 1 > mc.n_max:
         raise DegreeOutOfRange(
             f"representatives at degree {degree} need depth {degree + 1}")
-    return _class_representatives(differential(mc, theory, degree),
-                                  differential(mc, theory, degree + 1))[1]
+    return independent_modulo(differential(mc, theory, degree + 1),
+                              cycle_basis(mc, theory, degree))[1]
 
 
 # ------------------------------------------------------------- stabilization
@@ -289,18 +255,25 @@ def stabilized_degrees(bound):
     return even, even + 1
 
 
-def stabilization_certificate(a, max_degree, mc=None, hh_report=None):
+def hp_can_hold(bound, max_degree):
+    """Whether HP can be read above a vanishing bound within max_degree.
+
+    The stabilized odd degree must fit under the truncation.  It is at
+    least bound + 2, so this also keeps the bound within the certificate's
+    own limit, max_degree - 2.
+    """
+    return stabilized_degrees(bound)[1] <= max_degree
+
+
+def stabilization_certificate(hh):
     """Least N <= max_degree - 2 with HH_n = 0 for N < n <= max_degree.
 
-    Returns None when no such bound exists within the truncation; callers
-    render that as NOT_ESTABLISHED.  The certificate never claims anything
-    beyond the degrees actually checked.
+    Reads the HH report hh through its max_degree.  Returns None when no
+    such bound exists within the truncation; callers render that as
+    NOT_ESTABLISHED.  The certificate never claims anything beyond the
+    degrees actually checked.
     """
-    hh = hh_report
-    if hh is None:
-        hh = hochschild_homology(a, max_degree, mc=mc)
-    if hh.max_degree < max_degree:
-        raise DegreeOutOfRange("HH report shallower than requested bound")
+    max_degree = hh.max_degree
     bound = vanishing_bound(hh.dims, max_degree)
     if bound > max_degree - 2:
         return None
@@ -310,34 +283,25 @@ def stabilization_certificate(a, max_degree, mc=None, hh_report=None):
         checked_through=max_degree)
 
 
-def periodic_via_stabilization(a, max_degree, mc=None, hh_report=None,
-                               hc_report=None):
-    """HP report (even, odd) through the vanishing certificate, or refusal.
+def periodic_via_stabilization(hh, hc):
+    """HP report (even, odd) from one algebra's HH and HC reports, or refusal.
 
     Raises NoCertificate when vanishing is not established within the
     truncation, or when the stabilized cyclic degrees do not fit under it;
-    periodic dimensions are never extrapolated.  Without hc_report, HC
-    reuses the HH report's total_top_rank.
+    periodic dimensions are never extrapolated.  hc is read only past both
+    refusals, so it may be None where hochschild_and_cyclic made none.
     """
-    if mc is None:
-        mc = build_mixed_complex(a, max_degree + 1)
-    hh = hh_report
-    if hh is None:
-        hh = hochschild_homology(a, max_degree, mc=mc, hp_floor=0)
-    cert = stabilization_certificate(a, max_degree, hh_report=hh)
+    max_degree = hh.max_degree
+    cert = stabilization_certificate(hh)
     if cert is None:
         raise NoCertificate(
             f"Hochschild homology does not vanish above any bound "
             f"<= {max_degree - 2} within truncation {max_degree}")
     even_deg, odd_deg = stabilized_degrees(cert.vanishing_bound)
-    if odd_deg > max_degree:
+    if not hp_can_hold(cert.vanishing_bound, max_degree):
         raise NoCertificate(
             f"stabilized cyclic degrees {even_deg}, {odd_deg} exceed "
             f"truncation {max_degree}; deepen the computation")
-    hc = hc_report
-    if hc is None:
-        hc = cyclic_homology(a, max_degree, mc=mc,
-                             top_rank=hh.total_top_rank)
     even, odd = hc.dims[even_deg], hc.dims[odd_deg]
     even_repeat = (hc.dims[even_deg + 2] == even
                    if even_deg + 2 <= max_degree else None)

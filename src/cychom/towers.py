@@ -11,25 +11,29 @@ stage must carry a vanishing certificate, a common bound is taken, and the
 periodic dimensions are read off at the stabilized cyclic degrees.
 
 The tower command builds each stage's mixed complex once: hp_continuity_check
-takes the HH continuity result's complexes and reports.  Per theory and
-degree n, an earlier stage costs kernel_basis(d_n) and one
-independent_modulo(d_{n+1}) for its representatives, the final stage one
-rank(d_{n+1}), and each filtration entry one independent_modulo of the
-pushed representatives against the final stage's d_{n+1}.  The one
-exception is the final stage's top differential, at n + 1 = max_degree + 1:
-while HP can still be established, its HH and HC runs share one elimination
-of D_{max_degree+1}, which also yields rank b~_{max_degree+1}
-(homology.hochschild_homology, hp_floor).
+takes the HH continuity result's complexes and reports.  Per theory (HH for
+continuity_check, HC for the HP step that follows), an earlier stage costs
+kernel_basis(d_n) for 1 <= n <= max_degree, which gives its cycle space Z_n
+and rank d_n = dim C_n - dim Z_n, and one rank(d_{max_degree+1}).  Each
+filtration entry at degree n is one independent_modulo of the stage's
+pushed Z_n against the final stage's d_{n+1}, run only where the stage's
+H_n is nonzero.  The final stage is ranked once for both theories by
+homology.hochschild_and_cyclic, held to the earlier stages' largest
+vanishing bound: b~_1 .. b~_{max_degree}, then, while HP can still be
+established, D_{max_degree+1} (which also gives rank b~_{max_degree+1}) and
+D_1 .. D_{max_degree}, else b~_{max_degree+1}.
 """
 
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraHom, group_algebra, hecke_algebra, hecke_inclusion
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
-from .homology import (cyclic_homology, differential, hochschild_homology,
-                       periodic_via_stabilization, stabilization_certificate,
-                       stabilized_degrees, total_components, vanishing_bound)
-from .linalg import SparseMatrix, independent_modulo
+from .homology import (chain_dim, cycle_basis, differential,
+                       hochschild_and_cyclic, hp_can_hold,
+                       periodic_via_stabilization, report_from_ranks,
+                       stabilization_certificate, stabilized_degrees,
+                       total_components, vanishing_bound)
+from .linalg import SparseMatrix, independent_modulo, rank
 from .mixed import build_mixed_complex, induced_chain_map
 
 
@@ -130,73 +134,64 @@ def _push(chain_maps, src_mc, dst_mc, theory, n, vectors):
     return [push.apply(v) for v in vectors]
 
 
-def _stage_reports(ds, mcs, theory, max_degree, top_rank=None):
-    """One report per stage; all but the final one carry representatives.
+def _cycle_spaces(mc, theory, max_degree):
+    """An earlier stage's report and its cycle spaces Z_0 .. Z_{max_degree}.
 
-    The final stage is ranked for the HP report that follows.  Its HH run
-    takes the earlier stages' largest vanishing bound as hp_floor, so it
-    eliminates D_{max_degree+1} only while the common bound can still hold;
-    its HC run takes top_rank, the rank of D_{max_degree+1} that HH run
-    kept (None when it kept none).
+    kernel_basis(d_n) gives Z_n and rank d_n = dim C_n - dim Z_n for
+    1 <= n <= max_degree; one rank(d_{max_degree+1}) completes the report.
     """
-    compute = hochschild_homology if theory == "HH" else cyclic_homology
-    reports = [compute(a, max_degree, mc=mc, representatives=True)
-               for a, mc in zip(ds.stages[:-1], mcs[:-1])]
-    if theory == "HH":
-        floor = max((vanishing_bound(r.dims, max_degree) for r in reports),
-                    default=0)
-        final = hochschild_homology(ds.stages[-1], max_degree, mc=mcs[-1],
-                                    hp_floor=floor)
-    else:
-        final = cyclic_homology(ds.stages[-1], max_degree, mc=mcs[-1],
-                                top_rank=top_rank)
-    return (*reports, final)
+    cycles = [cycle_basis(mc, theory, n) for n in range(max_degree + 1)]
+    ranks = [chain_dim(mc, theory, n) - len(z) for n, z in enumerate(cycles)]
+    ranks.append(rank(differential(mc, theory, max_degree + 1)))
+    return report_from_ranks(mc, theory, max_degree, ranks), cycles
 
 
-def _image_filtration(ds, mcs, reports, theory, degrees):
+def _image_filtration(ds, mcs, stages, final, theory, degrees):
     """Rows per stage: image dimensions in the final stage at each degree.
 
-    An earlier stage's entry is the number of its pushed representatives
-    independent modulo the final stage's boundaries, one elimination each
-    (none, and no pushing, for a stage without classes in that degree);
-    the final stage's row is its own dimensions.  The final stage's d_{n+1}
-    is assembled only when some stage has classes to test against it.
+    stages holds each earlier stage's (report, cycle spaces), final the
+    final stage's report.  The image of H_n(A_i) in H_n(A_m) is
+    (f(Z_n) + B_n) / B_n, with B_n the image of the final stage's d_{n+1},
+    so an entry is the number of pushed cycles independent modulo B_n: one
+    elimination, run only when the stage's H_n is nonzero (its image is 0
+    otherwise).  The final stage's row is its own dimensions.
     """
     chain_maps = [induced_chain_map(f, max(degrees))
                   for f in ds.to_final[:-1]]
     columns = []
     for n in degrees:
-        reps = [r.representatives[n] for r in reports[:-1]]
-        d_in = differential(mcs[-1], theory, n + 1) if any(reps) else None
+        d_in = (differential(mcs[-1], theory, n + 1)
+                if any(r.dims[n] for r, _ in stages) else None)
         column = []
-        for i, maps in enumerate(chain_maps):
-            if reps[i]:
-                pushed = _push(maps, mcs[i], mcs[-1], theory, n, reps[i])
+        for maps, mc, (report, cycles) in zip(chain_maps, mcs, stages):
+            if report.dims[n]:
+                pushed = _push(maps, mc, mcs[-1], theory, n, cycles[n])
                 column.append(len(independent_modulo(d_in, pushed)[1]))
             else:
                 column.append(0)
-        column.append(reports[-1].dims[n])
+        column.append(final.dims[n])
         columns.append(column)
     return tuple(zip(*columns))
 
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    """Image filtration of stage homology inside the final stage.
+    """Image filtration of stage Hochschild homology inside the final stage.
 
     image_filtration[i][n] is the dimension of the image of stage i's
     degree-n homology in the final stage; the last row is the final stage's
     own dimensions, since it maps by the identity.  complexes and
-    stage_reports keep each stage's mixed complex and report, so that
-    hp_continuity_check can reuse them.
+    stage_reports keep each stage's mixed complex and HH report, and
+    final_hc the final stage's HC report (None where HP cannot hold), so
+    that hp_continuity_check can reuse them.
     """
 
-    theory: str
     max_degree: int
     final_dims: tuple
     image_filtration: tuple
     complexes: tuple = field(repr=False, compare=False)
     stage_reports: tuple = field(repr=False, compare=False)
+    final_hc: object = field(repr=False, compare=False)
 
     @property
     def monotone(self):
@@ -207,20 +202,22 @@ class ContinuityReport:
         return True
 
 
-def continuity_check(ds, theory, max_degree):
-    """Image filtration of every stage's homology in the final stage.
+def continuity_check(ds, max_degree):
+    """Image filtration of every stage's Hochschild homology in the final one.
 
-    An HH result is what hp_continuity_check takes, so its final stage is
-    ranked for the HP report as well (_stage_reports).
+    The final stage is ranked for the HP report that hp_continuity_check
+    makes next: hochschild_and_cyclic, held to the earlier stages' largest
+    vanishing bound.
     """
-    if theory not in ("HH", "HC"):
-        raise ValidationError(f"unknown theory {theory!r}")
     mcs = _stage_complexes(ds, max_degree + 1)
-    reports = _stage_reports(ds, mcs, theory, max_degree)
-    filtration = _image_filtration(ds, mcs, reports, theory,
+    stages = [_cycle_spaces(mc, "HH", max_degree) for mc in mcs[:-1]]
+    floor = max((vanishing_bound(r.dims, max_degree) for r, _ in stages),
+                default=0)
+    hh, hc = hochschild_and_cyclic(mcs[-1], max_degree, floor)
+    filtration = _image_filtration(ds, mcs, stages, hh, "HH",
                                    range(max_degree + 1))
-    return ContinuityReport(theory, max_degree, reports[-1].dims,
-                            filtration, mcs, reports)
+    return ContinuityReport(max_degree, hh.dims, filtration, mcs,
+                            tuple(r for r, _ in stages) + (hh,), hc)
 
 
 @dataclass(frozen=True)
@@ -253,42 +250,39 @@ class HpContinuityReport:
 def hp_continuity_check(ds, hh_continuity):
     """Periodic dimensions along the tower under a common certificate.
 
-    hh_continuity is the result of continuity_check(ds, "HH", max_degree);
-    its stages' mixed complexes and HH reports are reused, and max_degree is
-    read from it.  Every stage must admit a vanishing certificate within
-    max_degree; the common bound is the largest stage bound, and the
-    periodic dimensions of all stages are read at the degrees stabilized by
-    that common bound.  Raises CertMissing when any stage lacks a
-    certificate or the stabilized degrees do not fit under the truncation.
+    hh_continuity is the result of continuity_check(ds, max_degree); its
+    stages' mixed complexes and HH reports, and the final stage's HC report,
+    are reused, and max_degree is read from it.  Every stage must admit a
+    vanishing certificate within max_degree; the common bound is the
+    largest stage bound, and the periodic dimensions of all stages are read
+    at the degrees stabilized by that common bound.  Raises CertMissing
+    when any stage lacks a certificate or the stabilized degrees do not fit
+    under the truncation.
     """
-    if hh_continuity.theory != "HH":
-        raise ValidationError("hp_continuity_check needs the HH continuity, "
-                              f"not {hh_continuity.theory}")
     max_degree = hh_continuity.max_degree
     mcs, hh_reports = hh_continuity.complexes, hh_continuity.stage_reports
     certs = []
-    for i, (a, hh) in enumerate(zip(ds.stages, hh_reports)):
-        cert = stabilization_certificate(a, max_degree, hh_report=hh)
+    for i, hh in enumerate(hh_reports):
+        cert = stabilization_certificate(hh)
         if cert is None:
             raise CertMissing(
                 f"stage {i} has no vanishing certificate within {max_degree}")
         certs.append(cert)
     common = max(c.vanishing_bound for c in certs)
     even_deg, odd_deg = stabilized_degrees(common)
-    if odd_deg > max_degree:
+    if not hp_can_hold(common, max_degree):
         raise CertMissing(
             f"common bound {common} stabilizes at degrees {even_deg}, "
             f"{odd_deg}, beyond truncation {max_degree}")
-    hc_reports = _stage_reports(ds, mcs, "HC", max_degree,
-                                hh_reports[-1].total_top_rank)
-    for a, mc, hh, hc in zip(ds.stages, mcs, hh_reports, hc_reports):
-        hp = periodic_via_stabilization(a, max_degree, mc=mc,
-                                        hh_report=hh, hc_report=hc)
+    stages = [_cycle_spaces(mc, "HC", max_degree) for mc in mcs[:-1]]
+    hc_reports = [r for r, _ in stages] + [hh_continuity.final_hc]
+    for hh, hc in zip(hh_reports, hc_reports):
+        hp = periodic_via_stabilization(hh, hc)
         if hp.dims != (hc.dims[even_deg], hc.dims[odd_deg]):
             raise ValidationError(
                 "stabilized cyclic dimensions disagree between the stage "
                 "bound and the common bound")
-    filtration = _image_filtration(ds, mcs, hc_reports, "HC",
+    filtration = _image_filtration(ds, mcs, stages, hc_reports[-1], "HC",
                                    (even_deg, odd_deg))
     return HpContinuityReport(
         common_bound=common, even_degree=even_deg, odd_degree=odd_deg,

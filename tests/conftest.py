@@ -9,14 +9,15 @@ import random
 
 import pytest
 
-from cychom.algebra import (FiniteGroup, change_of_basis, group_algebra,
-                            hecke_algebra, matrix_algebra,
+from cychom.algebra import (AlgebraHom, FiniteGroup, change_of_basis,
+                            group_algebra, hecke_algebra, matrix_algebra,
                             symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.homology import (TotChainIndex, cyclic_homology,
                              hochschild_homology, total_components)
 from cychom.linalg import SparseMatrix
 from cychom.mixed import build_mixed_complex
+from cychom.towers import DirectSystem
 
 # depth each named algebra is built to when first requested; rand3 has a
 # dense scrambled table, so deep eliminations are kept off its menu
@@ -55,6 +56,15 @@ def basis_variants(a, seed):
     entries += [(0, a.dim - 1, "1/2"), (a.dim - 1, 0, "-1/3")]
     rational = SparseMatrix(a.dim, a.dim, entries)
     return a, change_of_basis(a, signs), change_of_basis(a, rational)
+
+
+def dual_into_m2():
+    """The tower Q[x]/(x^2) -> M2(Q), 1 -> e00 + e11, x -> e01: the final
+    stage's HH vanishes in positive degrees, the first stage's does not."""
+    m2 = matrix_algebra(ground_field(), 2)
+    hom = AlgebraHom(dual_numbers(), m2,
+                     SparseMatrix(4, 2, [(0, 0, 1), (3, 0, 1), (1, 1, 1)]))
+    return DirectSystem([dual_numbers(), m2], [hom])
 
 
 def build_named_algebra(name):
@@ -98,16 +108,15 @@ def mixed_complexes(algebras):
 
 @pytest.fixture(scope="session")
 def homology_reports(algebras, mixed_complexes):
-    """Callable (name, theory, max_degree, representatives) -> cached report."""
+    """Callable (name, theory, max_degree) -> cached report."""
     cache = {}
 
-    def get(name, theory, max_degree, representatives=False):
-        key = (name, theory, max_degree, representatives)
+    def get(name, theory, max_degree):
+        key = (name, theory, max_degree)
         if key not in cache:
             mc = mixed_complexes(name, max_degree + 1)
             fn = hochschild_homology if theory == "HH" else cyclic_homology
-            cache[key] = fn(algebras[name], max_degree, mc=mc,
-                            representatives=representatives)
+            cache[key] = fn(algebras[name], max_degree, mc=mc)
         return cache[key]
 
     return get

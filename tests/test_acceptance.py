@@ -100,21 +100,17 @@ def test_criterion_2_known_answers_vs_oracle(homology_reports):
             assert homology_reports(name, "HH", 4).dims == dims
 
 
-def test_criterion_3_stabilized_degeneration(algebras, mixed_complexes,
-                                             homology_reports):
+def test_criterion_3_stabilized_degeneration(homology_reports):
     with criterion(3, "cyclic dimensions repeat and set the periodic pair"):
         for name in SEPARABLE:
             hc = homology_reports(name, "HC", 5)
             assert hc.dims[2] == hc.dims[4]
             assert hc.dims[3] == hc.dims[5]
             hh = homology_reports(name, "HH", 5)
-            cert = stabilization_certificate(algebras[name], 5,
-                                             hh_report=hh)
+            cert = stabilization_certificate(hh)
             assert cert is not None
             assert cert.vanishing_bound == 0
-            hp = periodic_via_stabilization(
-                algebras[name], 5, mc=mixed_complexes(name, 6),
-                hh_report=hh, hc_report=hc)
+            hp = periodic_via_stabilization(hh, hc)
             assert hp.dims == (hc.dims[2], hc.dims[3])
 
 
@@ -175,7 +171,7 @@ def test_criterion_6_tower_continuity():
                   (hecke_tower(FiniteGroup.cyclic(4), [[0, 2], [0]]),
                    (2, 4))]
         for ds, hh0 in towers:
-            cont = continuity_check(ds, "HH", 3)
+            cont = continuity_check(ds, 3)
             assert tuple(row[0] for row in cont.image_filtration) == hh0
             assert cont.monotone
             hp = hp_continuity_check(ds, cont)

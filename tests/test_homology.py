@@ -91,12 +91,12 @@ def test_shallow_complex_rejected():
         cyclic_homology(a, 2, mc=mc)
 
 
-def test_representatives_are_independent_cycles(algebras, mixed_complexes):
-    a = algebras["dual"]
+def test_representatives_are_independent_cycles(mixed_complexes,
+                                                homology_reports):
     mc = mixed_complexes("dual")
-    hh = hochschild_homology(a, 3, mc=mc, representatives=True)
+    hh = homology_reports("dual", "HH", 3)
     for n in range(4):
-        reps = hh.representatives[n]
+        reps = homology_representatives(mc, "HH", n)
         assert len(reps) == hh.dims[n]
         for vec in reps:
             if n >= 1:
@@ -111,8 +111,8 @@ def test_representatives_are_independent_cycles(algebras, mixed_complexes):
         stacked = SparseMatrix.from_columns(mc.spaces[n].dim,
                                             cols + list(reps))
         assert rank(stacked) == r0 + len(reps)
-    hc = cyclic_homology(a, 2, mc=mc, representatives=True)
-    assert len(hc.representatives[2]) == hc.dims[2] == 2
+    hc = homology_reports("dual", "HC", 2)
+    assert len(homology_representatives(mc, "HC", 2)) == hc.dims[2] == 2
 
 
 def _three_step_representatives(d_out, d_in):
@@ -126,44 +126,38 @@ def _three_step_representatives(d_out, d_in):
 
 
 @pytest.mark.parametrize("name", ["dual", "z3", "hecke_s3_s2"])
-def test_representatives_match_three_step_reference(name, algebras,
-                                                    mixed_complexes):
-    a = algebras[name]
+def test_representatives_match_three_step_reference(name, mixed_complexes,
+                                                    homology_reports):
     mc = mixed_complexes(name)
-    for theory, compute, diff in (
-            ("HH", hochschild_homology, lambda n: mc.b_tilde[n]),
-            ("HC", cyclic_homology, lambda n: total_differential(mc, n))):
-        reps = compute(a, 3, mc=mc, representatives=True).representatives
+    for theory, diff in (("HH", lambda n: mc.b_tilde[n]),
+                         ("HC", lambda n: total_differential(mc, n))):
+        dims = homology_reports(name, theory, 3).dims
         for n in range(4):
             d_in = diff(n + 1)
             d_out = diff(n) if n >= 1 else SparseMatrix(0, d_in.rows)
             want = _three_step_representatives(d_out, d_in)
-            assert reps[n] == want, (theory, n)
+            assert len(want) == dims[n], (theory, n)
             assert homology_representatives(mc, theory, n) == want
 
 
-def test_certificates(algebras, homology_reports):
+def test_certificates(homology_reports):
     for name in ("ground", "z2", "z3", "z4", "m2q", "hecke_s3_s2"):
-        cert = stabilization_certificate(
-            algebras[name], 5, hh_report=homology_reports(name, "HH", 5))
+        cert = stabilization_certificate(homology_reports(name, "HH", 5))
         assert cert is not None, name
         assert cert.vanishing_bound == 0
         assert cert.verified_degrees == (1, 2, 3, 4, 5)
         assert cert.checked_through == 5
-    assert stabilization_certificate(
-        algebras["dual"], 5, hh_report=homology_reports("dual", "HH", 5)) is None
-    assert stabilization_certificate(
-        algebras["rand3"], 3, hh_report=homology_reports("rand3", "HH", 3)) is None
+    for name, degree in (("dual", 5), ("rand3", 3)):
+        hh = homology_reports(name, "HH", degree)
+        assert stabilization_certificate(hh) is None, name
 
 
-def test_periodic_reports(algebras, mixed_complexes, homology_reports):
+def test_periodic_reports(homology_reports):
     expected = {"ground": (1, 0), "z2": (2, 0), "z3": (3, 0),
                 "z4": (4, 0), "m2q": (1, 0), "hecke_s3_s2": (2, 0)}
     for name, want in expected.items():
-        hp = periodic_via_stabilization(
-            algebras[name], 5, mc=mixed_complexes(name),
-            hh_report=homology_reports(name, "HH", 5),
-            hc_report=homology_reports(name, "HC", 5))
+        hp = periodic_via_stabilization(homology_reports(name, "HH", 5),
+                                        homology_reports(name, "HC", 5))
         assert hp.theory == "HP"
         assert hp.dims == want, name
         cert = hp.certificate
@@ -172,17 +166,14 @@ def test_periodic_reports(algebras, mixed_complexes, homology_reports):
         assert cert.odd_repeat_equal is True
 
 
-def test_periodic_refusals(algebras, mixed_complexes, homology_reports):
+def test_periodic_refusals(homology_reports):
     with pytest.raises(NoCertificate):
-        periodic_via_stabilization(
-            algebras["dual"], 5, mc=mixed_complexes("dual"),
-            hh_report=homology_reports("dual", "HH", 5))
+        periodic_via_stabilization(homology_reports("dual", "HH", 5), None)
     # certificate exists at depth 2 but the stabilized odd degree is 3:
     # refuse rather than read cyclic dimensions beyond the truncation
     with pytest.raises(NoCertificate):
-        periodic_via_stabilization(
-            algebras["z2"], 2, mc=mixed_complexes("z2"),
-            hh_report=homology_reports("z2", "HH", 2))
+        periodic_via_stabilization(homology_reports("z2", "HH", 2),
+                                   homology_reports("z2", "HC", 2))
 
 
 def test_unit_lift_is_pinned(mixed_complexes):

@@ -6,7 +6,14 @@ Fractions.  These tests run it live and compare, so a regression in either
 route surfaces as a disagreement rather than a silently stale table.
 """
 
+import json
+
+import pytest
+
 import oracles
+from cychom.algebra import (FiniteGroup, group_algebra,
+                            symmetric_group_with_perms)
+from cychom.cli import algebra_to_doc, main
 
 CRITERION_HH = {
     "ground": (1, 0, 0, 0, 0),
@@ -46,3 +53,21 @@ def test_matrix_algebra_matches_oracle_live(homology_reports):
     dim, mult = oracles.m2_rationals()
     from_oracle = tuple(oracles.hh_oracle(dim, mult, 3))
     assert homology_reports("m2q", "HH", 3).dims == from_oracle == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, "S3"])
+def test_group_algebra_hp_counts_conjugacy_classes(order, tmp_path, capsys):
+    # Burghelea (Loday, Cyclic Homology, 7.4): over Q, HH_0(Q[G]) has one
+    # dimension per conjugacy class and HH_n = 0 for n > 0, so HP(Q[G]) is
+    # (#classes, 0)
+    g = (symmetric_group_with_perms(3)[0] if order == "S3"
+         else FiniteGroup.cyclic(order))
+    classes = len(g.conjugacy_classes())
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(algebra_to_doc(group_algebra(g))))
+    code = main(["hp", str(path), "--max-degree", "3", "--certificate",
+                 "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["hh_dims"] == [classes, 0, 0, 0]
+    assert (report["hp_even"], report["hp_odd"]) == (classes, 0)

@@ -1,17 +1,26 @@
 """Direct systems of algebra inclusions and continuity along them."""
 
+from pathlib import Path
+
 import pytest
 
+from conftest import dual_into_m2
 from cychom import homology, towers
 from cychom.algebra import (AlgebraHom, FiniteGroup, group_algebra,
                             symmetric_group_with_perms)
 from cychom.catalog import cyclic_group_rationals, dual_numbers, ground_field
 from cychom.errors import (CertMissing, NotAChain, NotInjective,
                            ValidationError)
-from cychom.homology import hochschild_homology
-from cychom.linalg import QQ, SparseMatrix
+from cychom.cli import parse_tower_file
+from cychom.homology import (cyclic_homology, differential,
+                             hochschild_homology, homology_representatives)
+from cychom.linalg import QQ, SparseMatrix, independent_modulo
+from cychom.mixed import induced_chain_map
 from cychom.towers import (DirectSystem, continuity_check, hecke_tower,
                            hp_continuity_check, identity_hom)
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def constant_tower(a, length):
@@ -20,7 +29,7 @@ def constant_tower(a, length):
 
 
 def hp_along(ds, max_degree):
-    return hp_continuity_check(ds, continuity_check(ds, "HH", max_degree))
+    return hp_continuity_check(ds, continuity_check(ds, max_degree))
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +99,7 @@ def test_direct_system_validation():
 
 def test_constant_system_is_trivial():
     ds = constant_tower(cyclic_group_rationals(2), 3)
-    cont = continuity_check(ds, "HH", 2)
+    cont = continuity_check(ds, 2)
     assert cont.monotone
     for n in range(3):
         column = {row[n] for row in cont.image_filtration}
@@ -99,7 +108,7 @@ def test_constant_system_is_trivial():
 
 def test_s3_tower_continuity(s3_tower, s3_data):
     g, _ = s3_data
-    cont = continuity_check(s3_tower, "HH", 3)
+    cont = continuity_check(s3_tower, 3)
     assert cont.final_dims == (3, 0, 0, 0)
     assert [row[0] for row in cont.image_filtration] == [2, 3]
     assert cont.monotone
@@ -108,20 +117,12 @@ def test_s3_tower_continuity(s3_tower, s3_data):
 
 
 def test_z4_tower_continuity(z4_tower):
-    cont = continuity_check(z4_tower, "HH", 3)
+    cont = continuity_check(z4_tower, 3)
     assert cont.final_dims == (4, 0, 0, 0)
     assert [row[0] for row in cont.image_filtration] == [2, 4]
     assert cont.monotone
     direct = hochschild_homology(group_algebra(FiniteGroup.cyclic(4)), 3)
     assert cont.final_dims == direct.dims
-
-
-def test_hc_degree_zero_filtration_matches(s3_tower):
-    hh = continuity_check(s3_tower, "HH", 2)
-    hc = continuity_check(s3_tower, "HC", 2)
-    assert hh.final_dims[0] == hc.final_dims[0]
-    assert ([row[0] for row in hh.image_filtration]
-            == [row[0] for row in hc.image_filtration])
 
 
 def test_hp_continuity_s3(s3_tower):
@@ -153,8 +154,7 @@ def test_hp_continuity_z4(z4_tower):
 
 
 def test_hp_reuses_hh_continuity(z4_tower, monkeypatch):
-    cont = continuity_check(z4_tower, "HH", 3)
-    hc_cont = continuity_check(z4_tower, "HC", 3)
+    cont = continuity_check(z4_tower, 3)
 
     def no_build(*args):
         raise AssertionError("hp_continuity_check built a mixed complex")
@@ -162,8 +162,6 @@ def test_hp_reuses_hh_continuity(z4_tower, monkeypatch):
     for module in (homology, towers):
         monkeypatch.setattr(module, "build_mixed_complex", no_build)
     assert hp_continuity_check(z4_tower, cont).stage_even == (2, 4)
-    with pytest.raises(ValidationError):
-        hp_continuity_check(z4_tower, hc_cont)
 
 
 def test_hp_constant_ground():
@@ -179,3 +177,50 @@ def test_hp_refusals():
     # certificate exists but the stabilized degrees poke past the truncation
     with pytest.raises(CertMissing):
         hp_along(constant_tower(ground_field(), 2), 2)
+
+
+def _filtration_from_representatives(ds, mcs, theory, degrees):
+    """Image dimensions per earlier stage through pushed class
+    representatives, the reference for the pushed cycle spaces."""
+    rows = []
+    for f, mc in zip(ds.to_final[:-1], mcs):
+        maps = induced_chain_map(f, max(degrees))
+        row = []
+        for n in degrees:
+            reps = homology_representatives(mc, theory, n)
+            pushed = towers._push(maps, mc, mcs[-1], theory, n, reps)
+            d_in = differential(mcs[-1], theory, n + 1)
+            row.append(len(independent_modulo(d_in, pushed)[1]))
+        rows.append(tuple(row))
+    return rows
+
+
+CROSS_CHECK_TOWERS = {
+    "z4_tower": lambda: parse_tower_file(DATA / "towers" / "z4_tower.json"),
+    "s3_tower": lambda: parse_tower_file(DATA / "towers" / "s3_tower.json"),
+    "dual_constant": lambda: constant_tower(dual_numbers(), 3),
+    "dual_into_m2": dual_into_m2,
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_TOWERS)
+def test_pushed_cycles_match_pushed_representatives(name):
+    # the image of H_n(A_i) in H_n(A_m) is (f(Z_n) + B_n) / B_n, so pushing
+    # every cycle counts what pushing class representatives counts
+    ds = CROSS_CHECK_TOWERS[name]()
+    degrees = range(4)
+    mcs = towers._stage_complexes(ds, 4)
+    for theory, compute in (("HH", hochschild_homology),
+                            ("HC", cyclic_homology)):
+        stages = [towers._cycle_spaces(mc, theory, 3) for mc in mcs[:-1]]
+        for (report, _), a, mc in zip(stages, ds.stages, mcs):
+            plain = compute(a, 3, mc=mc)
+            assert (report.dims, report.boundary_ranks) == \
+                (plain.dims, plain.boundary_ranks), theory
+        final = compute(ds.stages[-1], 3, mc=mcs[-1])
+        got = towers._image_filtration(ds, mcs, stages, final, theory,
+                                       degrees)
+        want = _filtration_from_representatives(ds, mcs, theory, degrees)
+        assert got == (*want, final.dims), theory
+        if theory == "HH":
+            assert continuity_check(ds, 3).image_filtration == got
