@@ -6,7 +6,6 @@ unitization, matrix algebras M_n(A), group algebras, double-coset algebras of
 a finite group pair (G, K) under convolution, and direct sums.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import NotASubgroup, NotMultiplicative, ValidationError
@@ -84,10 +83,12 @@ class Algebra:
         return f"Algebra(dim={self.dim}, unital={self.is_unital()})"
 
 
-@dataclass(frozen=True)
 class AssocCheck:
-    ok: bool
-    failing_triple: tuple | None
+    __slots__ = ("ok", "failing_triple")
+
+    def __init__(self, ok, failing_triple):
+        self.ok = ok
+        self.failing_triple = failing_triple
 
 
 def check_associativity(a):
@@ -189,7 +190,6 @@ def change_of_basis(a, s):
                    basis_labels=tuple(f"f{i}" for i in range(a.dim)))
 
 
-@dataclass(frozen=True, eq=False)
 class AlgebraHom:
     """A linear map of algebras given by a dim(target) x dim(source) matrix.
 
@@ -198,12 +198,13 @@ class AlgebraHom:
     unit to an idempotent.
     """
 
-    source: Algebra
-    target: Algebra
-    matrix: SparseMatrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.target.dim, self.source.dim):
+    def __init__(self, source, target, matrix):
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+        if matrix.shape != (target.dim, source.dim):
             raise ValidationError("hom matrix shape does not match algebras")
 
     def apply(self, vec):

@@ -17,15 +17,17 @@ orbifold.ORDER_CAP elements, refused before the work starts, or an orbifold
 component whose work would exceed orbifold.WORK_CAP; 3 a periodic computation
 refused for lack of a vanishing certificate (a mathematical outcome, not an
 error).
+
+Every job pays for what importing this module loads, so it loads only what
+the homology commands run: argparse is imported by build_parser, which run()
+does not need, and cychom.orbifold by the orbifold command.
 """
 
-import argparse
 import hashlib
 import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 
 from . import __version__
 from .algebra import Algebra, AlgebraHom, FiniteGroup, check_associativity
@@ -36,7 +38,6 @@ from .homology import (cyclic_homology, hochschild_and_cyclic,
                        stabilization_certificate)
 from .linalg import QQ, SparseMatrix
 from .mixed import build_mixed_complex, verify_mixed_identities
-from .orbifold import TorusComponent, even_odd_totals
 from .towers import DirectSystem, continuity_check, hecke_tower, \
     hp_continuity_check
 
@@ -240,6 +241,8 @@ def parse_component_file(path):
     A "notes" string is allowed at the top level and per component and is
     ignored: shipped example lists carry their provenance there.
     """
+    from .orbifold import TorusComponent
+
     doc = _load_json(path)
     _require_keys(doc, {"components", "gl_rank", "notes"}, {"components"},
                   path)
@@ -281,16 +284,20 @@ def parse_component_file(path):
     return components, gl_rank
 
 
-@dataclass(frozen=True)
 class JobSpec:
     """One CLI invocation: a command, an input path and its options."""
 
-    command: str
-    path: str
-    max_degree: int = DEFAULT_MAX_DEGREE
-    fmt: str = "text"
-    certificate: bool = False
-    oracle: bool = False
+    __slots__ = ("command", "path", "max_degree", "fmt", "certificate",
+                 "oracle")
+
+    def __init__(self, command, path, max_degree=DEFAULT_MAX_DEGREE,
+                 fmt="text", certificate=False, oracle=False):
+        self.command = command
+        self.path = path
+        self.max_degree = max_degree
+        self.fmt = fmt
+        self.certificate = certificate
+        self.oracle = oracle
 
 
 def _certificate_fields(cert):
@@ -391,6 +398,8 @@ def _tower_report(job):
 
 
 def _orbifold_report(job):
+    from .orbifold import even_odd_totals
+
     components, gl_rank = parse_component_file(job.path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -488,11 +497,6 @@ def run(job, out=None):
     return code
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ParseError(message)
-
-
 # Each command's help text and the options it reads besides path and --format
 _COMMANDS = {
     "check": ("parse and validate an algebra file", ()),
@@ -520,6 +524,12 @@ _OPTIONS = {
 
 
 def build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ParseError(message)
+
     parser = _Parser(prog="cychom",
                      description="Exact Hochschild/cyclic/periodic homology "
                                  "of finite-dimensional rational algebras.")

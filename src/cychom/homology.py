@@ -24,8 +24,6 @@ All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
 """
 
-from dataclasses import dataclass, replace
-
 from .errors import DegreeOutOfRange, NoCertificate, NotACycle, ValidationError
 from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
                      pivot_columns, rank, solve)
@@ -74,12 +72,14 @@ def total_rank_split(mc, n):
     return sum(1 for c in pivots if c < top), len(pivots)
 
 
-@dataclass(frozen=True, eq=False)
 class TotChainIndex:
     """A chain in Tot_n, stored per summand: components[q] lives in Omega^q."""
 
-    degree: int
-    components: dict
+    __slots__ = ("degree", "components")
+
+    def __init__(self, degree, components):
+        self.degree = degree
+        self.components = components
 
     def component(self, q):
         return self.components.get(q, {})
@@ -101,7 +101,6 @@ def check_tot_chain(mc, chain):
 
 # ------------------------------------------------------------------- reports
 
-@dataclass(frozen=True, eq=False)
 class HomologyReport:
     """Per-degree dimensions for one theory.
 
@@ -111,12 +110,17 @@ class HomologyReport:
     is the pair (even, odd) and certificate carries the stabilization data.
     """
 
-    theory: str
-    max_degree: int
-    dims: tuple
-    space_dims: tuple | None = None
-    boundary_ranks: tuple | None = None
-    certificate: object | None = None
+    __slots__ = ("theory", "max_degree", "dims", "space_dims",
+                 "boundary_ranks", "certificate")
+
+    def __init__(self, theory, max_degree, dims, space_dims=None,
+                 boundary_ranks=None, certificate=None):
+        self.theory = theory
+        self.max_degree = max_degree
+        self.dims = dims
+        self.space_dims = space_dims
+        self.boundary_ranks = boundary_ranks
+        self.certificate = certificate
 
 
 def chain_dim(mc, theory, n):
@@ -225,7 +229,6 @@ def homology_representatives(mc, theory, degree):
 
 # ------------------------------------------------------------- stabilization
 
-@dataclass(frozen=True)
 class StabilizationCertificate:
     """Evidence that HH vanishes above some bound, up to the truncation.
 
@@ -235,13 +238,20 @@ class StabilizationCertificate:
     period-two repeats that fit under the truncation were verified equal).
     """
 
-    vanishing_bound: int
-    verified_degrees: tuple
-    checked_through: int
-    even_degree: int | None = None
-    odd_degree: int | None = None
-    even_repeat_equal: bool | None = None
-    odd_repeat_equal: bool | None = None
+    __slots__ = ("vanishing_bound", "verified_degrees", "checked_through",
+                 "even_degree", "odd_degree", "even_repeat_equal",
+                 "odd_repeat_equal")
+
+    def __init__(self, vanishing_bound, verified_degrees, checked_through,
+                 even_degree=None, odd_degree=None, even_repeat_equal=None,
+                 odd_repeat_equal=None):
+        self.vanishing_bound = vanishing_bound
+        self.verified_degrees = verified_degrees
+        self.checked_through = checked_through
+        self.even_degree = even_degree
+        self.odd_degree = odd_degree
+        self.even_repeat_equal = even_repeat_equal
+        self.odd_repeat_equal = odd_repeat_equal
 
 
 def vanishing_bound(dims, through):
@@ -307,14 +317,15 @@ def periodic_via_stabilization(hh, hc):
                    if even_deg + 2 <= max_degree else None)
     odd_repeat = (hc.dims[odd_deg + 2] == odd
                   if odd_deg + 2 <= max_degree else None)
-    cert = replace(cert, even_degree=even_deg, odd_degree=odd_deg,
-                   even_repeat_equal=even_repeat, odd_repeat_equal=odd_repeat)
+    cert = StabilizationCertificate(
+        cert.vanishing_bound, cert.verified_degrees, cert.checked_through,
+        even_degree=even_deg, odd_degree=odd_deg,
+        even_repeat_equal=even_repeat, odd_repeat_equal=odd_repeat)
     return HomologyReport("HP", max_degree, (even, odd), certificate=cert)
 
 
 # ------------------------------------------------------------------- lifting
 
-@dataclass(frozen=True, eq=False)
 class EvenLift:
     """An even cycle extended through the periodicity tower.
 
@@ -322,9 +333,12 @@ class EvenLift:
     degrees from base_degree up to top_degree.
     """
 
-    base_degree: int
-    top_degree: int
-    components: dict
+    __slots__ = ("base_degree", "top_degree", "components")
+
+    def __init__(self, base_degree, top_degree, components):
+        self.base_degree = base_degree
+        self.top_degree = top_degree
+        self.components = components
 
     def truncate(self, n):
         """The Tot_n chain made of the components of degree <= n."""
@@ -332,7 +346,6 @@ class EvenLift:
             n, {q: dict(v) for q, v in self.components.items() if q <= n})
 
 
-@dataclass(frozen=True, eq=False)
 class ObstructedLift:
     """A failed extension step, with the cycle that witnesses the failure.
 
@@ -342,10 +355,13 @@ class ObstructedLift:
     components found before the failure.
     """
 
-    degree: int
-    witness_degree: int
-    witness: dict
-    partial: dict
+    __slots__ = ("degree", "witness_degree", "witness", "partial")
+
+    def __init__(self, degree, witness_degree, witness, partial):
+        self.degree = degree
+        self.witness_degree = witness_degree
+        self.witness = witness
+        self.partial = partial
 
 
 def _check_even_cycle(mc, chain):

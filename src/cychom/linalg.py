@@ -20,7 +20,6 @@ Matrix products likewise multiply and add integers, and make a Fraction
 only for a nonzero entry of the result (SparseMatrix.__matmul__).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction as QQ
 from math import gcd, lcm
 
@@ -273,12 +272,23 @@ def _quotients(ints, den):
     return out
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient given by a list of independent sparse vectors."""
+    """A subspace of Q^ambient given by a list of independent sparse vectors.
 
-    ambient: int
-    basis: tuple
+    Equal when ambient and basis are equal, so two results of kernel_basis
+    compare by value.
+    """
+
+    __slots__ = ("ambient", "basis")
+
+    def __init__(self, ambient, basis):
+        self.ambient = ambient
+        self.basis = basis
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient == other.ambient and self.basis == other.basis
 
     def __len__(self):
         return len(self.basis)
@@ -352,13 +362,17 @@ def _echelon(m, rhs_cols=0):
                 rrow = {cc: s * vv for cc, vv in rrow.items()}
             for cc, vv in prow.items():
                 cur = rrow.get(cc)
-                nv = (cur - t * vv) if cur is not None else -t * vv
-                if nv:
-                    rrow[cc] = nv
-                    if cc != c:
-                        col_rows.setdefault(cc, set()).add(r)
-                elif cur is not None:
-                    del rrow[cc]
+                if cur is None:
+                    # a new entry (never at c, which cancels); cc is a column
+                    # of the pivot row, so col_rows already has it
+                    rrow[cc] = -t * vv
+                    col_rows[cc].add(r)
+                else:
+                    nv = cur - t * vv
+                    if nv:
+                        rrow[cc] = nv
+                    else:
+                        del rrow[cc]
             if rrow:
                 g = gcd(*rrow.values())
                 if g != 1:

@@ -22,7 +22,6 @@ Tensor words are indexed lexicographically with the first factor most
 significant, so the word (i_1, ..., i_n) has index sum i_t * dim^(n-t).
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
@@ -35,13 +34,15 @@ from .linalg import ONE, SparseMatrix, _quotients
 CELL_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
 class ChainSpace:
     """Dimensions of Omega^n: top = A^{(n+1)}, bottom = A^{(n)} (none at n=0)."""
 
-    degree: int
-    top_dim: int
-    bottom_dim: int
+    __slots__ = ("degree", "top_dim", "bottom_dim")
+
+    def __init__(self, degree, top_dim, bottom_dim):
+        self.degree = degree
+        self.top_dim = top_dim
+        self.bottom_dim = bottom_dim
 
     @property
     def dim(self):
@@ -152,7 +153,6 @@ def norm_N(a, n):
     return SparseMatrix._trusted(d ** n, d ** n, _quotients(acc, 1))
 
 
-@dataclass(frozen=True, eq=False)
 class MixedComplex:
     """Chain spaces and both differentials of Omega(A~) up to degree n_max.
 
@@ -160,11 +160,14 @@ class MixedComplex:
     B_tilde[n] : Omega^n -> Omega^{n+1} for 0 <= n <= n_max - 1.
     """
 
-    algebra: object
-    n_max: int
-    spaces: tuple
-    b_tilde: dict
-    B_tilde: dict
+    __slots__ = ("algebra", "n_max", "spaces", "b_tilde", "B_tilde")
+
+    def __init__(self, algebra, n_max, spaces, b_tilde, B_tilde):
+        self.algebra = algebra
+        self.n_max = n_max
+        self.spaces = spaces
+        self.b_tilde = b_tilde
+        self.B_tilde = B_tilde
 
 
 def build_mixed_complex(a, n_max):
@@ -209,7 +212,6 @@ def build_mixed_complex(a, n_max):
     return MixedComplex(a, n_max, spaces, b_tilde, B_tilde)
 
 
-@dataclass(frozen=True)
 class MixedIdentityReport:
     """Exact per-degree checks of the three mixed-complex identities.
 
@@ -218,10 +220,13 @@ class MixedIdentityReport:
     witness is None when everything passes, else (identity, degree, entry).
     """
 
-    bb: dict
-    anticommute: dict
-    BB: dict
-    witness: tuple | None
+    __slots__ = ("bb", "anticommute", "BB", "witness")
+
+    def __init__(self, bb, anticommute, BB, witness):
+        self.bb = bb
+        self.anticommute = anticommute
+        self.BB = BB
+        self.witness = witness
 
     @property
     def all_pass(self):

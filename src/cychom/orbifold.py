@@ -10,7 +10,6 @@ homology.
 """
 
 import warnings
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import (NonIntegerAverage, OrderCapExceeded, SizeCapExceeded,
@@ -39,29 +38,27 @@ def _refuse_costly(c, work, what):
             f"{WORK_CAP}")
 
 
-@dataclass(frozen=True)
 class TorusComponent:
     """A torus T^rank together with integer matrix generators of W."""
 
-    rank: int
-    generators: tuple
-    label: str = ""
+    __slots__ = ("rank", "generators", "label")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank, generators, label=""):
+        if rank < 1:
             raise ValidationError("component rank must be at least 1")
         gens = []
-        for g in self.generators:
+        for g in generators:
             rows = tuple(tuple(x for x in row) for row in g)
-            if len(rows) != self.rank or \
-                    any(len(row) != self.rank for row in rows):
+            if len(rows) != rank or any(len(row) != rank for row in rows):
                 raise ValidationError(
-                    f"generator is not a {self.rank}x{self.rank} matrix")
+                    f"generator is not a {rank}x{rank} matrix")
             if any(not isinstance(x, int) or isinstance(x, bool)
                    for row in rows for x in row):
                 raise ValidationError("generator entries must be integers")
             gens.append(rows)
-        object.__setattr__(self, "generators", tuple(gens))
+        self.rank = rank
+        self.generators = tuple(gens)
+        self.label = label
 
 
 def _identity(k):
@@ -229,14 +226,16 @@ def invariant_betti(c, cross_check=False):
     return tuple(betti)
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """Per-component Betti rows and their even/odd totals."""
 
-    labels: tuple
-    rows: tuple
-    even: int
-    odd: int
+    __slots__ = ("labels", "rows", "even", "odd")
+
+    def __init__(self, labels, rows, even, odd):
+        self.labels = labels
+        self.rows = rows
+        self.even = even
+        self.odd = odd
 
 
 def even_odd_totals(components, gl_rank=None, cross_check=False):

@@ -24,8 +24,6 @@ established, D_{max_degree+1} (which also gives rank b~_{max_degree+1}) and
 D_1 .. D_{max_degree}, else b~_{max_degree+1}.
 """
 
-from dataclasses import dataclass, field
-
 from .algebra import AlgebraHom, group_algebra, hecke_algebra, hecke_inclusion
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
 from .homology import (chain_dim, cycle_basis, differential,
@@ -174,7 +172,6 @@ def _image_filtration(ds, mcs, stages, final, theory, degrees):
     return tuple(zip(*columns))
 
 
-@dataclass(frozen=True)
 class ContinuityReport:
     """Image filtration of stage Hochschild homology inside the final stage.
 
@@ -186,12 +183,17 @@ class ContinuityReport:
     that hp_continuity_check can reuse them.
     """
 
-    max_degree: int
-    final_dims: tuple
-    image_filtration: tuple
-    complexes: tuple = field(repr=False, compare=False)
-    stage_reports: tuple = field(repr=False, compare=False)
-    final_hc: object = field(repr=False, compare=False)
+    __slots__ = ("max_degree", "final_dims", "image_filtration", "complexes",
+                 "stage_reports", "final_hc")
+
+    def __init__(self, max_degree, final_dims, image_filtration, complexes,
+                 stage_reports, final_hc):
+        self.max_degree = max_degree
+        self.final_dims = final_dims
+        self.image_filtration = image_filtration
+        self.complexes = complexes
+        self.stage_reports = stage_reports
+        self.final_hc = final_hc
 
     @property
     def monotone(self):
@@ -220,7 +222,6 @@ def continuity_check(ds, max_degree):
                             tuple(r for r, _ in stages) + (hh,), hc)
 
 
-@dataclass(frozen=True)
 class HpContinuityReport:
     """Stage-wise periodic dimensions under a common vanishing bound.
 
@@ -229,15 +230,22 @@ class HpContinuityReport:
     cyclic homology inside the final stage at those two degrees.
     """
 
-    common_bound: int
-    even_degree: int
-    odd_degree: int
-    checked_through: int
-    certificates: tuple
-    stage_even: tuple
-    stage_odd: tuple
-    even_filtration: tuple
-    odd_filtration: tuple
+    __slots__ = ("common_bound", "even_degree", "odd_degree",
+                 "checked_through", "certificates", "stage_even", "stage_odd",
+                 "even_filtration", "odd_filtration")
+
+    def __init__(self, common_bound, even_degree, odd_degree, checked_through,
+                 certificates, stage_even, stage_odd, even_filtration,
+                 odd_filtration):
+        self.common_bound = common_bound
+        self.even_degree = even_degree
+        self.odd_degree = odd_degree
+        self.checked_through = checked_through
+        self.certificates = certificates
+        self.stage_even = stage_even
+        self.stage_odd = stage_odd
+        self.even_filtration = even_filtration
+        self.odd_filtration = odd_filtration
 
     @property
     def monotone(self):

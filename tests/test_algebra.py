@@ -185,6 +185,15 @@ def test_hom_validation_catches_non_multiplicative():
         bad.validate()
 
 
+def test_hom_shape_must_match_algebras():
+    k, dual = ground_field(), dual_numbers()
+    AlgebraHom(k, dual, SparseMatrix.from_dense([[1], [0]]))
+    for src, dst, dense in ((k, dual, [[1, 0]]), (dual, k, [[1], [0]]),
+                            (k, dual, [[1]])):
+        with pytest.raises(ValidationError, match="shape"):
+            AlgebraHom(src, dst, SparseMatrix.from_dense(dense))
+
+
 def test_finite_group_validation():
     with pytest.raises(ValidationError):
         FiniteGroup([[0, 1], [1, 1]])

@@ -483,3 +483,35 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "boundary_squared: yes" in result.stdout
+
+
+def test_import_loads_no_unused_modules():
+    # A fresh interpreter, since pytest itself imports dataclasses and inspect.
+    # Every job pays for what `import cychom.cli` loads: records are plain
+    # classes, argparse is loaded by build_parser and cychom.orbifold by the
+    # orbifold command.  The modules every homology job runs stay eager.
+    probe = ("import sys, cychom.cli; "
+             "print(' '.join(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] in "
+             "('dataclasses', 'inspect', 'argparse', 'cychom'))))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    unused = loaded & {"dataclasses", "inspect", "argparse", "cychom.orbifold"}
+    assert not unused, unused
+    assert {"cychom.towers", "cychom.homology"} <= loaded
+
+
+def test_jobspec_keywords_and_defaults():
+    # bench/child.py builds its jobs this way
+    job = JobSpec(command="tower", path="z4_tower.json", max_degree=3,
+                  fmt="json")
+    assert (job.command, job.path, job.max_degree, job.fmt) == \
+        ("tower", "z4_tower.json", 3, "json")
+    assert (job.certificate, job.oracle) == (False, False)
+    job = JobSpec("hh", "a.json")
+    assert (job.max_degree, job.fmt, job.certificate, job.oracle) == \
+        (4, "text", False, False)
+    with pytest.raises(AttributeError):
+        job.extra = 1
