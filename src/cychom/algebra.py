@@ -109,25 +109,24 @@ def check_associativity(a):
 
 
 def unitize(a):
-    """The unitization: adjoin a new unit as basis index 0, shift A by one.
+    """The unitization A~ = A (+) Q: A keeps its basis, and the new unit is
+    the last basis vector, index a.dim.
 
     The new element is the unit even when A already had one.
     """
-    table = {}
-    table[(0, 0)] = {0: ONE}
-    for i in range(a.dim):
-        table[(0, i + 1)] = {i + 1: ONE}
-        table[(i + 1, 0)] = {i + 1: ONE}
-    for (i, j), vec in a.table.items():
-        table[(i + 1, j + 1)] = {k + 1: c for k, c in vec.items()}
-    labels = ("one",) + tuple(a.basis_labels)
-    return Algebra(a.dim + 1, table, unit={0: ONE}, basis_labels=labels)
+    d = a.dim
+    table = dict(a.table)
+    for i in range(d):
+        table[(d, i)] = {i: ONE}
+        table[(i, d)] = {i: ONE}
+    table[(d, d)] = {d: ONE}
+    labels = tuple(a.basis_labels) + ("one",)
+    return Algebra(d + 1, table, unit={d: ONE}, basis_labels=labels)
 
 
-def unitization_embedding(a, unitized):
-    """The inclusion of A into its unitization as an AlgebraHom."""
-    m = SparseMatrix(unitized.dim, a.dim, ((i + 1, i, ONE) for i in range(a.dim)))
-    return AlgebraHom(a, unitized, m)
+def forget_unit(a):
+    """The algebra a with no unit recorded: same basis and table."""
+    return Algebra(a.dim, a.table, basis_labels=a.basis_labels)
 
 
 def matrix_algebra(a, n):

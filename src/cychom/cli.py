@@ -34,8 +34,8 @@ from .algebra import Algebra, AlgebraHom, FiniteGroup, check_associativity
 from .errors import (CychomError, NoCertificate, OrderCapExceeded,
                      ParseError, SizeCapExceeded, ValidationError)
 from .homology import (cyclic_homology, hochschild_and_cyclic,
-                       hochschild_homology, periodic_via_stabilization,
-                       stabilization_certificate)
+                       hochschild_homology, omega_complex,
+                       periodic_via_stabilization, stabilization_certificate)
 from .linalg import QQ, SparseMatrix
 from .mixed import build_mixed_complex, verify_mixed_identities
 from .towers import DirectSystem, continuity_check, hecke_tower, \
@@ -329,7 +329,7 @@ def _homology_report(job, theory):
 
 def _hp_report(job):
     a = parse_algebra_file(job.path)
-    mc = build_mixed_complex(a, job.max_degree + 1)
+    mc = omega_complex(a, job.max_degree + 1)
     hh, hc = hochschild_and_cyclic(mc, job.max_degree)
     try:
         report = periodic_via_stabilization(hh, hc)
@@ -505,7 +505,8 @@ _COMMANDS = {
     "hc": ("cyclic homology dimensions", ("--max-degree",)),
     "hp": ("periodic cyclic homology through a vanishing certificate",
            ("--max-degree", "--certificate")),
-    "identities": ("verify the three mixed-complex operator identities",
+    "identities": ("verify the three operator identities on the normalized "
+                   "mixed complex (on Omega(A) for an algebra without a unit)",
                    ("--max-degree",)),
     "tower": ("continuity of homology along a tower of inclusions",
               ("--max-degree",)),

@@ -78,10 +78,6 @@ class SparseMatrix:
         return cls(n, n, ((i, i, ONE) for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
-
-    @classmethod
     def from_dense(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0

@@ -11,7 +11,12 @@ stage must carry a vanishing certificate, a common bound is taken, and the
 periodic dimensions are read off at the stabilized cyclic degrees.
 
 The tower command builds each stage's mixed complex once: hp_continuity_check
-takes the HH continuity result's complexes and reports.  Per theory (HH for
+takes the HH continuity result's complexes and reports.  The final stage
+builds the normalized complex C(A_m) when it has a unit.  An earlier stage's
+map need not keep the unit, so an earlier stage builds Omega(A_i) with its
+unit forgotten, and mixed.induced_chain_map carries it into the final stage
+through the map's unital extension A_i~ -> A_m.  Every stage passes the one
+size guard, mixed.check_size, before any stage is built.  Per theory (HH for
 continuity_check, HC for the HP step that follows), an earlier stage costs
 kernel_basis(d_n) for 1 <= n <= max_degree, which gives its cycle space Z_n
 and rank d_n = dim C_n - dim Z_n, and one rank(d_{max_degree+1}).  Each
@@ -24,7 +29,8 @@ established, D_{max_degree+1} (which also gives rank b~_{max_degree+1}) and
 D_1 .. D_{max_degree}, else b~_{max_degree+1}.
 """
 
-from .algebra import AlgebraHom, group_algebra, hecke_algebra, hecke_inclusion
+from .algebra import (AlgebraHom, forget_unit, group_algebra, hecke_algebra,
+                      hecke_inclusion)
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
 from .homology import (chain_dim, cycle_basis, differential,
                        hochschild_and_cyclic, hp_can_hold,
@@ -32,7 +38,7 @@ from .homology import (chain_dim, cycle_basis, differential,
                        stabilization_certificate, stabilized_degrees,
                        total_components, vanishing_bound)
 from .linalg import SparseMatrix, independent_modulo, rank
-from .mixed import build_mixed_complex, induced_chain_map
+from .mixed import build_mixed_complex, check_size, induced_chain_map
 
 
 class DirectSystem:
@@ -117,12 +123,18 @@ def _induced_total_map(maps, src_mc, dst_mc, n):
 def _stage_complexes(ds, n_max):
     """Every stage's mixed complex, in stage order.
 
-    Stage maps are injective, so no stage is larger than the final one; it
-    is built first, and a size refusal then comes before any build.
+    A stage map need not keep the unit (the Hecke corner embedding sends 1
+    to 1/2 e0 + 1/2 e2), so an earlier stage builds Omega(A_i), its unit
+    forgotten, and induced_chain_map reaches the final stage's C(A_m)
+    through the unital extension of the map.  Neither bounds the other: a
+    stage isomorphic to the final one has (d+1) d^n cells in degree n
+    against d (d-1)^n.  So every stage passes the size guard before any is
+    built, and a refusal costs no build.
     """
-    final = build_mixed_complex(ds.stages[-1], n_max)
-    return tuple(build_mixed_complex(a, n_max)
-                 for a in ds.stages[:-1]) + (final,)
+    algebras = [forget_unit(a) for a in ds.stages[:-1]] + [ds.stages[-1]]
+    for a in algebras:
+        check_size(a, n_max)
+    return tuple(build_mixed_complex(a, n_max) for a in algebras)
 
 
 def _push(chain_maps, src_mc, dst_mc, theory, n, vectors):

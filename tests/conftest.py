@@ -14,9 +14,9 @@ from cychom.algebra import (AlgebraHom, FiniteGroup, change_of_basis,
                             symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.homology import (TotChainIndex, cyclic_homology,
-                             hochschild_homology, total_components)
+                             hochschild_homology, omega_complex,
+                             total_components)
 from cychom.linalg import SparseMatrix
-from cychom.mixed import build_mixed_complex
 from cychom.towers import DirectSystem
 
 # depth each named algebra is built to when first requested; rand3 has a
@@ -34,7 +34,7 @@ CANONICAL_NMAX = {
 
 
 def split_flat(mc, n, flat):
-    """The Tot_n chain of a flat vector, split into its Omega^q summands."""
+    """The Tot_n chain of a flat vector, split into its C_q summands."""
     components, at = {}, 0
     for q in total_components(n):
         dim = mc.spaces[q].dim
@@ -92,14 +92,15 @@ def algebras():
 
 @pytest.fixture(scope="session")
 def mixed_complexes(algebras):
-    """Callable (name, n_max=None) -> mixed complex of depth >= n_max."""
+    """Callable (name, n_max=None) -> Omega of depth >= n_max, the complex
+    hochschild_homology and cyclic_homology build."""
     cache = {}
 
     def get(name, n_max=None):
         target = CANONICAL_NMAX[name] if n_max is None else n_max
         have = cache.get(name)
         if have is None or have.n_max < target:
-            cache[name] = build_mixed_complex(
+            cache[name] = omega_complex(
                 algebras[name], max(target, CANONICAL_NMAX[name]))
         return cache[name]
 

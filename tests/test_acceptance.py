@@ -27,9 +27,8 @@ from cychom.homology import (EvenLift, ObstructedLift, TotChainIndex,
                              hochschild_homology, lift_to_periodic,
                              periodic_via_stabilization,
                              stabilization_certificate, total_differential)
-from cychom.linalg import QQ, SparseMatrix, kernel_basis
-from cychom.mixed import (bar_bprime, cyclic_lambda, hochschild_b, norm_N,
-                          verify_mixed_identities)
+from cychom.linalg import QQ, kernel_basis
+from cychom.mixed import build_mixed_complex, verify_mixed_identities
 from cychom.orbifold import (TorusComponent, averaged_projector_rank,
                              enumerate_group, invariant_betti)
 from cychom.towers import continuity_check, hecke_tower, hp_continuity_check
@@ -54,33 +53,10 @@ def criterion(number, summary):
 def test_criterion_1_operator_identities(algebras, mixed_complexes):
     with criterion(1, "mixed-complex operator identities on all fixtures"):
         for name in FIXTURES:
-            a = algebras[name]
+            # Omega(A), which hh, hc and hp rank, and C(A)
             assert verify_mixed_identities(mixed_complexes(name, 5)).all_pass
-            for n in range(1, 6):
-                size = a.dim ** n
-                ident = SparseMatrix.identity(size)
-                zero = SparseMatrix(size, size, ())
-                lam = cyclic_lambda(a, n)
-                powers = [ident]
-                for _ in range(n):
-                    powers.append(lam @ powers[-1])
-                assert powers[n] == ident
-                norm = norm_N(a, n)
-                total = powers[0]
-                for m in powers[1:n]:
-                    total = total + m
-                assert total == norm
-                assert norm @ (ident - lam) == zero
-                assert (ident - lam) @ norm == zero
-            for n in range(2, 6):
-                b = hochschild_b(a, n)
-                bprime = bar_bprime(a, n)
-                lam = cyclic_lambda(a, n)
-                lam_prev = cyclic_lambda(a, n - 1)
-                ident = SparseMatrix.identity(a.dim ** n)
-                ident_prev = SparseMatrix.identity(a.dim ** (n - 1))
-                assert b @ (ident - lam) == (ident_prev - lam_prev) @ bprime
-                assert bprime @ norm_N(a, n) == norm_N(a, n - 1) @ b
+            mc = build_mixed_complex(algebras[name], 5)
+            assert verify_mixed_identities(mc).all_pass
 
 
 def test_criterion_2_known_answers_vs_oracle(homology_reports):

@@ -8,8 +8,7 @@ from cychom.algebra import (Algebra, AlgebraHom, FiniteGroup,
                             change_of_basis, check_associativity, direct_sum,
                             double_cosets, group_algebra, hecke_algebra,
                             hecke_inclusion, matrix_algebra,
-                            symmetric_group_with_perms, unitization_embedding,
-                            unitize)
+                            symmetric_group_with_perms, unitize)
 from cychom.errors import NotASubgroup, ValidationError
 from cychom.linalg import QQ, SparseMatrix
 
@@ -57,17 +56,21 @@ def test_unitize_dimensions_and_unit():
     k = ground_field()
     kt = unitize(k)
     assert kt.dim == 2
-    # the old unit becomes an idempotent e with e*e = e
-    assert kt.multiply({1: QQ(1)}, {1: QQ(1)}) == {1: QQ(1)}
-    assert kt.unit == {0: QQ(1)}
+    # the old unit becomes an idempotent e with e*e = e; the new unit is last
+    assert kt.multiply({0: QQ(1)}, {0: QQ(1)}) == {0: QQ(1)}
+    assert kt.unit == {1: QQ(1)}
     assert check_associativity(kt).ok
 
+    # A keeps its basis indices, so the inclusion of A is the first dim A
+    # coordinates and multiplicative
     a = dual_numbers()
     at = unitize(a)
-    assert at.dim == 3
-    emb = unitization_embedding(a, at)
-    emb.validate()
-    assert emb.is_injective()
+    assert at.dim == 3 and at.unit == {2: QQ(1)}
+    assert at.basis_labels == a.basis_labels + ("one",)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            assert at.product(i, j) == a.product(i, j)
+    assert check_associativity(at).ok
 
 
 def test_matrix_algebra_basics():

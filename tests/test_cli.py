@@ -227,19 +227,20 @@ def test_deep_ground_field_is_fast(capsys):
     assert elapsed < 2
 
 
-def diagonal_doc(dim):
+def diagonal_doc(dim, unital=True):
     """The algebra Q x ... x Q (dim copies) as an algebra-file document."""
-    return algebra_to_doc(Algebra(dim, {(i, i): {i: 1} for i in range(dim)},
-                                  unit={i: 1 for i in range(dim)}))
+    return algebra_to_doc(Algebra(
+        dim, {(i, i): {i: 1} for i in range(dim)},
+        unit={i: 1 for i in range(dim)} if unital else None))
 
 
 @pytest.mark.parametrize("dim, over", [(17, 1), (2, 1), (2, 0)])
 def test_one_guard_for_every_command(capsys, tmp_path, monkeypatch, dim,
                                      over):
-    # hh -d3 and identities -d4 both build Omega^4: the same complex must
-    # get the same verdict, whatever the algebra's dimension
+    # without a unit, hh -d3 and identities -d4 both build Omega^4: the same
+    # complex must get the same verdict, whatever the algebra's dimension
     monkeypatch.setattr(mixed, "CELL_CAP", dim ** 5 + dim ** 4 - over)
-    path = str(write(tmp_path, diagonal_doc(dim)))
+    path = str(write(tmp_path, diagonal_doc(dim, unital=False)))
     hh_code, hh_out = run_cli(["hh", path, "--format", "json",
                                "--max-degree", "3"], capsys)
     id_code, id_out = run_cli(["identities", path, "--format", "json",
@@ -249,6 +250,21 @@ def test_one_guard_for_every_command(capsys, tmp_path, monkeypatch, dim,
         hh_report, id_report = json.loads(hh_out), json.loads(id_out)
         assert hh_report["error"] == id_report["error"] == "size_cap"
         assert hh_report["message"] == id_report["message"]
+
+
+@pytest.mark.parametrize("dim, over", [(17, 1), (3, 1), (3, 0)])
+def test_one_guard_refuses_the_normalized_complex(capsys, tmp_path,
+                                                  monkeypatch, dim, over):
+    # with a unit, identities -d4 builds C^4 with d (d-1)^4 cells
+    cells = dim * (dim - 1) ** 4
+    monkeypatch.setattr(mixed, "CELL_CAP", cells - over)
+    path = str(write(tmp_path, diagonal_doc(dim)))
+    code, out = run_cli(["identities", path, "--format", "json",
+                         "--max-degree", "4"], capsys)
+    assert code == (2 if over else 0)
+    if over:
+        assert json.loads(out)["message"] == \
+            f"chain space in degree 4 has {cells} cells; cap {cells - 1}"
 
 
 def test_order_cap_exit(capsys, tmp_path):
@@ -314,8 +330,9 @@ def test_tower_builds_each_stage_once(capsys, monkeypatch):
 
 
 def test_tower_refusal_costs_no_build(capsys, monkeypatch):
-    # at -d3 the stages (dims 2 and 6) build Omega^4 with 48 and 9072
-    # cells; the final stage is the largest and is refused first
+    # at -d3 the stages (dims 2 and 6) build Omega^4 with 3 * 2^4 = 48
+    # cells and C^4 with 6 * 5^4 = 3750 cells; the final stage is refused,
+    # and every stage is checked before any is built
     monkeypatch.setattr(mixed, "CELL_CAP", 1000)
     built = record_builds(monkeypatch)
     code, out = run_cli(["tower", str(DATA / "towers" / "s3_tower.json"),

@@ -1,4 +1,5 @@
-"""Operator identities and assembly conventions for the mixed complex."""
+"""Operator identities and assembly conventions for the mixed complexes:
+C(A) of a unital algebra and Omega(A), built with the unit forgotten."""
 
 from fractions import Fraction
 from itertools import product
@@ -8,15 +9,16 @@ import pytest
 
 import reference_mixed
 from conftest import basis_variants
-from cychom import cli, mixed
-from cychom.algebra import AlgebraHom, hecke_algebra, hecke_inclusion, \
-    symmetric_group_with_perms, group_algebra
+from cychom import cli
+from cychom.algebra import (Algebra, AlgebraHom, forget_unit, group_algebra,
+                            hecke_algebra, hecke_inclusion,
+                            symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field
 from cychom.errors import DegreeOutOfRange, NotMultiplicative, SizeCapExceeded
-from cychom.linalg import ONE, SparseMatrix
-from cychom.mixed import (MixedComplex, bar_bprime, build_mixed_complex,
-                          chain_space, cyclic_lambda, hochschild_b,
-                          induced_chain_map, norm_N, tensor_power,
+from cychom.homology import cyclic_homology, hochschild_homology
+from cychom.linalg import ONE, QQ, SparseMatrix
+from cychom.mixed import (MixedComplex, build_mixed_complex, cell_count,
+                          induced_chain_map, tensor_power,
                           verify_mixed_identities)
 from reference_mixed import word_to_index
 
@@ -39,134 +41,124 @@ def test_word_indexing_roundtrip():
     assert i == dim ** n - 1
 
 
-def test_lambda_has_order_n(algebras):
-    a = algebras["dual"]
-    for n in range(1, 5):
-        lam = cyclic_lambda(a, n)
-        acc = SparseMatrix.identity(a.dim ** n)
-        for _ in range(n):
-            acc = lam @ acc
-        assert acc == SparseMatrix.identity(a.dim ** n)
-    assert cyclic_lambda(a, 1) == SparseMatrix.identity(a.dim)
-
-
-def test_norm_is_power_sum(algebras):
-    a = algebras["dual"]
-    for n in (2, 3, 4):
-        lam = cyclic_lambda(a, n)
-        acc = SparseMatrix.identity(a.dim ** n)
-        total = SparseMatrix.zeros(a.dim ** n, a.dim ** n)
-        for _ in range(n):
-            total = total + acc
-            acc = lam @ acc
-        assert norm_N(a, n) == total
-
-
-def test_norm_annihilates_one_minus_lambda(algebras):
-    for name in ("dual", "z3"):
-        a = algebras[name]
-        for n in (2, 3):
-            lam = cyclic_lambda(a, n)
-            eye = SparseMatrix.identity(a.dim ** n)
-            nrm = norm_N(a, n)
-            assert (nrm @ (eye - lam)).is_zero()
-            assert ((eye - lam) @ nrm).is_zero()
-
-
-def test_b_and_bprime_intertwine_cyclic_action(algebras):
-    # b (1 - lambda) = (1 - lambda) b'   and   b' N = N b
-    for name in ("dual", "m2q"):
-        a = algebras[name]
-        for n in (2, 3):
-            b = hochschild_b(a, n)
-            bp = bar_bprime(a, n)
-            lam_n = cyclic_lambda(a, n)
-            eye_n = SparseMatrix.identity(a.dim ** n)
-            if n == 2:
-                lam_m = cyclic_lambda(a, 1)
-                eye_m = SparseMatrix.identity(a.dim)
-            else:
-                lam_m = cyclic_lambda(a, n - 1)
-                eye_m = SparseMatrix.identity(a.dim ** (n - 1))
-            assert b @ (eye_n - lam_n) == (eye_m - lam_m) @ bp
-            assert bp @ norm_N(a, n) == norm_N(a, n - 1) @ b
-
-
 def test_b_and_bprime_square_to_zero(algebras):
-    a = algebras["m2q"]
+    # Omega's b~_n is block upper triangular on A^{(x) n+1} (+) A^{(x) n},
+    # with b and -b' on the diagonal, and each of them squares to zero
+    a = forget_unit(algebras["m2q"])
+    d = a.dim
+    mc = build_mixed_complex(a, 4)
+
+    def blocks(n):
+        top, rows = d ** (n + 1), d ** n
+        b, bprime = [], []
+        for (r, c), v in mc.b_tilde[n].data.items():
+            assert r < rows or c >= top, "the top summand reaches the bottom"
+            if c < top:
+                b.append((r, c, v))
+            elif r >= rows:
+                bprime.append((r - rows, c - top, v))
+        return (SparseMatrix(rows, top, b),
+                SparseMatrix(d ** (n - 1), rows, bprime))
+
     for n in (3, 4):
-        assert (hochschild_b(a, n - 1) @ hochschild_b(a, n)).is_zero()
-        assert (bar_bprime(a, n - 1) @ bar_bprime(a, n)).is_zero()
+        b_hi, bp_hi = blocks(n)
+        b_lo, bp_lo = blocks(n - 1)
+        assert not b_hi.is_zero() and not bp_hi.is_zero()
+        assert (b_lo @ b_hi).is_zero()
+        assert (bp_lo @ bp_hi).is_zero()
 
 
 def test_degree_guards():
-    a = dual_numbers()
-    for fn in (hochschild_b, bar_bprime, cyclic_lambda, norm_N):
-        with pytest.raises(DegreeOutOfRange):
-            fn(a, 0)
     with pytest.raises(DegreeOutOfRange):
-        build_mixed_complex(a, -1)
+        build_mixed_complex(dual_numbers(), -1)
 
 
 def test_degree_one_operators_map_to_zero_space():
-    a = dual_numbers()
-    assert hochschild_b(a, 1).shape == (0, 2)
-    assert bar_bprime(a, 1).shape == (0, 2)
+    # Qbar = 0, so C(Q) is Q in degree 0 and zero above it
+    mc = build_mixed_complex(ground_field(), 2)
+    assert [s.dim for s in mc.spaces] == [1, 0, 0]
+    assert mc.b_tilde[1].shape == (1, 0)
+    assert mc.B_tilde[0].shape == (0, 1)
+    assert mc.b_tilde[2].shape == (0, 0)
 
 
 def test_chain_space_dimensions():
-    cs0 = chain_space(3, 0)
-    assert (cs0.top_dim, cs0.bottom_dim, cs0.dim) == (3, 0, 3)
-    cs2 = chain_space(3, 2)
-    assert (cs2.top_dim, cs2.bottom_dim, cs2.dim) == (27, 9, 36)
-    mc = build_mixed_complex(dual_numbers(), 3)
-    assert [s.dim for s in mc.spaces] == [2, 6, 12, 24]
-    for n in range(1, 4):
-        assert mc.b_tilde[n].shape == (mc.spaces[n - 1].dim, mc.spaces[n].dim)
-    for n in range(0, 3):
-        assert mc.B_tilde[n].shape == (mc.spaces[n + 1].dim, mc.spaces[n].dim)
+    a = dual_numbers()
+    assert [cell_count(a, n) for n in range(4)] == [2, 2, 2, 2]
+    forgotten = forget_unit(a)
+    assert [cell_count(forgotten, n) for n in range(4)] == [2, 6, 12, 24]
+    m3 = Algebra(3, {(i, i): {i: 1} for i in range(3)},
+                 unit={i: 1 for i in range(3)})
+    assert [cell_count(m3, n) for n in range(3)] == [3, 6, 12]
+    assert [cell_count(forget_unit(m3), n) for n in range(3)] == [3, 12, 36]
+    for alg in (a, forgotten, m3):
+        mc = build_mixed_complex(alg, 3)
+        assert [s.dim for s in mc.spaces] == [cell_count(alg, n)
+                                              for n in range(4)]
+        for n in range(1, 4):
+            assert mc.b_tilde[n].shape == (mc.spaces[n - 1].dim,
+                                           mc.spaces[n].dim)
+        for n in range(0, 3):
+            assert mc.B_tilde[n].shape == (mc.spaces[n + 1].dim,
+                                           mc.spaces[n].dim)
 
 
 def test_degree_zero_conventions():
     a = dual_numbers()
-    mc = build_mixed_complex(a, 2)
-    # B~ in degree 0 sends x to (0, x): block [[0], [I]]
+    omega = build_mixed_complex(forget_unit(a), 2)
+    # Omega's B~ in degree 0 sends x to (0, x): block [[0], [I]]
     expected = {(a.dim ** 2 + i, i): ONE for i in range(a.dim)}
-    assert dict(mc.B_tilde[0].data) == expected
+    assert dict(omega.B_tilde[0].data) == expected
+    # C(A)'s sends a to (1; pi(a)): pi(1) = 0 and pi(x) is letter 0
+    assert dict(build_mixed_complex(a, 2).B_tilde[0].data) == {(0, 1): ONE}
     # on a commutative algebra b~ out of degree 1 is identically zero
-    assert mc.b_tilde[1].is_zero()
+    assert omega.b_tilde[1].is_zero()
+    assert build_mixed_complex(a, 2).b_tilde[1].is_zero()
 
 
 def test_degree_one_b_on_noncommutative(algebras):
     a = algebras["m2q"]
+    # the unit e00 + e11 makes e00 the dropped index: letters e01, e10, e11
     mc = build_mixed_complex(a, 1)
-    # column of the word (e01, e10): b = e01 e10 - e10 e01 = e00 - e11
-    col = word_to_index((1, 2), a.dim)
-    column = {r: v for (r, c), v in mc.b_tilde[1].data.items() if c == col}
+    # column of the word (e01; e10): b = e01 e10 - e10 e01 = e00 - e11
+    column = {r: v for (r, c), v in mc.b_tilde[1].data.items()
+              if c == 1 * 3 + 1}
     assert column == {0: ONE, 3: -ONE}
-    # the bottom summand of degree 1 is killed: lambda = id there
-    bottom_cols = [c for (_, c) in mc.b_tilde[1].data if c >= a.dim ** 2]
+    omega = build_mixed_complex(forget_unit(a), 1)
+    col = word_to_index((1, 2), a.dim)
+    column = {r: v for (r, c), v in omega.b_tilde[1].data.items() if c == col}
+    assert column == {0: ONE, 3: -ONE}
+    # the bottom summand of Omega^1 is killed: lambda = id there
+    bottom_cols = [c for (_, c) in omega.b_tilde[1].data if c >= a.dim ** 2]
     assert bottom_cols == []
 
 
 def test_upper_B_structure():
     a = dual_numbers()
-    mc = build_mixed_complex(a, 3)
     d = a.dim
+    omega = build_mixed_complex(forget_unit(a), 3)
     expected = SparseMatrix.from_blocks(
-        [[None, None], [norm_N(a, 3), None]],
+        [[None, None], [reference_mixed.norm_N(a, 3), None]],
         [d ** 4, d ** 3], [d ** 3, d ** 2])
-    assert mc.B_tilde[2] == expected
+    assert omega.B_tilde[2] == expected
+    # C(A): B(x; x, x) = sum_{i=0}^{2} (1; x, x, x) and B(1; x, x) = 0,
+    # while B(x; x) = (1; x, x) - (1; x, x) = 0
+    mc = build_mixed_complex(a, 3)
+    assert dict(mc.B_tilde[2].data) == {(0, 1): QQ(3)}
+    assert mc.B_tilde[1].is_zero()
 
 
-def test_identities_on_small_suite(mixed_complexes):
+def test_identities_on_small_suite(algebras, mixed_complexes):
     for name in ("ground", "dual", "z3"):
         report = verify_mixed_identities(mixed_complexes(name))
+        assert report.all_pass, (name, report.witness)
+        report = verify_mixed_identities(
+            build_mixed_complex(algebras[name], 5))
         assert report.all_pass, (name, report.witness)
 
 
 def test_identity_report_flags_corruption():
-    a = dual_numbers()
+    a = forget_unit(dual_numbers())
     mc = build_mixed_complex(a, 3)
     bad_B = dict(mc.B_tilde)
     bump = SparseMatrix(bad_B[1].rows, bad_B[1].cols, [(0, 0, 1)])
@@ -183,10 +175,12 @@ def test_identity_report_flags_corruption():
 
 
 def test_induced_chain_map_commutes_with_differentials():
+    # the corner inclusion sends 1 to an idempotent: the map runs from
+    # Omega of the Hecke algebra to C(Q[S3])
     g, k = s3_hecke_pair()
     hecke, incl = hecke_algebra(g, k)
     maps = induced_chain_map(incl, 2)
-    src = build_mixed_complex(hecke, 2)
+    src = build_mixed_complex(forget_unit(hecke), 2)
     dst = build_mixed_complex(group_algebra(g), 2)
     for n in (1, 2):
         assert maps[n - 1] @ src.b_tilde[n] == dst.b_tilde[n] @ maps[n]
@@ -204,8 +198,12 @@ def test_induced_chain_map_functorial():
                              target=step2.target)
     composed = step2.compose(step1)
     assert composed.matrix == direct.matrix
+    # Omega(A_1) -> Omega(A_2) -> C(A_3): the middle algebra's unit is
+    # forgotten on the first map's side, where it is the target
+    into_omega = AlgebraHom(step1.source, forget_unit(step1.target),
+                            step1.matrix)
     m_direct = induced_chain_map(direct, 2)
-    m1 = induced_chain_map(step1, 2)
+    m1 = induced_chain_map(into_omega, 2)
     m2 = induced_chain_map(step2, 2)
     for n in (0, 1, 2):
         assert m_direct[n] == m2[n] @ m1[n]
@@ -237,30 +235,29 @@ def test_size_cap_refuses_oversized_build(algebras):
         build_mixed_complex(algebras["m2q"], 12)
 
 
-OPERATORS = ("hochschild_b", "bar_bprime", "cyclic_lambda", "norm_N")
-
-
 def _assert_same_store(got, want):
     assert got.shape == want.shape
     assert got.data == want.data
     assert all(type(v) is Fraction and v for v in got.data.values())
 
 
-def _cross_check(a, n_max=4):
-    """Every operator with n <= n_max, and b~, B~ built from them, equal
-    the tuple-based reference entry for entry."""
-    for n in range(1, n_max + 1):
-        for name in OPERATORS:
-            _assert_same_store(getattr(mixed, name)(a, n),
-                               getattr(reference_mixed, name)(a, n))
-    mc = build_mixed_complex(a, n_max - 1)
-    b_ref, B_ref = reference_mixed.mixed_differentials(a, n_max - 1)
+def _assert_same_complex(mc, b_ref, B_ref):
     assert mc.b_tilde.keys() == b_ref.keys()
     assert mc.B_tilde.keys() == B_ref.keys()
     for n in b_ref:
         _assert_same_store(mc.b_tilde[n], b_ref[n])
     for n in B_ref:
         _assert_same_store(mc.B_tilde[n], B_ref[n])
+
+
+def _cross_check(a):
+    """C(A) through degree 4 equals the normalized reference, and Omega(A)
+    through degree 3 the reference assembled from b, b', lambda and N,
+    entry for entry."""
+    _assert_same_complex(build_mixed_complex(a, 4),
+                         *reference_mixed.normalized_differentials(a, 4))
+    _assert_same_complex(build_mixed_complex(forget_unit(a), 3),
+                         *reference_mixed.mixed_differentials(a, 3))
 
 
 @pytest.mark.parametrize("path", DATA_ALGEBRAS, ids=lambda p: p.stem)
@@ -274,3 +271,24 @@ def test_operators_match_tuple_reference_on_fixtures(algebras):
     for i, name in enumerate(sorted(algebras)):
         for variant in basis_variants(algebras[name], i):
             _cross_check(variant)
+
+
+# HH and HC through this degree; at 3 the rational-basis variant of
+# cyclic4.json already takes ~2.4 s, so the grid stops there
+NORMALIZED_EQUALS_OMEGA_DEGREE = 3
+
+
+@pytest.mark.parametrize("variant", range(3))
+@pytest.mark.parametrize("path", DATA_ALGEBRAS, ids=lambda p: p.stem)
+def test_normalized_and_omega_give_equal_dimensions(path, variant):
+    # for a unital A, A~ = unitize(A) is isomorphic to A x Q as an
+    # algebra, and Omega(A), the reduced complex of A~, has the homology
+    # of A; C(A) has it by definition
+    a = cli.parse_algebra_file(path)
+    a = basis_variants(a, DATA_ALGEBRAS.index(path))[variant]
+    top = NORMALIZED_EQUALS_OMEGA_DEGREE
+    normalized = build_mixed_complex(a, top + 1)
+    omega = build_mixed_complex(forget_unit(a), top + 1)
+    for compute in (hochschild_homology, cyclic_homology):
+        assert compute(a, top, mc=normalized).dims == \
+            compute(a, top, mc=omega).dims, compute.__name__

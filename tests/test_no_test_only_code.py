@@ -27,10 +27,6 @@ ALLOWED = {
         "criterion 4 checks that a lift keeps the cycle it started from",
     "algebra.matrix_algebra":
         "Morita invariance HH(M_k(A)) = HH(A) is checked on it",
-    "algebra.unitize":
-        "the normalized mixed complex of a tower stage runs on unitize(A)",
-    "algebra.unitization_embedding":
-        "extends a tower's stage maps to the unitized stages",
     "algebra.direct_sum":
         "HH is checked to be additive on direct sums built with it",
     "algebra.FiniteGroup.conjugacy_classes":

@@ -15,7 +15,7 @@ from conftest import basis_variants, dual_into_m2
 from cychom import cli, homology, linalg
 from cychom.errors import CertMissing
 from cychom.homology import (cyclic_homology, hochschild_and_cyclic,
-                             hochschild_homology, hp_can_hold,
+                             hochschild_homology, hp_can_hold, omega_complex,
                              total_differential, total_rank_split,
                              vanishing_bound)
 from cychom.mixed import build_mixed_complex
@@ -25,8 +25,10 @@ from oracles import oracle_rank
 DATA = Path(__file__).resolve().parent.parent / "data"
 DATA_ALGEBRAS = sorted((DATA / "algebras").glob("*.json"))
 
-# shapes of b~_4 and D_4 for Q[Z/4], the final stage of z4_tower.json
+# shapes of b~_4 and D_4 for Q[Z/4]: on Omega, which hh, hc and hp build,
+# and on C(A), which the final stage of z4_tower.json builds
 B4_Z4, D4_Z4 = (320, 1280), (340, 1364)
+B4_CZ4, D4_CZ4 = (108, 324), (120, 364)
 
 
 @pytest.fixture
@@ -53,8 +55,8 @@ def run_cli(capsys, command, name, degree):
 
 def test_tower_eliminates_the_final_top_differential_once(capsys, eliminated):
     assert run_cli(capsys, "tower", "z4_tower.json", 3) == 0
-    assert eliminated.count(D4_Z4) == 1
-    assert B4_Z4 not in eliminated
+    assert eliminated.count(D4_CZ4) == 1
+    assert B4_CZ4 not in eliminated
     assert len(eliminated) == 18
 
 
@@ -103,8 +105,9 @@ def test_tower_refused_by_an_earlier_stage_ranks_b_tilde(eliminated):
         hp_continuity_check(ds, cont)
 
 
-# b~_5 of cyclic4.json in the rational basis of conftest.basis_variants did
-# not finish within 100 s, so that variant stops at max_degree 3
+# b~_5 of Omega for cyclic4.json in the rational basis of
+# conftest.basis_variants did not finish within 100 s, so that variant stops
+# at max_degree 3
 SHARED_TOP_DEGREES = {("cyclic4", 2): (2, 3)}
 
 
@@ -112,17 +115,18 @@ SHARED_TOP_DEGREES = {("cyclic4", 2): (2, 3)}
 def eliminate_once(monkeypatch):
     """Each Tot differential is assembled, and each matrix eliminated, once.
 
-    The shared-top test reruns one mixed complex at several degrees and
-    floors; the memo keys on the matrix object, which the caches keep
-    alive, so only repeats of one elimination are skipped.
+    The shared-top test reruns each mixed complex at several degrees and
+    floors; the memos key on the complex and the matrix object, which they
+    keep alive, so only repeats of one assembly or elimination are skipped.
     """
     totals, echelons = {}, {}
     assemble, echelon = homology.total_differential, linalg._echelon
 
     def total(mc, n):
-        if n not in totals:
-            totals[n] = assemble(mc, n)
-        return totals[n]
+        key = (id(mc), n)
+        if key not in totals:
+            totals[key] = (mc, assemble(mc, n))
+        return totals[key][1]
 
     def once(m, rhs_cols=0):
         key = (id(m), rhs_cols)
@@ -140,7 +144,12 @@ def test_shared_top_gives_the_same_reports(path, variant, eliminate_once):
     a = cli.parse_algebra_file(path)
     a = basis_variants(a, DATA_ALGEBRAS.index(path))[variant]
     degrees = SHARED_TOP_DEGREES.get((path.stem, variant), (2, 3, 4))
-    mc = build_mixed_complex(a, max(degrees) + 1)
+    # hp ranks Omega(A), the final stage of a tower C(A)
+    for build in (omega_complex, build_mixed_complex):
+        _check_shared_top(a, build(a, max(degrees) + 1), degrees)
+
+
+def _check_shared_top(a, mc, degrees):
     for max_degree in degrees:
         plain_hh = hochschild_homology(a, max_degree, mc=mc)
         for floor in sorted({0, 1, max_degree}):
@@ -164,13 +173,14 @@ def test_pivot_split_matches_oracle_ranks(path):
     # take ~16 s for cyclic4.json at n = 4 alone.
     a = cli.parse_algebra_file(path)
     variants = basis_variants(a, DATA_ALGEBRAS.index(path))
-    mc = build_mixed_complex(a, 4)
-    want = {}
-    for n in range(1, 5):
-        b, d = mc.b_tilde[n], total_differential(mc, n)
-        want[n] = (oracle_rank(b.rows, dict(b.data)),
-                   oracle_rank(d.rows, dict(d.data)))
-    for variant in variants:
-        mc = build_mixed_complex(variant, 4)
+    for build in (omega_complex, build_mixed_complex):
+        mc = build(a, 4)
+        want = {}
         for n in range(1, 5):
-            assert total_rank_split(mc, n) == want[n], (n, variant)
+            b, d = mc.b_tilde[n], total_differential(mc, n)
+            want[n] = (oracle_rank(b.rows, dict(b.data)),
+                       oracle_rank(d.rows, dict(d.data)))
+        for variant in variants:
+            mc = build(variant, 4)
+            for n in range(1, 5):
+                assert total_rank_split(mc, n) == want[n], (n, variant, build)

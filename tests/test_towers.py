@@ -5,17 +5,17 @@ from pathlib import Path
 import pytest
 
 from conftest import dual_into_m2
-from cychom import homology, towers
-from cychom.algebra import (AlgebraHom, FiniteGroup, group_algebra,
-                            symmetric_group_with_perms)
+from cychom import homology, mixed, towers
+from cychom.algebra import (Algebra, AlgebraHom, FiniteGroup, direct_sum,
+                            group_algebra, symmetric_group_with_perms)
 from cychom.catalog import cyclic_group_rationals, dual_numbers, ground_field
 from cychom.errors import (CertMissing, NotAChain, NotInjective,
-                           ValidationError)
+                           SizeCapExceeded, ValidationError)
 from cychom.cli import parse_tower_file
 from cychom.homology import (cyclic_homology, differential,
                              hochschild_homology, homology_representatives)
 from cychom.linalg import QQ, SparseMatrix, independent_modulo
-from cychom.mixed import induced_chain_map
+from cychom.mixed import cell_count, induced_chain_map
 from cychom.towers import (DirectSystem, continuity_check, hecke_tower,
                            hp_continuity_check, identity_hom)
 
@@ -195,12 +195,71 @@ def _filtration_from_representatives(ds, mcs, theory, degrees):
     return rows
 
 
+def dual_into_nonunital():
+    """Q[x]/(x^2) -> Q[x]/(x^2) (+) N, N one-dimensional with N N = 0: the
+    final stage has no unit, so it builds Omega, and the map sends 1 to the
+    idempotent (1, 0)."""
+    dual = dual_numbers()
+    target = direct_sum(dual, Algebra(1, {}))
+    hom = AlgebraHom(dual, target, SparseMatrix(3, 2, [(0, 0, 1), (1, 1, 1)]))
+    return DirectSystem([dual, target], [hom])
+
+
 CROSS_CHECK_TOWERS = {
     "z4_tower": lambda: parse_tower_file(DATA / "towers" / "z4_tower.json"),
     "s3_tower": lambda: parse_tower_file(DATA / "towers" / "s3_tower.json"),
     "dual_constant": lambda: constant_tower(dual_numbers(), 3),
     "dual_into_m2": dual_into_m2,
+    "dual_into_nonunital": dual_into_nonunital,
 }
+
+
+@pytest.mark.parametrize("name", ["z4_tower", "s3_tower", "dual_into_m2",
+                                  "dual_into_nonunital"])
+def test_tower_chain_maps_commute_with_b_and_B(name):
+    # each earlier stage's Omega maps into the final stage's complex, C(A_m)
+    # or, without a unit, Omega(A_m), through the unital extension g
+    ds = CROSS_CHECK_TOWERS[name]()
+    mcs = towers._stage_complexes(ds, 4)
+    final = mcs[-1]
+    assert [s.dim for s in final.spaces] == \
+        [cell_count(ds.stages[-1], n) for n in range(5)]
+    for f, src in zip(ds.to_final[:-1], mcs):
+        maps = induced_chain_map(f, 4)
+        for n in range(1, 5):
+            assert maps[n - 1] @ src.b_tilde[n] == final.b_tilde[n] @ maps[n]
+        for n in range(4):
+            assert maps[n + 1] @ src.B_tilde[n] == final.B_tilde[n] @ maps[n]
+
+
+def test_chain_map_sends_the_adjoined_unit_to_one():
+    # g(1) = 0 would commute with b and B as well.  In Omega^1 of the dual
+    # numbers the word (1; x) has index 2 * 2 + 1; it goes to
+    # (e00 + e11; pi(e01)) in C(M2(Q)), whose letters are e01, e10, e11
+    maps = induced_chain_map(dual_into_m2().to_final[0], 1)
+    assert maps[1].column(5) == {0 * 3 + 0: QQ(1), 3 * 3 + 0: QQ(1)}
+
+
+def test_every_stage_is_size_checked_before_any_build(monkeypatch):
+    # an isomorphism: the earlier stage's Omega^4 has (4+1) 4^4 = 1280
+    # cells, the final stage's C^4 4 3^4 = 324, so the earlier stage is
+    # refused and the final one is never built
+    ds = constant_tower(group_algebra(FiniteGroup.cyclic(4)), 2)
+    monkeypatch.setattr(mixed, "CELL_CAP", 1000)
+    built = []
+    build = towers.build_mixed_complex
+
+    def recording(a, n_max):
+        built.append(a.dim)
+        return build(a, n_max)
+
+    monkeypatch.setattr(towers, "build_mixed_complex", recording)
+    with pytest.raises(SizeCapExceeded, match="has 1280 cells; cap 1000"):
+        continuity_check(ds, 3)
+    assert built == []
+    monkeypatch.setattr(mixed, "CELL_CAP", 1280)
+    assert continuity_check(ds, 3).final_dims == (4, 0, 0, 0)
+    assert built == [4, 4]
 
 
 @pytest.mark.parametrize("name", CROSS_CHECK_TOWERS)
