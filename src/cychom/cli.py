@@ -314,9 +314,9 @@ def _certificate_fields(cert):
 
 
 def _homology_report(job, theory):
-    a = parse_algebra_file(job.path)
+    mc = omega_complex(parse_algebra_file(job.path), job.max_degree + 1)
     compute = hochschild_homology if theory == "HH" else cyclic_homology
-    report = compute(a, job.max_degree)
+    report = compute(mc, job.max_degree)
     body = {"theory": theory,
             "dims": list(report.dims),
             "space_dims": list(report.space_dims),
@@ -381,7 +381,7 @@ def _tower_report(job):
                    "filtration": [list(row) for row in cont.image_filtration],
                    "monotone": cont.monotone}}
     try:
-        hp = hp_continuity_check(ds, cont)
+        hp = hp_continuity_check(cont)
     except NoCertificate as e:
         body["hp"] = {"status": "NOT_ESTABLISHED", "reason": str(e)}
         return 3, body

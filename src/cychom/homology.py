@@ -26,7 +26,9 @@ hochschild_and_cyclic ranks b~_1 .. b~_{max_degree}; while HP can still be
 established (hp_can_hold) it then eliminates D_{max_degree+1} once, which
 yields rank b~_{max_degree+1} as well (total_rank_split), and ranks
 D_1 .. D_{max_degree}; otherwise it ranks b~_{max_degree+1} and makes no
-HC report.
+HC report.  hp and every stage of a tower go through hochschild_and_cyclic;
+no command computes a cycle space.  Only homology_representatives, which
+names classes, solves for kernel vectors.
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
@@ -143,13 +145,6 @@ def differential(mc, theory, n):
     return mc.b_tilde[n] if theory == "HH" else total_differential(mc, n)
 
 
-def cycle_basis(mc, theory, n):
-    """A basis of the degree-n cycles: every chain at n = 0, else ker d_n."""
-    if n == 0:
-        return tuple({i: ONE} for i in range(mc.spaces[0].dim))
-    return kernel_basis(differential(mc, theory, n)).basis
-
-
 def report_from_ranks(mc, theory, max_degree, ranks):
     """The HH or HC report through max_degree from ranks[n] = rank d_n.
 
@@ -191,23 +186,21 @@ def _require_depth(mc, max_degree):
             f"needs the differential at {max_degree + 1}")
 
 
-def _ranked(theory, a, max_degree, mc):
-    if mc is None:
-        mc = omega_complex(a, max_degree + 1)
+def _ranked(theory, mc, max_degree):
     _require_depth(mc, max_degree)
     ranks = [0] + [rank(differential(mc, theory, n))
                    for n in range(1, max_degree + 2)]
     return report_from_ranks(mc, theory, max_degree, ranks)
 
 
-def hochschild_homology(a, max_degree, mc=None):
-    """HH_0 .. HH_{max_degree}; builds one guard degree beyond the top."""
-    return _ranked("HH", a, max_degree, mc)
+def hochschild_homology(mc, max_degree):
+    """HH_0 .. HH_{max_degree}; mc must reach one degree beyond the top."""
+    return _ranked("HH", mc, max_degree)
 
 
-def cyclic_homology(a, max_degree, mc=None):
+def cyclic_homology(mc, max_degree):
     """HC_0 .. HC_{max_degree} from the total complex."""
-    return _ranked("HC", a, max_degree, mc)
+    return _ranked("HC", mc, max_degree)
 
 
 def hochschild_and_cyclic(mc, max_degree, floor=0):
@@ -246,8 +239,9 @@ def homology_representatives(mc, theory, degree):
     if degree < 0 or degree + 1 > mc.n_max:
         raise DegreeOutOfRange(
             f"representatives at degree {degree} need depth {degree + 1}")
-    return independent_modulo(differential(mc, theory, degree + 1),
-                              cycle_basis(mc, theory, degree))[1]
+    cycles = (tuple({i: ONE} for i in range(mc.spaces[0].dim)) if degree == 0
+              else kernel_basis(differential(mc, theory, degree)))
+    return independent_modulo(differential(mc, theory, degree + 1), cycles)[1]
 
 
 # ------------------------------------------------------------- stabilization

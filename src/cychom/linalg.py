@@ -268,28 +268,6 @@ def _quotients(ints, den):
     return out
 
 
-class Subspace:
-    """A subspace of Q^ambient given by a list of independent sparse vectors.
-
-    Equal when ambient and basis are equal, so two results of kernel_basis
-    compare by value.
-    """
-
-    __slots__ = ("ambient", "basis")
-
-    def __init__(self, ambient, basis):
-        self.ambient = ambient
-        self.basis = basis
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __len__(self):
-        return len(self.basis)
-
-
 def _primitive(row):
     """The row {col: rational} scaled to coprime integers: times the lcm of
     its denominators, then divided by the gcd of the resulting numerators."""
@@ -411,7 +389,7 @@ def pivot_columns(m):
 
 
 def kernel_basis(m):
-    """Deterministic basis of the null space of m.
+    """Deterministic basis of the null space of m, a tuple of sparse vectors.
 
     One basis vector per free column f (in increasing order), with entry 1 at
     f, 0 at the other free columns, and the pivot coordinates determined by
@@ -420,20 +398,20 @@ def kernel_basis(m):
     pivots, rows = _echelon(m)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    return Subspace(m.cols, tuple(_back_substitute(pivots, rows, {f: ONE})
-                                  for f in free_cols))
+    return tuple(_back_substitute(pivots, rows, {f: ONE}) for f in free_cols)
 
 
 def independent_modulo(d_in, vectors):
-    """(rank(d_in), the vectors independent modulo the column space of d_in).
+    """(rank d_in, the vectors kept by a left-to-right pass modulo col d_in).
 
-    One elimination of [d_in | vectors].  Row operations keep every linear
-    relation among the columns, so column j of an echelon form is a pivot
-    exactly when it is not in the span of columns 0..j-1, whichever pivot
-    rows were chosen.  Hence the pivots among d_in's own columns count its
-    rank, and the pivots among the appended columns pick, left to right, the
-    greedy set of vectors independent modulo the image of d_in: the same
-    set a pass over [image_basis(d_in) | vectors] would keep.
+    A vector is kept when it is not in the span of col d_in and the vectors
+    before it, so the kept ones are a basis of (col d_in + span vectors)
+    modulo col d_in.  One elimination of [d_in | vectors]: row operations
+    keep every linear relation among the columns, so column j of an echelon
+    form is a pivot exactly when it is not in the span of columns 0..j-1,
+    whichever pivot rows were chosen.  Hence the pivots among d_in's own
+    columns count its rank, and those among the appended columns are the
+    kept vectors.
     """
     vectors = list(vectors)
     stacked = SparseMatrix.hstack(
@@ -444,11 +422,12 @@ def independent_modulo(d_in, vectors):
 
 
 def image_basis(m):
-    """Basis of the column space: the original columns at the pivot columns."""
+    """Basis of the column space, a tuple of sparse vectors: the original
+    columns at the pivot columns."""
     pivots, _ = _echelon(m)
     cols = sorted(c for _, c in pivots)
     all_cols = m.columns()
-    return Subspace(m.rows, tuple(all_cols[c] for c in cols))
+    return tuple(all_cols[c] for c in cols)
 
 
 def solve(m, v):

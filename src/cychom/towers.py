@@ -10,34 +10,34 @@ Periodic continuity is gated the same way single-algebra reports are: every
 stage must carry a vanishing certificate, a common bound is taken, and the
 periodic dimensions are read off at the stabilized cyclic degrees.
 
-The tower command builds each stage's mixed complex once: hp_continuity_check
-takes the HH continuity result's complexes and reports.  The final stage
+The tower command builds each stage's mixed complex once.  The final stage
 builds the normalized complex C(A_m) when it has a unit.  An earlier stage's
 map need not keep the unit, so an earlier stage builds Omega(A_i) with its
-unit forgotten, and mixed.induced_chain_map carries it into the final stage
-through the map's unital extension A_i~ -> A_m.  Every stage passes the one
-size guard, mixed.check_size, before any stage is built.  Per theory (HH for
-continuity_check, HC for the HP step that follows), an earlier stage costs
-kernel_basis(d_n) for 1 <= n <= max_degree, which gives its cycle space Z_n
-and rank d_n = dim C_n - dim Z_n, and one rank(d_{max_degree+1}).  Each
-filtration entry at degree n is one independent_modulo of the stage's
-pushed Z_n against the final stage's d_{n+1}, run only where the stage's
-H_n is nonzero.  The final stage is ranked once for both theories by
-homology.hochschild_and_cyclic, held to the earlier stages' largest
-vanishing bound: b~_1 .. b~_{max_degree}, then, while HP can still be
-established, D_{max_degree+1} (which also gives rank b~_{max_degree+1}) and
-D_1 .. D_{max_degree}, else b~_{max_degree+1}.
+unit forgotten, and mixed.induced_chain_map, built once per earlier stage,
+carries it into the final stage through the map's unital extension
+A_i~ -> A_m.  Every stage passes the one size guard, mixed.check_size,
+before any stage is built.
+
+Every stage, earlier and final, is ranked once for both theories by
+homology.hochschild_and_cyclic, held to a running floor: the largest
+vanishing bound of the stages before it.  That is b~_1 .. b~_{max_degree},
+then, while HP can still be established, D_{max_degree+1} (which also gives
+rank b~_{max_degree+1}) and D_1 .. D_{max_degree}, else b~_{max_degree+1}.
+A filtration entry at degree n is one more rank, of a block matrix built
+from the final stage's d_{n+1}, the chain map and the stage's d_n
+(_image_filtration), run only where the stage's H_n is nonzero.  No cycle
+space or class representative is computed.  hp_continuity_check reads the
+HC reports, complexes and chain maps off the continuity report and ranks
+only its two filtration degrees.
 """
 
 from .algebra import (AlgebraHom, forget_unit, group_algebra, hecke_algebra,
                       hecke_inclusion)
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
-from .homology import (chain_dim, cycle_basis, differential,
-                       hochschild_and_cyclic, hp_can_hold,
-                       periodic_via_stabilization, report_from_ranks,
-                       stabilization_certificate, stabilized_degrees,
-                       total_components, vanishing_bound)
-from .linalg import SparseMatrix, independent_modulo, rank
+from .homology import (differential, hochschild_and_cyclic, hp_can_hold,
+                       periodic_via_stabilization, stabilization_certificate,
+                       stabilized_degrees, total_components, vanishing_bound)
+from .linalg import SparseMatrix, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
 
 
@@ -137,48 +137,46 @@ def _stage_complexes(ds, n_max):
     return tuple(build_mixed_complex(a, n_max) for a in algebras)
 
 
-def _push(chain_maps, src_mc, dst_mc, theory, n, vectors):
-    """Images of degree-n chains of one stage in the final stage."""
-    push = (chain_maps[n] if theory == "HH"
-            else _induced_total_map(chain_maps, src_mc, dst_mc, n))
-    return [push.apply(v) for v in vectors]
-
-
-def _cycle_spaces(mc, theory, max_degree):
-    """An earlier stage's report and its cycle spaces Z_0 .. Z_{max_degree}.
-
-    kernel_basis(d_n) gives Z_n and rank d_n = dim C_n - dim Z_n for
-    1 <= n <= max_degree; one rank(d_{max_degree+1}) completes the report.
-    """
-    cycles = [cycle_basis(mc, theory, n) for n in range(max_degree + 1)]
-    ranks = [chain_dim(mc, theory, n) - len(z) for n, z in enumerate(cycles)]
-    ranks.append(rank(differential(mc, theory, max_degree + 1)))
-    return report_from_ranks(mc, theory, max_degree, ranks), cycles
-
-
-def _image_filtration(ds, mcs, stages, final, theory, degrees):
+def _image_filtration(mcs, chain_maps, reports, theory, degrees):
     """Rows per stage: image dimensions in the final stage at each degree.
 
-    stages holds each earlier stage's (report, cycle spaces), final the
-    final stage's report.  The image of H_n(A_i) in H_n(A_m) is
-    (f(Z_n) + B_n) / B_n, with B_n the image of the final stage's d_{n+1},
-    so an entry is the number of pushed cycles independent modulo B_n: one
-    elimination, run only when the stage's H_n is nonzero (its image is 0
-    otherwise).  The final stage's row is its own dimensions.
+    reports holds every stage's report for theory, the final stage's last,
+    and chain_maps each earlier stage's induced_chain_map.  The final
+    stage's row is its own dimensions.  An earlier stage's entry at degree
+    n is 0 where its H_n is 0, else one rank.  With D = d_{n+1} of the final
+    stage, F the chain map in degree n and d = d_n of the stage, the image
+    of H_n(A_i) in H_n(A_m) is (F Z_n + col D) / col D, Z_n = ker d.  Let
+
+        M = [[D, F],
+             [0, d]].
+
+    Projecting col M onto its lower coordinates gives col d, and M (x, y)
+    projects to 0 exactly when d y = 0, so the kernel of the projection is
+    col [D | F K] with K spanning Z_n.  Hence rank M = rank d +
+    rank [D | F K], and the image has dimension rank [D | F K] - rank D =
+    rank M - rank d - rank D, both subtracted ranks read off the reports'
+    boundary_ranks.  At n = 0, d = 0 and M = [D | F].
     """
-    chain_maps = [induced_chain_map(f, max(degrees))
-                  for f in ds.to_final[:-1]]
+    final_mc, final = mcs[-1], reports[-1]
     columns = []
     for n in degrees:
-        d_in = (differential(mcs[-1], theory, n + 1)
-                if any(r.dims[n] for r, _ in stages) else None)
+        d_final = None
         column = []
-        for maps, mc, (report, cycles) in zip(chain_maps, mcs, stages):
-            if report.dims[n]:
-                pushed = _push(maps, mc, mcs[-1], theory, n, cycles[n])
-                column.append(len(independent_modulo(d_in, pushed)[1]))
-            else:
+        for maps, mc, report in zip(chain_maps, mcs, reports):
+            if not report.dims[n]:
                 column.append(0)
+                continue
+            if d_final is None:
+                d_final = differential(final_mc, theory, n + 1)
+            push = (maps[n] if theory == "HH"
+                    else _induced_total_map(maps, mc, final_mc, n))
+            d = differential(mc, theory, n) if n else None
+            m = SparseMatrix.from_blocks(
+                [[d_final, push], [None, d]],
+                [d_final.rows, d.rows if n else 0],
+                [d_final.cols, push.cols])
+            column.append(rank(m) - report.boundary_ranks[n]
+                          - final.boundary_ranks[n + 1])
         column.append(final.dims[n])
         columns.append(column)
     return tuple(zip(*columns))
@@ -189,23 +187,26 @@ class ContinuityReport:
 
     image_filtration[i][n] is the dimension of the image of stage i's
     degree-n homology in the final stage; the last row is the final stage's
-    own dimensions, since it maps by the identity.  complexes and
-    stage_reports keep each stage's mixed complex and HH report, and
-    final_hc the final stage's HC report (None where HP cannot hold), so
-    that hp_continuity_check can reuse them.
+    own dimensions, since it maps by the identity.  complexes, chain_maps
+    (one per earlier stage), hh_reports and hc_reports (None where a stage
+    made none) keep what hp_continuity_check reuses.
     """
 
-    __slots__ = ("max_degree", "final_dims", "image_filtration", "complexes",
-                 "stage_reports", "final_hc")
+    __slots__ = ("max_degree", "image_filtration", "complexes", "chain_maps",
+                 "hh_reports", "hc_reports")
 
-    def __init__(self, max_degree, final_dims, image_filtration, complexes,
-                 stage_reports, final_hc):
+    def __init__(self, max_degree, image_filtration, complexes, chain_maps,
+                 hh_reports, hc_reports):
         self.max_degree = max_degree
-        self.final_dims = final_dims
         self.image_filtration = image_filtration
         self.complexes = complexes
-        self.stage_reports = stage_reports
-        self.final_hc = final_hc
+        self.chain_maps = chain_maps
+        self.hh_reports = hh_reports
+        self.hc_reports = hc_reports
+
+    @property
+    def final_dims(self):
+        return self.hh_reports[-1].dims
 
     @property
     def monotone(self):
@@ -219,19 +220,26 @@ class ContinuityReport:
 def continuity_check(ds, max_degree):
     """Image filtration of every stage's Hochschild homology in the final one.
 
-    The final stage is ranked for the HP report that hp_continuity_check
-    makes next: hochschild_and_cyclic, held to the earlier stages' largest
-    vanishing bound.
+    Every stage is ranked for the HP report that hp_continuity_check makes
+    next: hochschild_and_cyclic, held to a running floor, the largest
+    vanishing bound of the stages before it.  The final stage is held to
+    the largest bound of all earlier stages; an earlier stage makes its HC
+    report while HP can still hold, and that report is wasted only when a
+    later stage refuses.
     """
     mcs = _stage_complexes(ds, max_degree + 1)
-    stages = [_cycle_spaces(mc, "HH", max_degree) for mc in mcs[:-1]]
-    floor = max((vanishing_bound(r.dims, max_degree) for r, _ in stages),
-                default=0)
-    hh, hc = hochschild_and_cyclic(mcs[-1], max_degree, floor)
-    filtration = _image_filtration(ds, mcs, stages, hh, "HH",
+    hh_reports, hc_reports, floor = [], [], 0
+    for mc in mcs:
+        hh, hc = hochschild_and_cyclic(mc, max_degree, floor)
+        hh_reports.append(hh)
+        hc_reports.append(hc)
+        floor = max(floor, vanishing_bound(hh.dims, max_degree))
+    chain_maps = tuple(induced_chain_map(f, max_degree)
+                       for f in ds.to_final[:-1])
+    filtration = _image_filtration(mcs, chain_maps, hh_reports, "HH",
                                    range(max_degree + 1))
-    return ContinuityReport(max_degree, hh.dims, filtration, mcs,
-                            tuple(r for r, _ in stages) + (hh,), hc)
+    return ContinuityReport(max_degree, filtration, mcs, chain_maps,
+                            tuple(hh_reports), tuple(hc_reports))
 
 
 class HpContinuityReport:
@@ -267,22 +275,23 @@ class HpContinuityReport:
                         zip(self.odd_filtration, self.odd_filtration[1:])))
 
 
-def hp_continuity_check(ds, hh_continuity):
+def hp_continuity_check(cont):
     """Periodic dimensions along the tower under a common certificate.
 
-    hh_continuity is the result of continuity_check(ds, max_degree); its
-    stages' mixed complexes and HH reports, and the final stage's HC report,
-    are reused, and max_degree is read from it.  Every stage must admit a
-    vanishing certificate within max_degree; the common bound is the
-    largest stage bound, and the periodic dimensions of all stages are read
-    at the degrees stabilized by that common bound.  Raises CertMissing
-    when any stage lacks a certificate or the stabilized degrees do not fit
-    under the truncation.
+    cont is the result of continuity_check(ds, max_degree); its stages'
+    complexes, chain maps and HH and HC reports are reused, and max_degree
+    is read from it, so only the two filtration degrees are ranked here.
+    Every stage must admit a vanishing certificate within max_degree; the
+    common bound is the largest stage bound, and the periodic dimensions of
+    all stages are read at the degrees stabilized by that common bound.
+    Raises CertMissing when any stage lacks a certificate or the stabilized
+    degrees do not fit under the truncation.  Past both refusals every
+    stage has its HC report: its floor and its own bound are at most the
+    common bound.
     """
-    max_degree = hh_continuity.max_degree
-    mcs, hh_reports = hh_continuity.complexes, hh_continuity.stage_reports
+    max_degree = cont.max_degree
     certs = []
-    for i, hh in enumerate(hh_reports):
+    for i, hh in enumerate(cont.hh_reports):
         cert = stabilization_certificate(hh)
         if cert is None:
             raise CertMissing(
@@ -294,16 +303,15 @@ def hp_continuity_check(ds, hh_continuity):
         raise CertMissing(
             f"common bound {common} stabilizes at degrees {even_deg}, "
             f"{odd_deg}, beyond truncation {max_degree}")
-    stages = [_cycle_spaces(mc, "HC", max_degree) for mc in mcs[:-1]]
-    hc_reports = [r for r, _ in stages] + [hh_continuity.final_hc]
-    for hh, hc in zip(hh_reports, hc_reports):
+    hc_reports = cont.hc_reports
+    for hh, hc in zip(cont.hh_reports, hc_reports):
         hp = periodic_via_stabilization(hh, hc)
         if hp.dims != (hc.dims[even_deg], hc.dims[odd_deg]):
             raise ValidationError(
                 "stabilized cyclic dimensions disagree between the stage "
                 "bound and the common bound")
-    filtration = _image_filtration(ds, mcs, stages, hc_reports[-1], "HC",
-                                   (even_deg, odd_deg))
+    filtration = _image_filtration(cont.complexes, cont.chain_maps,
+                                   hc_reports, "HC", (even_deg, odd_deg))
     return HpContinuityReport(
         common_bound=common, even_degree=even_deg, odd_degree=odd_deg,
         checked_through=max_degree, certificates=tuple(certs),

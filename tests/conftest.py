@@ -45,6 +45,12 @@ def split_flat(mc, n, flat):
     return TotChainIndex(n, components)
 
 
+def hh_dims(a, max_degree):
+    """HH_0 .. HH_{max_degree} of a on Omega(A), as the hh command ranks."""
+    return hochschild_homology(omega_complex(a, max_degree + 1),
+                               max_degree).dims
+
+
 def basis_variants(a, seed):
     """a, a with seeded basis signs f_i = +-e_i, and a in a rational basis
     (its structure constants get denominators, so the ints are scaled)."""
@@ -65,6 +71,15 @@ def dual_into_m2():
     hom = AlgebraHom(dual_numbers(), m2,
                      SparseMatrix(4, 2, [(0, 0, 1), (3, 0, 1), (1, 1, 1)]))
     return DirectSystem([dual_numbers(), m2], [hom])
+
+
+def ground_into_dual():
+    """The tower Q -> Q[x]/(x^2), 1 -> 1: the first stage's HH vanishes in
+    positive degrees, the final stage's does not, so the first stage makes
+    an HC report that the HP step never reads."""
+    dual = dual_numbers()
+    hom = AlgebraHom(ground_field(), dual, SparseMatrix(2, 1, [(0, 0, 1)]))
+    return DirectSystem([ground_field(), dual], [hom])
 
 
 def build_named_algebra(name):
@@ -93,7 +108,7 @@ def algebras():
 @pytest.fixture(scope="session")
 def mixed_complexes(algebras):
     """Callable (name, n_max=None) -> Omega of depth >= n_max, the complex
-    hochschild_homology and cyclic_homology build."""
+    the hh and hc commands build."""
     cache = {}
 
     def get(name, n_max=None):
@@ -117,7 +132,7 @@ def homology_reports(algebras, mixed_complexes):
         if key not in cache:
             mc = mixed_complexes(name, max_degree + 1)
             fn = hochschild_homology if theory == "HH" else cyclic_homology
-            cache[key] = fn(algebras[name], max_degree, mc=mc)
+            cache[key] = fn(mc, max_degree)
         return cache[key]
 
     return get

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cychom import mixed
+from cychom import mixed, towers
 from cychom.algebra import Algebra
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.cli import (JobSpec, algebra_to_doc, format_rational, main,
@@ -323,10 +323,20 @@ def record_builds(monkeypatch):
 
 def test_tower_builds_each_stage_once(capsys, monkeypatch):
     built = record_builds(monkeypatch)
+    sources = []
+    chain_map = towers.induced_chain_map
+
+    def recording(f, n_max):
+        sources.append(f.source.dim)
+        return chain_map(f, n_max)
+
+    monkeypatch.setattr(towers, "induced_chain_map", recording)
     code, _ = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),
                        "--format", "json", "--max-degree", "3"], capsys)
     assert code == 0
     assert sorted(built) == [2, 4]
+    # one chain map per earlier stage, shared by the HH and HP steps
+    assert sources == [2]
 
 
 def test_tower_refusal_costs_no_build(capsys, monkeypatch):

@@ -35,12 +35,11 @@ def test_rank_empty_identity_proportional():
 
 
 def test_kernel_basis_small_cases():
-    assert len(kernel_basis(SparseMatrix.identity(2))) == 0
-    assert kernel_basis(SparseMatrix.identity(2)).ambient == 2
+    assert kernel_basis(SparseMatrix.identity(2)) == ()
 
     sub = kernel_basis(dense([[1, 1]]))
     assert len(sub) == 1
-    v = sub.basis[0]
+    v = sub[0]
     # up to scale the kernel vector is (1, -1); the convention fixes it
     assert v == {1: QQ(1), 0: QQ(-1)} or v == {0: QQ(1), 1: QQ(-1)}
 
@@ -52,7 +51,7 @@ def test_image_basis_small_cases():
     assert len(image_basis(SparseMatrix(3, 3))) == 0
     sub = image_basis(dense([[1], [2]]))
     assert len(sub) == 1
-    v = sub.basis[0]
+    v = sub[0]
     assert v[1] == 2 * v[0]
 
 
@@ -111,7 +110,7 @@ def test_rank_nullity():
                           for r in range(rows) for c in range(cols)
                           if rng.random() < 0.5))
         assert rank(m) + len(kernel_basis(m)) == cols
-        for v in kernel_basis(m).basis:
+        for v in kernel_basis(m):
             assert m.apply(v) == {}
 
 
@@ -299,8 +298,8 @@ def test_results_are_rationals_not_ints_or_floats():
     x = solve(SparseMatrix.identity(3), {0: QQ(2)})
     assert x == {0: QQ(2)} and all_qq([x])
     m = dense([[2, 4, 0], [1, 3, 1], [3, 7, 1]])
-    assert all_qq(kernel_basis(m).basis)
-    assert all_qq(image_basis(m).basis)
+    assert all_qq(kernel_basis(m))
+    assert all_qq(image_basis(m))
     assert all_qq([solve(m, {0: QQ(2), 1: QQ(1), 2: QQ(3)})])
     assert all_qq(c for c in solve_columns(m, [{0: QQ(2)}, {1: QQ(3)}])
                   if c is not None)

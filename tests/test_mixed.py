@@ -290,5 +290,5 @@ def test_normalized_and_omega_give_equal_dimensions(path, variant):
     normalized = build_mixed_complex(a, top + 1)
     omega = build_mixed_complex(forget_unit(a), top + 1)
     for compute in (hochschild_homology, cyclic_homology):
-        assert compute(a, top, mc=normalized).dims == \
-            compute(a, top, mc=omega).dims, compute.__name__
+        assert compute(normalized, top).dims == \
+            compute(omega, top).dims, compute.__name__

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import basis_variants, dual_into_m2
+from conftest import basis_variants, dual_into_m2, ground_into_dual
 from cychom import cli, homology, linalg
 from cychom.errors import CertMissing
 from cychom.homology import (cyclic_homology, hochschild_and_cyclic,
@@ -57,7 +57,9 @@ def test_tower_eliminates_the_final_top_differential_once(capsys, eliminated):
     assert run_cli(capsys, "tower", "z4_tower.json", 3) == 0
     assert eliminated.count(D4_CZ4) == 1
     assert B4_CZ4 not in eliminated
-    assert len(eliminated) == 18
+    # each stage: b~_1..b~_3, D_4, D_1..D_3; the HH and HC filtrations one
+    # block rank each; the stage map's injectivity check one
+    assert len(eliminated) == 17
 
 
 def test_hp_eliminates_no_top_hochschild_boundary(capsys, eliminated):
@@ -95,14 +97,29 @@ def test_hh_and_hc_rank_their_own_differentials(capsys, eliminated, command,
 def test_tower_refused_by_an_earlier_stage_ranks_b_tilde(eliminated):
     # the final stage's HH vanishes, the first stage's does not, so no
     # common bound can hold
-    ds = dual_into_m2()
-    cont = continuity_check(ds, 3)
+    cont = continuity_check(dual_into_m2(), 3)
     mc = cont.complexes[-1]
-    assert cont.final_hc is None
+    assert cont.hc_reports == (None, None)
     assert mc.b_tilde[4].shape in eliminated
     assert total_differential(mc, 4).shape not in eliminated
     with pytest.raises(CertMissing):
-        hp_continuity_check(ds, cont)
+        hp_continuity_check(cont)
+
+
+def test_tower_refused_by_a_later_stage_ranks_earlier_hc(eliminated):
+    # the running floor holds the first stage, Q, to no earlier bound, so
+    # it ranks D_1..D_4 for an HC report; the final stage's HH does not
+    # vanish, so the HP step refuses without reading it
+    ds = ground_into_dual()
+    eliminated.clear()  # the stage map's injectivity check
+    cont = continuity_check(ds, 3)
+    assert cont.hc_reports[0] is not None and cont.hc_reports[1] is None
+    # Q: b~_1..b~_3, D_4, D_1..D_3; the dual numbers: b~_1..b~_4; one
+    # block rank for the image of HH_0(Q)
+    assert len(eliminated) == 12
+    with pytest.raises(CertMissing):
+        hp_continuity_check(cont)
+    assert len(eliminated) == 12
 
 
 # b~_5 of Omega for cyclic4.json in the rational basis of
@@ -146,12 +163,12 @@ def test_shared_top_gives_the_same_reports(path, variant, eliminate_once):
     degrees = SHARED_TOP_DEGREES.get((path.stem, variant), (2, 3, 4))
     # hp ranks Omega(A), the final stage of a tower C(A)
     for build in (omega_complex, build_mixed_complex):
-        _check_shared_top(a, build(a, max(degrees) + 1), degrees)
+        _check_shared_top(build(a, max(degrees) + 1), degrees)
 
 
-def _check_shared_top(a, mc, degrees):
+def _check_shared_top(mc, degrees):
     for max_degree in degrees:
-        plain_hh = hochschild_homology(a, max_degree, mc=mc)
+        plain_hh = hochschild_homology(mc, max_degree)
         for floor in sorted({0, 1, max_degree}):
             where = (max_degree, floor)
             hh, hc = hochschild_and_cyclic(mc, max_degree, floor)
@@ -160,7 +177,7 @@ def _check_shared_top(a, mc, degrees):
             bound = max(floor, vanishing_bound(hh.dims, max_degree - 1))
             assert (hc is None) == (not hp_can_hold(bound, max_degree)), where
             if hc is not None:
-                plain_hc = cyclic_homology(a, max_degree, mc=mc)
+                plain_hc = cyclic_homology(mc, max_degree)
                 assert (hc.dims, hc.boundary_ranks) == \
                     (plain_hc.dims, plain_hc.boundary_ranks), where
 

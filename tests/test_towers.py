@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dual_into_m2
+from conftest import dual_into_m2, ground_into_dual, hh_dims
 from cychom import homology, mixed, towers
 from cychom.algebra import (Algebra, AlgebraHom, FiniteGroup, direct_sum,
                             group_algebra, symmetric_group_with_perms)
@@ -29,7 +29,7 @@ def constant_tower(a, length):
 
 
 def hp_along(ds, max_degree):
-    return hp_continuity_check(ds, continuity_check(ds, max_degree))
+    return hp_continuity_check(continuity_check(ds, max_degree))
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +45,16 @@ def s3_tower(s3_data):
     return hecke_tower(g, [s2, [g.identity]])
 
 
-@pytest.fixture(scope="module")
-def s3_full_tower(s3_data):
-    g, s2 = s3_data
+def s3_full():
+    """Q -> the Hecke algebra of (S3, S2) -> Q[S3]: three stages."""
+    g, perms = symmetric_group_with_perms(3)
+    s2 = [i for i, p in enumerate(perms) if p[2] == 2]
     return hecke_tower(g, [list(range(g.order)), s2, [g.identity]])
+
+
+@pytest.fixture(scope="module")
+def s3_full_tower():
+    return s3_full()
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +118,7 @@ def test_s3_tower_continuity(s3_tower, s3_data):
     assert cont.final_dims == (3, 0, 0, 0)
     assert [row[0] for row in cont.image_filtration] == [2, 3]
     assert cont.monotone
-    direct = hochschild_homology(group_algebra(g), 3)
-    assert cont.final_dims == direct.dims
+    assert cont.final_dims == hh_dims(group_algebra(g), 3)
 
 
 def test_z4_tower_continuity(z4_tower):
@@ -121,8 +126,7 @@ def test_z4_tower_continuity(z4_tower):
     assert cont.final_dims == (4, 0, 0, 0)
     assert [row[0] for row in cont.image_filtration] == [2, 4]
     assert cont.monotone
-    direct = hochschild_homology(group_algebra(FiniteGroup.cyclic(4)), 3)
-    assert cont.final_dims == direct.dims
+    assert cont.final_dims == hh_dims(group_algebra(FiniteGroup.cyclic(4)), 3)
 
 
 def test_hp_continuity_s3(s3_tower):
@@ -159,9 +163,27 @@ def test_hp_reuses_hh_continuity(z4_tower, monkeypatch):
     def no_build(*args):
         raise AssertionError("hp_continuity_check built a mixed complex")
 
+    def no_chain_map(*args):
+        raise AssertionError("hp_continuity_check built a chain map")
+
     for module in (homology, towers):
         monkeypatch.setattr(module, "build_mixed_complex", no_build)
-    assert hp_continuity_check(z4_tower, cont).stage_even == (2, 4)
+    monkeypatch.setattr(towers, "induced_chain_map", no_chain_map)
+    assert hp_continuity_check(cont).stage_even == (2, 4)
+
+
+def test_three_stage_tower_builds_each_chain_map_once(s3_full_tower,
+                                                      monkeypatch):
+    sources = []
+    chain_map = towers.induced_chain_map
+
+    def recording(f, n_max):
+        sources.append(f.source.dim)
+        return chain_map(f, n_max)
+
+    monkeypatch.setattr(towers, "induced_chain_map", recording)
+    assert hp_along(s3_full_tower, 3).stage_even == (1, 2, 3)
+    assert sources == [1, 2]
 
 
 def test_hp_constant_ground():
@@ -181,14 +203,17 @@ def test_hp_refusals():
 
 def _filtration_from_representatives(ds, mcs, theory, degrees):
     """Image dimensions per earlier stage through pushed class
-    representatives, the reference for the pushed cycle spaces."""
+    representatives: the reference for the block ranks of
+    towers._image_filtration."""
     rows = []
     for f, mc in zip(ds.to_final[:-1], mcs):
         maps = induced_chain_map(f, max(degrees))
         row = []
         for n in degrees:
-            reps = homology_representatives(mc, theory, n)
-            pushed = towers._push(maps, mc, mcs[-1], theory, n, reps)
+            push = (maps[n] if theory == "HH"
+                    else towers._induced_total_map(maps, mc, mcs[-1], n))
+            pushed = [push.apply(v)
+                      for v in homology_representatives(mc, theory, n)]
             d_in = differential(mcs[-1], theory, n + 1)
             row.append(len(independent_modulo(d_in, pushed)[1]))
         rows.append(tuple(row))
@@ -211,6 +236,8 @@ CROSS_CHECK_TOWERS = {
     "dual_constant": lambda: constant_tower(dual_numbers(), 3),
     "dual_into_m2": dual_into_m2,
     "dual_into_nonunital": dual_into_nonunital,
+    "s3_full_tower": s3_full,
+    "ground_into_dual": ground_into_dual,
 }
 
 
@@ -264,22 +291,25 @@ def test_every_stage_is_size_checked_before_any_build(monkeypatch):
 
 @pytest.mark.parametrize("name", CROSS_CHECK_TOWERS)
 def test_pushed_cycles_match_pushed_representatives(name):
-    # the image of H_n(A_i) in H_n(A_m) is (f(Z_n) + B_n) / B_n, so pushing
-    # every cycle counts what pushing class representatives counts
+    # the block rank rank M - rank d - rank D of each filtration entry
+    # against pushed class representatives counted modulo the final
+    # stage's boundaries, for HH and HC at degrees 0..3 and every stage;
+    # the plain reports stand in where the tower made no HC report
     ds = CROSS_CHECK_TOWERS[name]()
     degrees = range(4)
-    mcs = towers._stage_complexes(ds, 4)
-    for theory, compute in (("HH", hochschild_homology),
-                            ("HC", cyclic_homology)):
-        stages = [towers._cycle_spaces(mc, theory, 3) for mc in mcs[:-1]]
-        for (report, _), a, mc in zip(stages, ds.stages, mcs):
-            plain = compute(a, 3, mc=mc)
-            assert (report.dims, report.boundary_ranks) == \
-                (plain.dims, plain.boundary_ranks), theory
-        final = compute(ds.stages[-1], 3, mc=mcs[-1])
-        got = towers._image_filtration(ds, mcs, stages, final, theory,
+    cont = continuity_check(ds, 3)
+    mcs = cont.complexes
+    for theory, compute, kept in (
+            ("HH", hochschild_homology, cont.hh_reports),
+            ("HC", cyclic_homology, cont.hc_reports)):
+        reports = [compute(mc, 3) for mc in mcs]
+        for report, plain in zip(kept, reports):
+            if report is not None:
+                assert (report.dims, report.boundary_ranks) == \
+                    (plain.dims, plain.boundary_ranks), theory
+        got = towers._image_filtration(mcs, cont.chain_maps, reports, theory,
                                        degrees)
         want = _filtration_from_representatives(ds, mcs, theory, degrees)
-        assert got == (*want, final.dims), theory
+        assert got == (*want, reports[-1].dims), theory
         if theory == "HH":
-            assert continuity_check(ds, 3).image_filtration == got
+            assert cont.image_filtration == got
