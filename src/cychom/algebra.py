@@ -7,6 +7,7 @@ a finite group pair (G, K) under convolution, and direct sums.
 """
 
 from itertools import permutations
+from math import lcm
 
 from .errors import NotASubgroup, NotMultiplicative, ValidationError
 from .linalg import ONE, QQ, SparseMatrix, as_rational, invert, rank, vec_eq
@@ -95,15 +96,26 @@ def check_associativity(a):
     """Verify (e_i e_j) e_k = e_i (e_j e_k) for all dim^3 triples.
 
     Returns AssocCheck(True, None) or AssocCheck(False, first failing triple)
-    in lexicographic order.
+    in lexicographic order.  The table is scaled once to ints t = L c, L the
+    lcm of its denominators; the difference of the two sides of a triple is
+    then L^2 times the rational one, summed in ints.
     """
-    for i in range(a.dim):
-        for j in range(a.dim):
-            left_ij = a.product(i, j)
+    den = lcm(*[c.denominator for vec in a.table.values()
+                for c in vec.values()])
+    t = [[[(k, c.numerator * (den // c.denominator))
+           for k, c in a.product(i, j).items()] for j in range(a.dim)]
+         for i in range(a.dim)]
+    for i, row in enumerate(t):
+        for j, left_ij in enumerate(row):
             for k in range(a.dim):
-                lhs = a.multiply(left_ij, {k: ONE})
-                rhs = a.multiply({i: ONE}, a.product(j, k))
-                if not vec_eq(lhs, rhs):
+                diff = {}
+                for m, c in left_ij:
+                    for x, v in t[m][k]:
+                        diff[x] = diff.get(x, 0) + c * v
+                for m, c in t[j][k]:
+                    for x, v in row[m]:
+                        diff[x] = diff.get(x, 0) - c * v
+                if any(diff.values()):
                     return AssocCheck(False, (i, j, k))
     return AssocCheck(True, None)
 

@@ -48,12 +48,16 @@ def total_components(n):
     return tuple(range(n, -1, -2))
 
 
-def total_differential(mc, n):
-    """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix."""
-    if n < 1 or n > mc.n_max:
-        raise DegreeOutOfRange(f"total differential needs 1 <= n <= {mc.n_max}")
-    src = total_components(n)
-    dst = total_components(n - 1)
+def chain_degrees(theory, n):
+    """Degrees of the summands of the degree-n chain space: (n,) for HH,
+    those of Tot_n for HC."""
+    return (n,) if theory == "HH" else total_components(n)
+
+
+def differential_blocks(mc, theory, n):
+    """(grid, row degrees, column degrees) of the degree-n differential,
+    n >= 1: b~ for HH, D = b~ + B~ for HC, one block per pair of summands."""
+    src, dst = chain_degrees(theory, n), chain_degrees(theory, n - 1)
     pos = {q: i for i, q in enumerate(dst)}
     grid = [[None] * len(src) for _ in dst]
     for si, q in enumerate(src):
@@ -61,6 +65,14 @@ def total_differential(mc, n):
             grid[pos[q - 1]][si] = mc.b_tilde[q]
         if q + 1 in pos:
             grid[pos[q + 1]][si] = mc.B_tilde[q]
+    return grid, dst, src
+
+
+def total_differential(mc, n):
+    """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix."""
+    if n < 1 or n > mc.n_max:
+        raise DegreeOutOfRange(f"total differential needs 1 <= n <= {mc.n_max}")
+    grid, dst, src = differential_blocks(mc, "HC", n)
     return SparseMatrix.from_blocks(
         grid,
         [mc.spaces[q].dim for q in dst],
@@ -136,8 +148,7 @@ class HomologyReport:
 
 def chain_dim(mc, theory, n):
     """dim C_n for HH, dim Tot_n for HC."""
-    degrees = (n,) if theory == "HH" else total_components(n)
-    return sum(mc.spaces[q].dim for q in degrees)
+    return sum(mc.spaces[q].dim for q in chain_degrees(theory, n))
 
 
 def differential(mc, theory, n):

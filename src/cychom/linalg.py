@@ -1,23 +1,25 @@
-"""Exact sparse linear algebra over arbitrary-precision rationals.
+"""Exact sparse linear algebra over the rationals, stored in integers.
 
 Every homology computation in this package reduces to ranks, kernels and
 particular solutions of sparse matrices over Q.  Arithmetic is exact; there
-is no floating point anywhere.  The scalar type QQ is fractions.Fraction.
+is no floating point anywhere.
 
-Vectors are sparse dicts {index: rational} with zero entries absent.
+A SparseMatrix holds integer numerators over one positive denominator: the
+rational matrix is data / den.  The store is canonical (den >= 1, the gcd
+of den and every stored numerator is 1, den == 1 for the zero matrix), so
+equal rational matrices have equal stores.  Products, sums, Kronecker
+products, block assembly and elimination multiply and add ints only.  The
+scalar type QQ = fractions.Fraction is the API edge: matrices are built
+from rationals, and entries, columns, matrix-vector products and the
+vectors of back substitution come out as QQ.  Vectors are sparse dicts
+{index: rational} with zero entries absent.
+
 All operations are pure and deterministic: elimination processes columns left
 to right and picks the pivot row with the fewest stored entries (ties broken
 by the lowest row index), and solve() sets free variables to zero, so the
 particular solutions and bases produced are reproducible bit for bit.
-
-Elimination is fraction-free: each row is scaled once to coprime integers
-and every row operation keeps it that way, so the inner loop multiplies and
-subtracts integers and never normalizes a fraction.  An integer row is a
-nonzero rational multiple of the row rational elimination would hold, and
-everything read off the echelon form (supports, pivots, back substitution)
-is invariant under such scaling; _echelon spells the argument out.
-Matrix products likewise multiply and add integers, and make a Fraction
-only for a nonzero entry of the result (SparseMatrix.__matmul__).
+Elimination is fraction-free; _echelon spells out why its integer rows give
+what rational elimination would.
 """
 
 from fractions import Fraction as QQ
@@ -39,43 +41,59 @@ def vec_eq(u, v):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over exact rationals.
+    """Immutable sparse matrix over Q: the nonzero ints data over den.
 
-    Entries are supplied as (row, col, value) triples; duplicate positions
-    accumulate and exact zeros are dropped, so the stored representation has
-    no duplicate positions and no zero entries.
+    data maps (row, col) to a nonzero int and den is a positive int; the
+    store is canonical (see the module docstring).  Entries are supplied as
+    (row, col, rational) triples; duplicate positions accumulate and zeros
+    are dropped.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "den")
 
     def __init__(self, rows, cols, entries=()):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        data = {}
+        values = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index ({r}, {c}) out of range")
-            if type(v) is not QQ:
+            if type(v) is not int and type(v) is not QQ:
                 v = as_rational(v)
-            if not v:
-                continue
-            key = (r, c)
-            cur = data.get(key)
-            if cur is None:
-                data[key] = v
-            else:
-                s = cur + v
-                if s:
-                    data[key] = s
-                else:
-                    del data[key]
+            if v:
+                values[(r, c)] = values.get((r, c), 0) + v
+        den = lcm(*[v.denominator for v in values.values()])
+        self._store(rows, cols, {key: v.numerator * (den // v.denominator)
+                                 for key, v in values.items() if v}, den)
+
+    def _store(self, rows, cols, data, den):
+        self.rows = rows
+        self.cols = cols
+        if den != 1:
+            g = gcd(den, *data.values())
+            if g != 1:
+                den //= g
+                data = {key: v // g for key, v in data.items()}
         self.data = data
+        self.den = den
+
+    @classmethod
+    def _trusted(cls, rows, cols, data, den=1):
+        """The matrix data / den, for data a dict {(row, col): nonzero int}
+        with every position in range, and den > 0.
+
+        __init__ checks every entry: index in range, value rational and not
+        zero, position not seen before.  Each caller passes data that meets
+        all of these by construction, and says why next to the call.  Only
+        the common factor of den and data is divided out here.
+        """
+        m = cls.__new__(cls)
+        m._store(rows, cols, data, den)
+        return m
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, ((i, i, ONE) for i in range(n)))
+        return cls._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_dense(cls, rows_list):
@@ -93,28 +111,13 @@ class SparseMatrix:
                                         for i, v in col.items()))
 
     @classmethod
-    def _trusted(cls, rows, cols, data):
-        """A matrix over data, a dict {(row, col): value} that is already a
-        valid store, taken as it is.
-
-        __init__ checks every entry: index in range, value a QQ, not zero,
-        position not seen before.  Each caller passes data that meets all
-        four by construction, and says why next to the call.
-        """
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.data = data
-        return m
-
-    @classmethod
     def from_blocks(cls, grid, row_dims, col_dims):
         """Assemble from a 2D list of blocks (None = zero block).
 
         Each block's shape is checked against its slot, so its entries land
         inside the slot, and slots do not overlap: the entries are in range
-        and at distinct positions, and they are nonzero QQ values taken from
-        valid matrices.
+        and at distinct positions.  They go over the lcm of the blocks'
+        denominators, and only a block whose den differs is rescaled.
         """
         row_off = [0]
         for d in row_dims:
@@ -122,6 +125,7 @@ class SparseMatrix:
         col_off = [0]
         for d in col_dims:
             col_off.append(col_off[-1] + d)
+        den = lcm(*[b.den for row in grid for b in row if b is not None])
         data = {}
         for bi, row_of_blocks in enumerate(grid):
             for bj, block in enumerate(row_of_blocks):
@@ -130,9 +134,10 @@ class SparseMatrix:
                 if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
                     raise ValueError("block shape mismatch")
                 ro, co = row_off[bi], col_off[bj]
+                scale = den // block.den
                 for (r, c), v in block.data.items():
-                    data[(ro + r, co + c)] = v
-        return cls._trusted(row_off[-1], col_off[-1], data)
+                    data[(ro + r, co + c)] = v * scale if scale != 1 else v
+        return cls._trusted(row_off[-1], col_off[-1], data, den)
 
     @classmethod
     def hstack(cls, blocks):
@@ -149,7 +154,8 @@ class SparseMatrix:
 
     def entries(self):
         """Sorted (row, col, value) triples."""
-        return [(r, c, self.data[(r, c)]) for r, c in sorted(self.data)]
+        return [(r, c, QQ(self.data[(r, c)], self.den))
+                for r, c in sorted(self.data)]
 
     def is_zero(self):
         return not self.data
@@ -159,17 +165,18 @@ class SparseMatrix:
         if not self.data:
             return None
         r, c = min(self.data)
-        return (r, c, self.data[(r, c)])
+        return (r, c, QQ(self.data[(r, c)], self.den))
 
     def column(self, j):
         """Column j as a sparse vector dict."""
-        return {r: v for (r, c), v in self.data.items() if c == j}
+        return {r: QQ(v, self.den) for (r, c), v in self.data.items()
+                if c == j}
 
     def columns(self):
         """All columns as sparse dicts, including zero columns."""
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.data.items():
-            cols[c][r] = v
+            cols[c][r] = QQ(v, self.den)
         return cols
 
     def apply(self, vec):
@@ -177,104 +184,59 @@ class SparseMatrix:
         out = {}
         for (r, c), v in self.data.items():
             x = vec.get(c)
-            if x is None:
-                continue
-            s = out.get(r, ZERO) + v * x
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        return out
+            if x is not None:
+                out[r] = out.get(r, ZERO) + v * x
+        return {r: s / self.den for r, s in out.items() if s}
 
     def __neg__(self):
-        # the negative of a nonzero QQ is a nonzero QQ, at the same position
+        # the negatives of a canonical store's ints, at the same positions
         return SparseMatrix._trusted(
-            self.rows, self.cols, {k: -v for k, v in self.data.items()})
+            self.rows, self.cols, {k: -v for k, v in self.data.items()},
+            self.den)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix addition")
-        # both operands are valid stores of one shape; only the positions
-        # they share need a sum, and a zero sum is dropped
-        data = dict(self.data)
+        # both operands go over the lcm of their denominators; only the
+        # positions they share need a sum, and a zero sum is dropped
+        den = lcm(self.den, other.den)
+        up, up_other = den // self.den, den // other.den
+        data = {k: v * up for k, v in self.data.items()}
         for key, v in other.data.items():
-            cur = data.get(key)
-            if cur is None:
-                data[key] = v
+            s = data.get(key, 0) + v * up_other
+            if s:
+                data[key] = s
             else:
-                s = cur + v
-                if s:
-                    data[key] = s
-                else:
-                    del data[key]
-        return SparseMatrix._trusted(self.rows, self.cols, data)
+                del data[key]
+        return SparseMatrix._trusted(self.rows, self.cols, data, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __matmul__(self, other):
-        """The product, summed in integers.
-
-        Each operand is scaled once by the lcm of its denominators: entries
-        p/q of self become P = p (L1/q), entries r/s of other R = r (L2/s).
-        Then sum (p/q)(r/s) = (sum P R) / (L1 L2) exactly, so the products
-        and sums are of ints, and a QQ is made only for a nonzero sum.  Its
-        position pairs a row of self with a column of other: in range.
-        """
+        """The product, summed in integers over the product of the
+        denominators.  A sum is keyed by row * other.cols + col, so the
+        zero sums are dropped and the keys split once, at the end."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        lden = lcm(*[v.denominator for v in self.data.values()])
-        rden = lcm(*[v.denominator for v in other.data.values()])
+        cols = other.cols
         left_cols = {}
         for (r, c), v in self.data.items():
-            left_cols.setdefault(c, []).append(
-                (r, v.numerator * (lden // v.denominator)))
+            left_cols.setdefault(c, []).append((r * cols, v))
         acc = {}
         for (k, j), w in other.data.items():
-            hits = left_cols.get(k)
-            if hits is None:
-                continue
-            w = w.numerator * (rden // w.denominator)
-            for r, v in hits:
-                key = (r, j)
-                s = acc.get(key, 0) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        return SparseMatrix._trusted(self.rows, other.cols,
-                                     _quotients(acc, lden * rden))
+            for at, v in left_cols.get(k, ()):
+                acc[at + j] = acc.get(at + j, 0) + v * w
+        data = {divmod(at, cols): s for at, s in acc.items() if s}
+        return SparseMatrix._trusted(self.rows, cols, data,
+                                     self.den * other.den)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.shape == other.shape
-                and self.data == other.data)
+                and self.den == other.den and self.data == other.data)
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def _quotients(ints, den):
-    """{key: v / den} for a dict of nonzero ints, with one QQ per distinct v.
-
-    A QQ is immutable, so entries that hold the same value can share it.
-    """
-    made = {}
-    out = {}
-    for key, v in ints.items():
-        q = made.get(v)
-        if q is None:
-            q = made[v] = QQ(v, den)
-        out[key] = q
-    return out
-
-
-def _primitive(row):
-    """The row {col: rational} scaled to coprime integers: times the lcm of
-    its denominators, then divided by the gcd of the resulting numerators."""
-    den = lcm(*[v.denominator for v in row.values()])
-    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    g = gcd(*ints.values())
-    return {c: v // g for c, v in ints.items()} if g != 1 else ints
 
 
 def _echelon(m, rhs_cols=0):
@@ -286,21 +248,23 @@ def _echelon(m, rhs_cols=0):
     stored entries, ties by lowest row index.  After processing, every pivot
     row has support only in its pivot column and later ones.
 
-    Each row starts as its primitive integer multiple (_primitive).  To clear
-    column c of row r against pivot row p, with a = r[c], pval = p[c] and
-    g = gcd(a, pval), the row becomes (pval/g) r - (a/g) p, whose entry at c
-    is 0, and is then divided by the gcd of its entries.  If r = x R and
-    p = y P for the rows R, P rational elimination holds, with x, y nonzero
-    rationals, the new row is (x y P[c] / g) (R - (R[c]/P[c]) P): a nonzero
-    multiple of rational elimination's update of R.  By induction every
-    stored row is a nonzero rational multiple of the rational one, so:
+    A stored row of m is den times the rational row, and each row starts
+    divided by the gcd of its entries: a nonzero multiple of the rational
+    row, in coprime integers.  To clear column c of row r against pivot row
+    p, with a = r[c], pval = p[c] and g = gcd(a, pval), the row becomes
+    (pval/g) r - (a/g) p, whose entry at c is 0, and is then divided by the
+    gcd of its entries.  If r = x R and p = y P for the rows R, P rational
+    elimination holds, with x, y nonzero rationals, the new row is
+    (x y P[c] / g) (R - (R[c]/P[c]) P): a nonzero multiple of rational
+    elimination's update of R.  By induction every stored row is a nonzero
+    rational multiple of the rational one, so:
 
     - supports are identical, hence the pivot rule (which reads only
       supports and row lengths) picks the same pivots in the same order;
     - the inconsistency test of solve_columns reads supports only;
     - back substitution (_back_substitute, behind kernel_basis and
-      solve_columns) divides a sum of row entries by the row's own pivot
-      entry, which is unchanged when the whole row is scaled, so it returns
+      solve_columns) divides a sum of a row's entries by the same row's
+      pivot entry, a quotient no scaling of the row changes, so it returns
       the same Fractions.
     """
     rows = {}
@@ -309,7 +273,9 @@ def _echelon(m, rhs_cols=0):
         rows.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
     for r, row in rows.items():
-        rows[r] = _primitive(row)
+        g = gcd(*row.values())
+        if g != 1:
+            rows[r] = {c: v // g for c, v in row.items()}
     pivot_limit = m.cols - rhs_cols
     done = set()
     pivots = []
@@ -440,15 +406,23 @@ def solve(m, v):
 
 
 def solve_columns(m, vectors):
-    """Solve m x = v for several right-hand sides with one elimination."""
+    """Solve m x = v for several right-hand sides with one elimination.
+
+    m.data holds den M, so with L the lcm of the right-hand sides'
+    denominators, the augmented matrix [M | v] is L [den M | den v] over
+    L den, in ints.
+    """
     k = len(vectors)
-    aug_entries = list(((r, c, v) for (r, c), v in m.data.items()))
+    scale = lcm(*[x.denominator for vec in vectors for x in vec.values()])
+    data = {key: v * scale for key, v in m.data.items()}
     for j, vec in enumerate(vectors):
         for i, x in vec.items():
             if not (0 <= i < m.rows):
                 raise ValueError("right-hand side index out of range")
-            aug_entries.append((i, m.cols + j, x))
-    aug = SparseMatrix(m.rows, m.cols + k, aug_entries)
+            if x:
+                data[(i, m.cols + j)] = \
+                    x.numerator * (scale // x.denominator) * m.den
+    aug = SparseMatrix._trusted(m.rows, m.cols + k, data, scale * m.den)
     pivots, rows = _echelon(aug, rhs_cols=k)
     pivot_rows = {r for r, _ in pivots}
     # A non-pivot row with any remaining entry witnesses inconsistency for

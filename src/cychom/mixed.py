@@ -47,7 +47,7 @@ from math import lcm
 
 from .algebra import unitize
 from .errors import DegreeOutOfRange, SizeCapExceeded
-from .linalg import ONE, SparseMatrix, _quotients
+from .linalg import ONE, SparseMatrix
 
 # The one size guard for chain complexes: check_size refuses a complex whose
 # top chain space would hold more cells than this.  Read at call time, so it
@@ -144,9 +144,9 @@ def _operator_tables(ua):
 
 # b~ and B~ below sum their entries in ints, scaled by the common
 # denominator, and drop a position whose sum reaches zero.  Row indices are
-# computed in range, so the entries go to SparseMatrix._trusted as nonzero
-# QQ.  In the reduced complex no row of C_0 is the unit's: a first factor
-# times a letter lies in A, and so does the unit times a letter.
+# computed in range, so the sums go to SparseMatrix._trusted over that
+# denominator.  In the reduced complex no row of C_0 is the unit's: a first
+# factor times a letter lies in A, and so does the unit times a letter.
 
 def _add(acc, hits, col):
     for base, step, terms, slot in hits:
@@ -187,7 +187,7 @@ def _boundary(tables, dim, rows, n):
         hits.append((col % pw[n] // letters, low, right[w[n]][w[0]],
                      wrap_slot))
         _add(acc, hits, col)
-    return SparseMatrix._trusted(rows, dim * pw[n], _quotients(acc, den))
+    return SparseMatrix._trusted(rows, dim * pw[n], acc, den)
 
 
 def _connes_B(tables, cols, rows, n):
@@ -210,7 +210,7 @@ def _connes_B(tables, cols, rows, n):
             word = j * pw[n] + rest
             _add(acc, [(word % high * step + word // high, pw[n + 1], terms,
                         slot) for high, step, slot in rotations], col)
-    return SparseMatrix._trusted(rows, cols, _quotients(acc, den))
+    return SparseMatrix._trusted(rows, cols, acc, den)
 
 
 class MixedComplex:
@@ -298,12 +298,13 @@ def verify_mixed_identities(mc):
 
 
 def _kron(x, y):
-    """The Kronecker product of two sparse matrices."""
-    return SparseMatrix(
+    """The Kronecker product of two sparse matrices: the products of their
+    nonzero ints, at distinct positions in range, over x.den y.den."""
+    return SparseMatrix._trusted(
         x.rows * y.rows, x.cols * y.cols,
-        ((r1 * y.rows + r2, c1 * y.cols + c2, v1 * v2)
+        {(r1 * y.rows + r2, c1 * y.cols + c2): v1 * v2
          for (r1, c1), v1 in x.data.items()
-         for (r2, c2), v2 in y.data.items()))
+         for (r2, c2), v2 in y.data.items()}, x.den * y.den)
 
 
 def tensor_power(m, k):

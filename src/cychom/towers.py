@@ -34,9 +34,10 @@ only its two filtration degrees.
 from .algebra import (AlgebraHom, forget_unit, group_algebra, hecke_algebra,
                       hecke_inclusion)
 from .errors import CertMissing, NotAChain, NotInjective, ValidationError
-from .homology import (differential, hochschild_and_cyclic, hp_can_hold,
-                       periodic_via_stabilization, stabilization_certificate,
-                       stabilized_degrees, total_components, vanishing_bound)
+from .homology import (differential_blocks, hochschild_and_cyclic,
+                       hp_can_hold, periodic_via_stabilization,
+                       stabilization_certificate, stabilized_degrees,
+                       vanishing_bound)
 from .linalg import SparseMatrix, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
 
@@ -108,18 +109,6 @@ def hecke_tower(g, chain):
     return DirectSystem(stages, maps)
 
 
-def _induced_total_map(maps, src_mc, dst_mc, n):
-    """Block-diagonal chain map on Tot_n from degree-wise chain maps."""
-    comps = total_components(n)
-    grid = [[None] * len(comps) for _ in comps]
-    for i, q in enumerate(comps):
-        grid[i][i] = maps[q]
-    return SparseMatrix.from_blocks(
-        grid,
-        [dst_mc.spaces[q].dim for q in comps],
-        [src_mc.spaces[q].dim for q in comps])
-
-
 def _stage_complexes(ds, n_max):
     """Every stage's mixed complex, in stage order.
 
@@ -156,25 +145,30 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
     rank [D | F K], and the image has dimension rank [D | F K] - rank D =
     rank M - rank d - rank D, both subtracted ranks read off the reports'
     boundary_ranks.  At n = 0, d = 0 and M = [D | F].
+
+    M is assembled in one from_blocks call from the complexes' b~ and B~
+    blocks (homology.differential_blocks) and, for HC, F block diagonal
+    over the summands of Tot_n.
     """
     final_mc, final = mcs[-1], reports[-1]
     columns = []
     for n in degrees:
-        d_final = None
+        top, here, above = differential_blocks(final_mc, theory, n + 1)
         column = []
         for maps, mc, report in zip(chain_maps, mcs, reports):
             if not report.dims[n]:
                 column.append(0)
                 continue
-            if d_final is None:
-                d_final = differential(final_mc, theory, n + 1)
-            push = (maps[n] if theory == "HH"
-                    else _induced_total_map(maps, mc, final_mc, n))
-            d = differential(mc, theory, n) if n else None
+            grid = [row + [maps[q] if p == q else None for q in here]
+                    for row, p in zip(top, here)]
+            row_dims = [final_mc.spaces[q].dim for q in here]
+            if n:
+                low, below, _ = differential_blocks(mc, theory, n)
+                grid += [[None] * len(above) + row for row in low]
+                row_dims += [mc.spaces[q].dim for q in below]
             m = SparseMatrix.from_blocks(
-                [[d_final, push], [None, d]],
-                [d_final.rows, d.rows if n else 0],
-                [d_final.cols, push.cols])
+                grid, row_dims, [final_mc.spaces[q].dim for q in above]
+                + [mc.spaces[q].dim for q in here])
             column.append(rank(m) - report.boundary_ranks[n]
                           - final.boundary_ranks[n + 1])
         column.append(final.dims[n])

@@ -6,6 +6,7 @@ test modules.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -43,6 +44,21 @@ def split_flat(mc, n, flat):
             components[q] = part
         at += dim
     return TotChainIndex(n, components)
+
+
+def rational_store(m):
+    """m's entries as {(row, col): Fraction}, zeros absent."""
+    return {(r, c): v for r, c, v in m.entries()}
+
+
+def assert_canonical(m):
+    """m stores nonzero ints, in range, over den >= 1 with no factor common
+    to den and all of them; so the zero matrix has den == 1."""
+    assert type(m.den) is int and m.den >= 1
+    assert all(type(v) is int and v for v in m.data.values())
+    assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.data)
+    assert gcd(m.den, *m.data.values()) == 1
+    assert m.data or m.den == 1
 
 
 def hh_dims(a, max_degree):

@@ -140,6 +140,67 @@ def hc_oracle(dim, mult, n_max):
     return dims
 
 
+# Rational matrices as entry dicts {(row, col): Fraction}, zeros absent.
+
+def mat_product(a, b):
+    """The product a b, pair by pair of entries."""
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                _add(out, i, j, x * y)
+    return out
+
+
+def mat_sum(a, b):
+    out = dict(a)
+    for (r, c), v in b.items():
+        _add(out, r, c, v)
+    return out
+
+
+def mat_neg(a):
+    return {key: -v for key, v in a.items()}
+
+
+def mat_kron(a, b, b_rows, b_cols):
+    """The Kronecker product of a with b, a b_rows x b_cols matrix."""
+    return {(r1 * b_rows + r2, c1 * b_cols + c2): x * y
+            for (r1, c1), x in a.items() for (r2, c2), y in b.items()}
+
+
+def mat_blocks(grid, row_dims, col_dims):
+    """The block matrix of a grid of entry dicts (None = zero block)."""
+    out = {}
+    row_at = 0
+    for row, height in zip(grid, row_dims):
+        col_at = 0
+        for block, width in zip(row, col_dims):
+            for (r, c), v in (block or {}).items():
+                out[(row_at + r, col_at + c)] = v
+            col_at += width
+        row_at += height
+    return out
+
+
+def first_nonassociative(dim, mult):
+    """The first triple (i, j, k) in lexicographic order with
+    (e_i e_j) e_k != e_i (e_j e_k), or None."""
+    def times(u, v):
+        out = {}
+        for i, x in u.items():
+            for j, y in v.items():
+                for k, c in mult.get((i, j), ()):
+                    out[k] = out.get(k, F(0)) + x * y * c
+        return {k: v for k, v in out.items() if v}
+
+    for i, j, k in product(range(dim), repeat=3):
+        ei, ej, ek = {i: F(1)}, {j: F(1)}, {k: F(1)}
+        if times(times(ei, ej), ek) != times(ei, times(ej, ek)):
+            return (i, j, k)
+    return None
+
+
 # Fixture algebras as plain data.
 
 def ground_field():

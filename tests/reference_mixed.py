@@ -82,7 +82,7 @@ def norm_N(a, n):
 
 
 def _shifted(m, row_off, col_off, sign=1):
-    for (r, c), v in m.data.items():
+    for r, c, v in m.entries():
         yield row_off + r, col_off + c, v if sign == 1 else -v
 
 

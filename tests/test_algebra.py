@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+import oracles
 from cychom.algebra import (Algebra, AlgebraHom, FiniteGroup,
                             change_of_basis, check_associativity, direct_sum,
                             double_cosets, group_algebra, hecke_algebra,
                             hecke_inclusion, matrix_algebra,
                             symmetric_group_with_perms, unitize)
 from cychom.errors import NotASubgroup, ValidationError
+from cychom.catalog import scrambled_dim3
 from cychom.linalg import QQ, SparseMatrix
 
 
@@ -31,6 +33,36 @@ def test_check_associativity_group_algebra_and_matrix_units():
     assert check_associativity(group_algebra(FiniteGroup.cyclic(2))).ok
     m2 = matrix_algebra(ground_field(), 2)
     assert check_associativity(m2).ok
+
+
+def test_integer_associativity_matches_the_fraction_reference():
+    # tables with denominators, each corrupted at one product, must fail at
+    # the triple the Fraction reference finds first
+    rng = random.Random(17)
+    bases = [scrambled_dim3(), matrix_algebra(ground_field(), 2),
+             group_algebra(FiniteGroup.cyclic(3))]
+    rational = SparseMatrix(3, 3, [(0, 0, 1), (1, 1, 1), (2, 2, 1),
+                                   (0, 2, "1/2"), (2, 0, "-1/3")])
+    bases.append(change_of_basis(bases[-1], rational))
+    failures = 0
+    for a in bases:
+        cases = [dict(a.table)]
+        for _ in range(12):
+            table = dict(a.table)
+            key = (rng.randrange(a.dim), rng.randrange(a.dim))
+            vec = dict(table.get(key, {}))
+            k = rng.randrange(a.dim)
+            vec[k] = vec.get(k, 0) + rng.choice((QQ(1, 2), QQ(-2, 3), 1))
+            table[key] = vec
+            cases.append(table)
+        for table in cases:
+            b = Algebra(a.dim, table)
+            mult = {key: tuple(vec.items()) for key, vec in b.table.items()}
+            want = oracles.first_nonassociative(b.dim, mult)
+            got = check_associativity(b)
+            assert (got.ok, got.failing_triple) == (want is None, want)
+            failures += want is not None
+    assert failures >= 30
 
 
 def test_check_associativity_reports_first_failure():

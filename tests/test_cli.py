@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cychom import mixed, towers
+from cychom import homology, mixed, towers
 from cychom.algebra import Algebra
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.cli import (JobSpec, algebra_to_doc, format_rational, main,
@@ -337,6 +337,23 @@ def test_tower_builds_each_stage_once(capsys, monkeypatch):
     assert sorted(built) == [2, 4]
     # one chain map per earlier stage, shared by the HH and HP steps
     assert sources == [2]
+
+
+def test_tower_assembles_each_total_differential_once(capsys, monkeypatch):
+    # hochschild_and_cyclic ranks each stage's D_n; the filtration matrices
+    # are assembled from the complexes' blocks, not from D_n again
+    assembled = []
+    total = homology.total_differential
+
+    def recording(mc, n):
+        assembled.append((id(mc), n))
+        return total(mc, n)
+
+    monkeypatch.setattr(homology, "total_differential", recording)
+    code, _ = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),
+                       "--format", "json", "--max-degree", "3"], capsys)
+    assert code == 0
+    assert len(assembled) == len(set(assembled)) == 8
 
 
 def test_tower_refusal_costs_no_build(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from conftest import assert_canonical, rational_store
 from cychom import linalg
 from cychom.linalg import (QQ, SparseMatrix, as_rational, image_basis,
                            independent_modulo, invert, kernel_basis,
@@ -124,13 +125,14 @@ def test_matmul_add_transpose():
 
 def naive_product(a, b):
     """a @ b by the Fraction triple loop over dense rows and columns."""
+    left, right = rational_store(a), rational_store(b)
     out = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
             s = QQ(0)
             for k in range(a.cols):
-                s += a.data.get((i, k), QQ(0)) * b.data.get((k, j), QQ(0))
+                s += left.get((i, k), QQ(0)) * right.get((k, j), QQ(0))
             row.append(s)
         out.append(row)
     return SparseMatrix(a.rows, b.cols, ((i, j, v) for i, row in enumerate(out)
@@ -156,7 +158,7 @@ def test_matmul_with_rational_entries_matches_triple_loop():
         got = left @ right
         assert got.shape == (n, m)
         assert got == naive_product(left, right)
-        assert all(type(v) is QQ and v for v in got.data.values())
+        assert_canonical(got)
 
 
 def test_from_blocks():
@@ -185,7 +187,7 @@ def fraction_echelon(m, rhs_cols=0):
     fraction-free; same pivot rule, rows held as reduced rationals."""
     rows = {}
     col_rows = {}
-    for (r, c), v in m.data.items():
+    for (r, c), v in rational_store(m).items():
         rows.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
     pivot_limit = m.cols - rhs_cols
@@ -286,7 +288,7 @@ def test_fraction_free_elimination_matches_rational_reference(monkeypatch):
                 outcomes["consistent"] += 1
                 assert vec_eq(m.apply(sol), v)
         assert got[2][0] is not None
-        assert rank(m) == oracles.oracle_rank(m.rows, dict(m.data))
+        assert rank(m) == oracles.oracle_rank(m.rows, rational_store(m))
     assert outcomes["inconsistent"] >= 50 and outcomes["consistent"] >= 250
     assert negative_pivots >= 100
 

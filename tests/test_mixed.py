@@ -1,14 +1,13 @@
 """Operator identities and assembly conventions for the mixed complexes:
 C(A) of a unital algebra and Omega(A), built with the unit forgotten."""
 
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 import reference_mixed
-from conftest import basis_variants
+from conftest import assert_canonical, basis_variants, rational_store
 from cychom import cli
 from cychom.algebra import (Algebra, AlgebraHom, forget_unit, group_algebra,
                             hecke_algebra, hecke_inclusion,
@@ -51,7 +50,7 @@ def test_b_and_bprime_square_to_zero(algebras):
     def blocks(n):
         top, rows = d ** (n + 1), d ** n
         b, bprime = [], []
-        for (r, c), v in mc.b_tilde[n].data.items():
+        for r, c, v in mc.b_tilde[n].entries():
             assert r < rows or c >= top, "the top summand reaches the bottom"
             if c < top:
                 b.append((r, c, v))
@@ -108,9 +107,10 @@ def test_degree_zero_conventions():
     omega = build_mixed_complex(forget_unit(a), 2)
     # Omega's B~ in degree 0 sends x to (0, x): block [[0], [I]]
     expected = {(a.dim ** 2 + i, i): ONE for i in range(a.dim)}
-    assert dict(omega.B_tilde[0].data) == expected
+    assert rational_store(omega.B_tilde[0]) == expected
     # C(A)'s sends a to (1; pi(a)): pi(1) = 0 and pi(x) is letter 0
-    assert dict(build_mixed_complex(a, 2).B_tilde[0].data) == {(0, 1): ONE}
+    assert rational_store(build_mixed_complex(a, 2).B_tilde[0]) == \
+        {(0, 1): ONE}
     # on a commutative algebra b~ out of degree 1 is identically zero
     assert omega.b_tilde[1].is_zero()
     assert build_mixed_complex(a, 2).b_tilde[1].is_zero()
@@ -121,13 +121,10 @@ def test_degree_one_b_on_noncommutative(algebras):
     # the unit e00 + e11 makes e00 the dropped index: letters e01, e10, e11
     mc = build_mixed_complex(a, 1)
     # column of the word (e01; e10): b = e01 e10 - e10 e01 = e00 - e11
-    column = {r: v for (r, c), v in mc.b_tilde[1].data.items()
-              if c == 1 * 3 + 1}
-    assert column == {0: ONE, 3: -ONE}
+    assert mc.b_tilde[1].column(1 * 3 + 1) == {0: ONE, 3: -ONE}
     omega = build_mixed_complex(forget_unit(a), 1)
     col = word_to_index((1, 2), a.dim)
-    column = {r: v for (r, c), v in omega.b_tilde[1].data.items() if c == col}
-    assert column == {0: ONE, 3: -ONE}
+    assert omega.b_tilde[1].column(col) == {0: ONE, 3: -ONE}
     # the bottom summand of Omega^1 is killed: lambda = id there
     bottom_cols = [c for (_, c) in omega.b_tilde[1].data if c >= a.dim ** 2]
     assert bottom_cols == []
@@ -144,7 +141,7 @@ def test_upper_B_structure():
     # C(A): B(x; x, x) = sum_{i=0}^{2} (1; x, x, x) and B(1; x, x) = 0,
     # while B(x; x) = (1; x, x) - (1; x, x) = 0
     mc = build_mixed_complex(a, 3)
-    assert dict(mc.B_tilde[2].data) == {(0, 1): QQ(3)}
+    assert rational_store(mc.B_tilde[2]) == {(0, 1): QQ(3)}
     assert mc.B_tilde[1].is_zero()
 
 
@@ -237,8 +234,9 @@ def test_size_cap_refuses_oversized_build(algebras):
 
 def _assert_same_store(got, want):
     assert got.shape == want.shape
-    assert got.data == want.data
-    assert all(type(v) is Fraction and v for v in got.data.values())
+    assert rational_store(got) == rational_store(want)
+    assert got == want
+    assert_canonical(got)
 
 
 def _assert_same_complex(mc, b_ref, B_ref):

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import basis_variants, dual_into_m2, ground_into_dual
+from conftest import (basis_variants, dual_into_m2, ground_into_dual,
+                      rational_store)
 from cychom import cli, homology, linalg
 from cychom.errors import CertMissing
 from cychom.homology import (cyclic_homology, hochschild_and_cyclic,
@@ -195,8 +196,8 @@ def test_pivot_split_matches_oracle_ranks(path):
         want = {}
         for n in range(1, 5):
             b, d = mc.b_tilde[n], total_differential(mc, n)
-            want[n] = (oracle_rank(b.rows, dict(b.data)),
-                       oracle_rank(d.rows, dict(d.data)))
+            want[n] = (oracle_rank(b.rows, rational_store(b)),
+                       oracle_rank(d.rows, rational_store(d)))
         for variant in variants:
             mc = build(variant, 4)
             for n in range(1, 5):

@@ -13,7 +13,8 @@ from cychom.errors import (CertMissing, NotAChain, NotInjective,
                            SizeCapExceeded, ValidationError)
 from cychom.cli import parse_tower_file
 from cychom.homology import (cyclic_homology, differential,
-                             hochschild_homology, homology_representatives)
+                             hochschild_homology, homology_representatives,
+                             total_components)
 from cychom.linalg import QQ, SparseMatrix, independent_modulo
 from cychom.mixed import cell_count, induced_chain_map
 from cychom.towers import (DirectSystem, continuity_check, hecke_tower,
@@ -210,8 +211,11 @@ def _filtration_from_representatives(ds, mcs, theory, degrees):
         maps = induced_chain_map(f, max(degrees))
         row = []
         for n in degrees:
-            push = (maps[n] if theory == "HH"
-                    else towers._induced_total_map(maps, mc, mcs[-1], n))
+            comps = total_components(n)
+            push = (maps[n] if theory == "HH" else SparseMatrix.from_blocks(
+                [[maps[q] if p == q else None for q in comps] for p in comps],
+                [mcs[-1].spaces[q].dim for q in comps],
+                [mc.spaces[q].dim for q in comps]))
             pushed = [push.apply(v)
                       for v in homology_representatives(mc, theory, n)]
             d_in = differential(mcs[-1], theory, n + 1)
