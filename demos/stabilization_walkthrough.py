@@ -8,6 +8,7 @@ genuine obstruction.
 """
 
 from cychom.catalog import cyclic_group_rationals, dual_numbers
+from cychom.errors import NoCertificate
 from cychom.homology import (ObstructedLift, TotChainIndex,
                              hochschild_and_cyclic, lift_to_periodic,
                              periodic_via_stabilization)
@@ -20,8 +21,8 @@ def show(name, algebra, max_degree=5):
     hh, hc = hochschild_and_cyclic(mc, max_degree)
     print(f"{name}: HH dims {hh.dims}")
     try:
-        hp = periodic_via_stabilization(hh, hc)
-    except Exception as e:
+        hp, = periodic_via_stabilization([hh], [hc])
+    except NoCertificate as e:
         print(f"{name}: HP refused ({e})")
         return mc
     cert = hp.certificate

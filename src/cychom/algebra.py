@@ -373,16 +373,13 @@ def hecke_algebra(g, k_elems):
     Basis element for a double coset D is the indicator of D divided by |K|;
     this normalization makes the inclusion into the group algebra
     multiplicative (it is the corner e_K Q[G] e_K, with e_K the averaging
-    idempotent of K) and non-unital in general.  Returns (algebra, inclusion).
+    idempotent of K) and non-unital in general; hecke_inclusion(G, K, {e})
+    is that inclusion.
     """
     if not g.is_subgroup(k_elems):
         raise NotASubgroup(f"{sorted(set(k_elems))} is not a subgroup")
     k_size = len(set(k_elems))
     cosets = double_cosets(g, k_elems)
-    coset_of = {}
-    for d, coset in enumerate(cosets):
-        for x in coset:
-            coset_of[x] = d
     dim = len(cosets)
     inv_k = ONE / k_size
 
@@ -415,11 +412,8 @@ def hecke_algebra(g, k_elems):
             if vec:
                 table[(i, j)] = vec
     labels = tuple(f"K{g.element_names[c[0]]}K" for c in cosets)
-    algebra = Algebra(dim, table, unit={coset_of[g.identity]: ONE},
-                      basis_labels=labels)
-    incl = SparseMatrix(g.order, dim,
-                        ((x, d, inv_k) for d in range(dim) for x in cosets[d]))
-    return algebra, AlgebraHom(algebra, group_algebra(g), incl)
+    unit = next(d for d, coset in enumerate(cosets) if g.identity in coset)
+    return Algebra(dim, table, unit={unit: ONE}, basis_labels=labels)
 
 
 def hecke_inclusion(g, k_elems, kp_elems, source=None, target=None):
@@ -433,9 +427,9 @@ def hecke_inclusion(g, k_elems, kp_elems, source=None, target=None):
     if not kp_set <= k_set:
         raise NotASubgroup("K' is not contained in K")
     if source is None:
-        source = hecke_algebra(g, k_elems)[0]
+        source = hecke_algebra(g, k_elems)
     if target is None:
-        target = hecke_algebra(g, kp_elems)[0]
+        target = hecke_algebra(g, kp_elems)
     big = double_cosets(g, k_elems)
     small = double_cosets(g, kp_elems)
     small_of = {}

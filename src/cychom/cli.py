@@ -33,9 +33,8 @@ from . import __version__
 from .algebra import Algebra, AlgebraHom, FiniteGroup, check_associativity
 from .errors import (CychomError, NoCertificate, OrderCapExceeded,
                      ParseError, SizeCapExceeded, ValidationError)
-from .homology import (cyclic_homology, hochschild_and_cyclic,
-                       hochschild_homology, omega_complex,
-                       periodic_via_stabilization, stabilization_certificate)
+from .homology import (cyclic_homology, hochschild_homology, omega_complex,
+                       stabilization_certificate)
 from .linalg import QQ, SparseMatrix
 from .mixed import build_mixed_complex, verify_mixed_identities
 from .towers import DirectSystem, continuity_check, hecke_tower, \
@@ -328,14 +327,14 @@ def _homology_report(job, theory):
 
 
 def _hp_report(job):
-    a = parse_algebra_file(job.path)
-    mc = omega_complex(a, job.max_degree + 1)
-    hh, hc = hochschild_and_cyclic(mc, job.max_degree)
+    # a one-stage tower, so the tower's HP rule decides and hp ranks C(A)
+    ds = DirectSystem([parse_algebra_file(job.path)], [])
+    cont = continuity_check(ds, job.max_degree)
     try:
-        report = periodic_via_stabilization(hh, hc)
+        report = hp_continuity_check(cont).stages[0]
     except NoCertificate:
         body = {"status": "NOT_ESTABLISHED",
-                "hh_dims": list(hh.dims),
+                "hh_dims": list(cont.final_dims),
                 "certificate": None}
         return 3, body
     body = {"status": "ESTABLISHED",
@@ -343,7 +342,7 @@ def _hp_report(job):
             "hp_odd": report.dims[1],
             "certificate": _certificate_fields(report.certificate)}
     if job.certificate:
-        body["hh_dims"] = list(hh.dims)
+        body["hh_dims"] = list(cont.final_dims)
     return 0, body
 
 

@@ -43,10 +43,6 @@ class NoCertificate(CychomError):
     """Periodic homology was requested without a vanishing certificate."""
 
 
-class CertMissing(NoCertificate):
-    """A tower stage lacks a stabilization certificate."""
-
-
 class OrderCapExceeded(CychomError):
     """Group closure enumeration exceeded the order cap (orbifold.ORDER_CAP)."""
 

@@ -6,17 +6,20 @@ or Omega(A), and works on either.  Hochschild homology is the homology of
 Tot_n = C_n (+) C_{n-2} (+) ... with differential D = b~ + B~, where B~ is
 not applied to the top summand (its image would leave the truncation).
 
-The hh, hc and hp commands rank Omega(A), built with A's unit forgotten
+The hh and hc commands rank Omega(A), built with A's unit forgotten
 (omega_complex), although the normalized complex C(A) of a unital A is
 smaller: the benchmark's own test pins Omega's elimination plan for hh, and
-C(Q[Z/2]) would repeat an elimination there.
+C(Q[Z/2]) would repeat an elimination there.  The hp command is a one-stage
+tower (towers.continuity_check), so it ranks C(A), as every tower stage's
+final complex does.
 
 Periodic cyclic homology is only ever reported through the stabilization
 route: once HH_n = 0 has been verified for all n > N up to the truncation
 depth, the cyclic dimensions repeat with period two above N and the
-repeating values are the periodic ones.  Without such a certificate the
-tool refuses rather than guesses; every certificate records how far
-vanishing was actually checked.
+repeating values are the periodic ones.  periodic_via_stabilization states
+that rule once, for one algebra or a tower of them, and words every
+refusal; the tool refuses rather than guesses, and every certificate records
+how far vanishing was actually checked.
 
 Every report is built from the ranks of its differentials
 (report_from_ranks), and a run eliminates each differential once:
@@ -26,9 +29,9 @@ hochschild_and_cyclic ranks b~_1 .. b~_{max_degree}; while HP can still be
 established (hp_can_hold) it then eliminates D_{max_degree+1} once, which
 yields rank b~_{max_degree+1} as well (total_rank_split), and ranks
 D_1 .. D_{max_degree}; otherwise it ranks b~_{max_degree+1} and makes no
-HC report.  hp and every stage of a tower go through hochschild_and_cyclic;
-no command computes a cycle space.  Only homology_representatives, which
-names classes, solves for kernel vectors.
+HC report.  Every stage of a tower, and so hp, goes through
+hochschild_and_cyclic; no command computes a cycle space.  Only
+homology_representatives, which names classes, solves for kernel vectors.
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
@@ -175,15 +178,16 @@ def report_from_ranks(mc, theory, max_degree, ranks):
 
 
 def omega_complex(a, n_max):
-    """Omega(A) through degree n_max: the complex hh, hc and hp rank.
+    """Omega(A) through degree n_max: the complex hh and hc rank.
 
     It is built with A's unit forgotten.  For a unital A the normalized
-    complex C(A) has the same homology with d (d-1)^n cells in place of
-    (d+1) d^n, but bench/tests/test_bench.py::test_traced_hh_counts_exactly
-    pins Omega's plan for hh cyclic2 -d2: 3 eliminations, none repeated.  In
-    C(Q[Z/2]) b~_1 and b~_3 are the same zero 2x2 matrix, which the tracer
-    counts as a repeat.  ROADMAP item 1 restates that test; these commands
-    move to C(A) after it.
+    complex C(A), which hp ranks, has the same homology with d (d-1)^n cells
+    in place of (d+1) d^n, but
+    bench/tests/test_bench.py::test_traced_hh_counts_exactly pins Omega's
+    plan for hh cyclic2 -d2: 3 eliminations, none repeated.  In C(Q[Z/2])
+    b~_1 and b~_3 are the same zero 2x2 matrix, which the tracer counts as a
+    repeat.  ROADMAP item 1 restates that test; hh and hc move to C(A) after
+    it.
     """
     return build_mixed_complex(forget_unit(a), n_max)
 
@@ -321,35 +325,53 @@ def stabilization_certificate(hh):
         checked_through=max_degree)
 
 
-def periodic_via_stabilization(hh, hc):
-    """HP report (even, odd) from one algebra's HH and HC reports, or refusal.
+def periodic_via_stabilization(hh_reports, hc_reports):
+    """One HP report (even, odd) per stage, under a common bound, or refusal.
 
-    Raises NoCertificate when vanishing is not established within the
-    truncation, or when the stabilized cyclic degrees do not fit under it;
-    periodic dimensions are never extrapolated.  hc is read only past both
-    refusals, so it may be None where hochschild_and_cyclic made none.
+    A single algebra is one stage; a tower lists its stages in order.  Each
+    stage's vanishing bound is the least N with HH_n = 0 for N < n <=
+    max_degree, and the common bound is the largest.  HP is read at the
+    cyclic degrees the common bound stabilizes, so it holds only when they
+    fit under the truncation (hp_can_hold); periodic dimensions are never
+    extrapolated.  Otherwise this raises NoCertificate, naming the first
+    stage whose own bound exceeds max_degree - 2, if one does.
+
+    Each stage's certificate is its own: its bound, and the degrees that
+    bound stabilizes.  HC there must equal HC at the common degrees
+    (ValidationError otherwise).  hc_reports are read only past the refusal,
+    so an entry may be None where hochschild_and_cyclic made none.
     """
-    max_degree = hh.max_degree
-    cert = stabilization_certificate(hh)
-    if cert is None:
+    max_degree = hh_reports[0].max_degree
+    bounds = [vanishing_bound(hh.dims, max_degree) for hh in hh_reports]
+    common = max(bounds)
+    even_deg, odd_deg = stabilized_degrees(common)
+    if not hp_can_hold(common, max_degree):
+        for i, bound in enumerate(bounds):
+            if bound > max_degree - 2:
+                raise NoCertificate(f"stage {i} has no vanishing certificate "
+                                    f"within {max_degree}")
         raise NoCertificate(
-            f"Hochschild homology does not vanish above any bound "
-            f"<= {max_degree - 2} within truncation {max_degree}")
-    even_deg, odd_deg = stabilized_degrees(cert.vanishing_bound)
-    if not hp_can_hold(cert.vanishing_bound, max_degree):
-        raise NoCertificate(
-            f"stabilized cyclic degrees {even_deg}, {odd_deg} exceed "
-            f"truncation {max_degree}; deepen the computation")
-    even, odd = hc.dims[even_deg], hc.dims[odd_deg]
-    even_repeat = (hc.dims[even_deg + 2] == even
-                   if even_deg + 2 <= max_degree else None)
-    odd_repeat = (hc.dims[odd_deg + 2] == odd
-                  if odd_deg + 2 <= max_degree else None)
-    cert = StabilizationCertificate(
-        cert.vanishing_bound, cert.verified_degrees, cert.checked_through,
-        even_degree=even_deg, odd_degree=odd_deg,
-        even_repeat_equal=even_repeat, odd_repeat_equal=odd_repeat)
-    return HomologyReport("HP", max_degree, (even, odd), certificate=cert)
+            f"common bound {common} stabilizes at degrees {even_deg}, "
+            f"{odd_deg}, beyond truncation {max_degree}")
+    reports = []
+    for bound, hc in zip(bounds, hc_reports):
+        even, odd = stabilized_degrees(bound)
+        dims = (hc.dims[even], hc.dims[odd])
+        if dims != (hc.dims[even_deg], hc.dims[odd_deg]):
+            raise ValidationError(
+                "stabilized cyclic dimensions disagree between the stage "
+                "bound and the common bound")
+        # whether HC repeats two degrees up, None where that is truncated
+        even_repeat, odd_repeat = (
+            hc.dims[q + 2] == hc.dims[q] if q + 2 <= max_degree else None
+            for q in (even, odd))
+        cert = StabilizationCertificate(
+            bound, tuple(range(bound + 1, max_degree + 1)), max_degree,
+            even_degree=even, odd_degree=odd, even_repeat_equal=even_repeat,
+            odd_repeat_equal=odd_repeat)
+        reports.append(
+            HomologyReport("HP", max_degree, dims, certificate=cert))
+    return tuple(reports)
 
 
 # ------------------------------------------------------------------- lifting

@@ -167,11 +167,6 @@ class SparseMatrix:
         r, c = min(self.data)
         return (r, c, QQ(self.data[(r, c)], self.den))
 
-    def column(self, j):
-        """Column j as a sparse vector dict."""
-        return {r: QQ(v, self.den) for (r, c), v in self.data.items()
-                if c == j}
-
     def columns(self):
         """All columns as sparse dicts, including zero columns."""
         cols = [dict() for _ in range(self.cols)]

@@ -30,8 +30,8 @@ unit), and on that split b~(x, y) = (b x + (1 - lambda) y, -b' y) and
 B~(x, y) = (0, N x), with b' the bar differential, lambda the signed cyclic
 shift and N the sum of its powers.
 
-So every command builds one of two complexes of one builder: `identities`
-and the final stage of `tower` build C(A); `hh`, `hc` and `hp`, and the
+So every command builds one of two complexes of one builder: `identities`,
+`hp` and the final stage of `tower` build C(A); `hh` and `hc`, and the
 earlier stages of `tower`, build Omega(A), with A's unit forgotten (see
 homology.omega_complex and towers._stage_complexes for why).  For a unital
 A both give the same homology.  The identities b~^2 = 0, b~B~ + B~b~ = 0 and
@@ -324,9 +324,9 @@ def induced_chain_map(f, n_max):
     g(1) = 1, is an algebra map that does.  So g on the first factor and
     pi f on each bar letter commute with b~ and B~: in degree n >= 1 the map
     is g (x) (pi f)^{(x) n}, and in degree 0, where Omega^0 = A, it is f.
-    Validates multiplicativity first.
+    f is not validated here: towers.DirectSystem validates every stage map,
+    and a composite of algebra maps is an algebra map.
     """
-    f.validate()
     target = f.target if f.target.unit else unitize(f.target)
     _, pi = _bar(target)
     columns = f.matrix.columns()

@@ -6,9 +6,10 @@ The continuity statements verified here are image-filtration statements: the
 classes coming from earlier stages sit inside the homology of the final
 stage, the filtration grows with the stage, and the last stage fills it.
 
-Periodic continuity is gated the same way single-algebra reports are: every
-stage must carry a vanishing certificate, a common bound is taken, and the
-periodic dimensions are read off at the stabilized cyclic degrees.
+Periodic continuity is gated by the rule single-algebra reports follow,
+homology.periodic_via_stabilization: a common vanishing bound is taken over
+the stages, and the periodic dimensions are read off at the cyclic degrees
+it stabilizes.  The hp command is the one-stage case of this module.
 
 The tower command builds each stage's mixed complex once.  The final stage
 builds the normalized complex C(A_m) when it has a unit.  An earlier stage's
@@ -28,15 +29,14 @@ from the final stage's d_{n+1}, the chain map and the stage's d_n
 (_image_filtration), run only where the stage's H_n is nonzero.  No cycle
 space or class representative is computed.  hp_continuity_check reads the
 HC reports, complexes and chain maps off the continuity report and ranks
-only its two filtration degrees.
+only its two filtration degrees, none for a one-stage tower.
 """
 
 from .algebra import (AlgebraHom, forget_unit, group_algebra, hecke_algebra,
                       hecke_inclusion)
-from .errors import CertMissing, NotAChain, NotInjective, ValidationError
+from .errors import NotAChain, NotInjective, ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
-                       hp_can_hold, periodic_via_stabilization,
-                       stabilization_certificate, stabilized_degrees,
+                       periodic_via_stabilization, stabilized_degrees,
                        vanishing_bound)
 from .linalg import SparseMatrix, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
@@ -101,7 +101,7 @@ def hecke_tower(g, chain):
             raise NotAChain(f"subgroup {i + 1} is not contained in subgroup {i}")
     if chain[-1] != [g.identity]:
         raise NotAChain("chain must end at the trivial subgroup")
-    stages = [hecke_algebra(g, k)[0] for k in chain[:-1]]
+    stages = [hecke_algebra(g, k) for k in chain[:-1]]
     stages.append(group_algebra(g))
     maps = [hecke_inclusion(g, chain[i], chain[i + 1],
                             source=stages[i], target=stages[i + 1])
@@ -239,23 +239,22 @@ def continuity_check(ds, max_degree):
 class HpContinuityReport:
     """Stage-wise periodic dimensions under a common vanishing bound.
 
+    stages holds each stage's HP report with its own certificate;
     stage_even/stage_odd are the periodic dimensions per stage, read at the
     common stabilized degrees; the filtrations are image dimensions of stage
     cyclic homology inside the final stage at those two degrees.
     """
 
-    __slots__ = ("common_bound", "even_degree", "odd_degree",
-                 "checked_through", "certificates", "stage_even", "stage_odd",
-                 "even_filtration", "odd_filtration")
+    __slots__ = ("common_bound", "even_degree", "odd_degree", "stages",
+                 "stage_even", "stage_odd", "even_filtration",
+                 "odd_filtration")
 
-    def __init__(self, common_bound, even_degree, odd_degree, checked_through,
-                 certificates, stage_even, stage_odd, even_filtration,
-                 odd_filtration):
+    def __init__(self, common_bound, even_degree, odd_degree, stages,
+                 stage_even, stage_odd, even_filtration, odd_filtration):
         self.common_bound = common_bound
         self.even_degree = even_degree
         self.odd_degree = odd_degree
-        self.checked_through = checked_through
-        self.certificates = certificates
+        self.stages = stages
         self.stage_even = stage_even
         self.stage_odd = stage_odd
         self.even_filtration = even_filtration
@@ -273,43 +272,21 @@ def hp_continuity_check(cont):
     """Periodic dimensions along the tower under a common certificate.
 
     cont is the result of continuity_check(ds, max_degree); its stages'
-    complexes, chain maps and HH and HC reports are reused, and max_degree
-    is read from it, so only the two filtration degrees are ranked here.
-    Every stage must admit a vanishing certificate within max_degree; the
-    common bound is the largest stage bound, and the periodic dimensions of
-    all stages are read at the degrees stabilized by that common bound.
-    Raises CertMissing when any stage lacks a certificate or the stabilized
-    degrees do not fit under the truncation.  Past both refusals every
-    stage has its HC report: its floor and its own bound are at most the
-    common bound.
+    complexes, chain maps and HH and HC reports are reused, so only the two
+    filtration degrees are ranked here.  homology.periodic_via_stabilization
+    reads every stage's HP at the degrees the common bound stabilizes, or
+    raises NoCertificate.  Past that refusal every stage has its HC report:
+    its floor and its own bound are at most the common bound.
     """
-    max_degree = cont.max_degree
-    certs = []
-    for i, hh in enumerate(cont.hh_reports):
-        cert = stabilization_certificate(hh)
-        if cert is None:
-            raise CertMissing(
-                f"stage {i} has no vanishing certificate within {max_degree}")
-        certs.append(cert)
-    common = max(c.vanishing_bound for c in certs)
+    stages = periodic_via_stabilization(cont.hh_reports, cont.hc_reports)
+    common = max(hp.certificate.vanishing_bound for hp in stages)
     even_deg, odd_deg = stabilized_degrees(common)
-    if not hp_can_hold(common, max_degree):
-        raise CertMissing(
-            f"common bound {common} stabilizes at degrees {even_deg}, "
-            f"{odd_deg}, beyond truncation {max_degree}")
-    hc_reports = cont.hc_reports
-    for hh, hc in zip(cont.hh_reports, hc_reports):
-        hp = periodic_via_stabilization(hh, hc)
-        if hp.dims != (hc.dims[even_deg], hc.dims[odd_deg]):
-            raise ValidationError(
-                "stabilized cyclic dimensions disagree between the stage "
-                "bound and the common bound")
     filtration = _image_filtration(cont.complexes, cont.chain_maps,
-                                   hc_reports, "HC", (even_deg, odd_deg))
+                                   cont.hc_reports, "HC", (even_deg, odd_deg))
     return HpContinuityReport(
         common_bound=common, even_degree=even_deg, odd_degree=odd_deg,
-        checked_through=max_degree, certificates=tuple(certs),
-        stage_even=tuple(hc.dims[even_deg] for hc in hc_reports),
-        stage_odd=tuple(hc.dims[odd_deg] for hc in hc_reports),
+        stages=stages,
+        stage_even=tuple(hp.dims[0] for hp in stages),
+        stage_odd=tuple(hp.dims[1] for hp in stages),
         even_filtration=tuple(row[0] for row in filtration),
         odd_filtration=tuple(row[1] for row in filtration))

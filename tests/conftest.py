@@ -110,7 +110,7 @@ def build_named_algebra(name):
     if name == "hecke_s3_s2":
         g, perms = symmetric_group_with_perms(3)
         k = [i for i, p in enumerate(perms) if p[2] == 2]
-        return hecke_algebra(g, k)[0]
+        return hecke_algebra(g, k)
     if name == "rand3":
         return scrambled_dim3()
     raise KeyError(name)

@@ -52,7 +52,7 @@ def criterion(number, summary):
 def test_criterion_1_operator_identities(algebras, mixed_complexes):
     with criterion(1, "mixed-complex operator identities on all fixtures"):
         for name in FIXTURES:
-            # Omega(A), which hh, hc and hp rank, and C(A)
+            # Omega(A), which hh and hc rank, and C(A), which hp ranks
             assert verify_mixed_identities(mixed_complexes(name, 5)).all_pass
             mc = build_mixed_complex(algebras[name], 5)
             assert verify_mixed_identities(mc).all_pass
@@ -85,8 +85,9 @@ def test_criterion_3_stabilized_degeneration(homology_reports):
             cert = stabilization_certificate(hh)
             assert cert is not None
             assert cert.vanishing_bound == 0
-            hp = periodic_via_stabilization(hh, hc)
+            hp, = periodic_via_stabilization([hh], [hc])
             assert hp.dims == (hc.dims[2], hc.dims[3])
+            assert hp.certificate.vanishing_bound == cert.vanishing_bound
 
 
 def test_criterion_4_lift_roundtrip(algebras, mixed_complexes,

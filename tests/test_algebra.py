@@ -155,20 +155,22 @@ def test_double_cosets_s3_and_z4():
 def test_hecke_algebra_s3():
     g, perms = symmetric_group_with_perms(3)
     s2 = [i for i, p in enumerate(perms) if p[2] == 2]
-    h, incl = hecke_algebra(g, s2)
+    h = hecke_algebra(g, s2)
+    incl = hecke_inclusion(g, s2, (g.identity,), source=h)
     assert h.dim == 2
     assert h.is_unital()
     assert check_associativity(h).ok
     incl.validate()
     assert incl.is_injective()
     # full subgroup: one double coset
-    h1, _ = hecke_algebra(g, tuple(range(6)))
+    h1 = hecke_algebra(g, tuple(range(6)))
     assert h1.dim == 1
     # trivial subgroup: the group algebra itself, same structure constants
-    h6, incl6 = hecke_algebra(g, (g.identity,))
+    h6 = hecke_algebra(g, (g.identity,))
     assert h6.dim == 6
     assert h6.table == group_algebra(g).table
-    incl6.validate()
+    assert h6.unit == group_algebra(g).unit
+    hecke_inclusion(g, (g.identity,), (g.identity,)).validate()
     # {e, one 3-cycle} is not closed under multiplication
     three_cycle = next(i for i in range(6)
                        if g.table[i][i] != g.identity and i != g.identity)

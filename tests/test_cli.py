@@ -252,19 +252,36 @@ def test_one_guard_for_every_command(capsys, tmp_path, monkeypatch, dim,
         assert hh_report["message"] == id_report["message"]
 
 
-@pytest.mark.parametrize("dim, over", [(17, 1), (3, 1), (3, 0)])
+@pytest.mark.parametrize("command, degree, dim, over", [
+    pytest.param(command, degree, dim, over, id=f"{prefix}{dim}-{over}")
+    for command, degree, prefix in (("identities", 4, ""), ("hp", 3, "hp-"))
+    for dim, over in ((17, 1), (3, 1), (3, 0))])
 def test_one_guard_refuses_the_normalized_complex(capsys, tmp_path,
-                                                  monkeypatch, dim, over):
-    # with a unit, identities -d4 builds C^4 with d (d-1)^4 cells
+                                                  monkeypatch, command,
+                                                  degree, dim, over):
+    # with a unit, identities -d4 and hp -d3 both build C^4 with d (d-1)^4
+    # cells
     cells = dim * (dim - 1) ** 4
     monkeypatch.setattr(mixed, "CELL_CAP", cells - over)
     path = str(write(tmp_path, diagonal_doc(dim)))
-    code, out = run_cli(["identities", path, "--format", "json",
-                         "--max-degree", "4"], capsys)
+    code, out = run_cli([command, path, "--format", "json",
+                         "--max-degree", str(degree)], capsys)
     assert code == (2 if over else 0)
     if over:
         assert json.loads(out)["message"] == \
             f"chain space in degree 4 has {cells} cells; cap {cells - 1}"
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("path", sorted((DATA / "algebras").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_hp_and_hh_agree_on_hochschild_dimensions(capsys, path, degree):
+    # hp ranks C(A) as a one-stage tower, hh ranks Omega(A)
+    args = [str(path), "--format", "json", "--max-degree", str(degree)]
+    _, hp_out = run_cli(["hp", *args, "--certificate"], capsys)
+    code, hh_out = run_cli(["hh", *args], capsys)
+    assert code == 0
+    assert json.loads(hp_out)["hh_dims"] == json.loads(hh_out)["dims"]
 
 
 def test_order_cap_exit(capsys, tmp_path):
@@ -412,6 +429,21 @@ def test_tower_without_certificate(capsys, tmp_path):
     report = json.loads(out)
     assert report["hp"]["status"] == "NOT_ESTABLISHED"
     assert report["hh"]["final_dims"] == [2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("degree, reason", [
+    (1, "stage 0 has no vanishing certificate within 1"),
+    (2, "common bound 0 stabilizes at degrees 2, 3, beyond truncation 2"),
+])
+def test_tower_refusal_reasons(capsys, degree, reason):
+    # at -d1 no stage has a bound <= -1; at -d2 both stages vanish above 0,
+    # but the stabilized odd degree 3 exceeds the truncation
+    code, out = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),
+                         "--format", "json", "--max-degree", str(degree)],
+                        capsys)
+    assert code == 3
+    assert json.loads(out)["hp"] == {"status": "NOT_ESTABLISHED",
+                                     "reason": reason}
 
 
 def test_orbifold_command(capsys):

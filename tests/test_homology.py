@@ -156,24 +156,33 @@ def test_periodic_reports(homology_reports):
     expected = {"ground": (1, 0), "z2": (2, 0), "z3": (3, 0),
                 "z4": (4, 0), "m2q": (1, 0), "hecke_s3_s2": (2, 0)}
     for name, want in expected.items():
-        hp = periodic_via_stabilization(homology_reports(name, "HH", 5),
-                                        homology_reports(name, "HC", 5))
+        # one algebra is a one-stage tower
+        hp, = periodic_via_stabilization([homology_reports(name, "HH", 5)],
+                                         [homology_reports(name, "HC", 5)])
         assert hp.theory == "HP"
         assert hp.dims == want, name
         cert = hp.certificate
+        assert cert.vanishing_bound == 0
+        assert cert.verified_degrees == (1, 2, 3, 4, 5)
+        assert cert.checked_through == 5
         assert (cert.even_degree, cert.odd_degree) == (2, 3)
         assert cert.even_repeat_equal is True
         assert cert.odd_repeat_equal is True
 
 
 def test_periodic_refusals(homology_reports):
-    with pytest.raises(NoCertificate):
-        periodic_via_stabilization(homology_reports("dual", "HH", 5), None)
+    with pytest.raises(NoCertificate,
+                       match="^stage 0 has no vanishing certificate "
+                             "within 5$"):
+        periodic_via_stabilization([homology_reports("dual", "HH", 5)],
+                                   [None])
     # certificate exists at depth 2 but the stabilized odd degree is 3:
     # refuse rather than read cyclic dimensions beyond the truncation
-    with pytest.raises(NoCertificate):
-        periodic_via_stabilization(homology_reports("z2", "HH", 2),
-                                   homology_reports("z2", "HC", 2))
+    with pytest.raises(NoCertificate,
+                       match="^common bound 0 stabilizes at degrees 2, 3, "
+                             "beyond truncation 2$"):
+        periodic_via_stabilization([homology_reports("z2", "HH", 2)],
+                                   [homology_reports("z2", "HC", 2)])
 
 
 def test_unit_lift_is_pinned(mixed_complexes):

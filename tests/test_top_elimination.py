@@ -14,7 +14,7 @@ import pytest
 from conftest import (basis_variants, dual_into_m2, ground_into_dual,
                       rational_store)
 from cychom import cli, homology, linalg
-from cychom.errors import CertMissing
+from cychom.errors import NoCertificate
 from cychom.homology import (cyclic_homology, hochschild_and_cyclic,
                              hochschild_homology, hp_can_hold, omega_complex,
                              total_differential, total_rank_split,
@@ -26,8 +26,8 @@ from oracles import oracle_rank
 DATA = Path(__file__).resolve().parent.parent / "data"
 DATA_ALGEBRAS = sorted((DATA / "algebras").glob("*.json"))
 
-# shapes of b~_4 and D_4 for Q[Z/4]: on Omega, which hh, hc and hp build,
-# and on C(A), which the final stage of z4_tower.json builds
+# shapes of b~_4 and D_4 for Q[Z/4]: on Omega, which hh and hc build, and
+# on C(A), which hp and the final stage of z4_tower.json build
 B4_Z4, D4_Z4 = (320, 1280), (340, 1364)
 B4_CZ4, D4_CZ4 = (108, 324), (120, 364)
 
@@ -64,20 +64,21 @@ def test_tower_eliminates_the_final_top_differential_once(capsys, eliminated):
 
 
 def test_hp_eliminates_no_top_hochschild_boundary(capsys, eliminated):
+    # hp is a one-stage tower: C(A), and no filtration rank
     assert run_cli(capsys, "hp", "cyclic4.json", 3) == 0
-    assert B4_Z4 not in eliminated
-    assert eliminated == [(4, 20), (20, 80), (80, 320), D4_Z4,
-                          (4, 20), (20, 84), (84, 340)]
+    assert B4_CZ4 not in eliminated
+    assert eliminated == [(4, 12), (12, 36), (36, 108), D4_CZ4,
+                          (4, 12), (12, 40), (40, 120)]
 
 
 @pytest.mark.parametrize("name, degree, shapes", [
-    # HH_{max-1} != 0: the certificate is refused before any D
-    ("dual_numbers.json", 4,
-     [(2, 6), (6, 12), (12, 24), (24, 48), (48, 96)]),
+    # HH_{max-1} != 0: the certificate is refused before any D; the dual
+    # numbers' C_n has 2 cells in every degree
+    ("dual_numbers.json", 4, [(2, 2)] * 5),
     ("random_dim3.json", 4,
-     [(3, 12), (12, 36), (36, 108), (108, 324), (324, 972)]),
+     [(3, 6), (6, 12), (12, 24), (24, 48), (48, 96)]),
     # HH vanishes, but the stabilized odd degree 3 exceeds 2
-    ("cyclic4.json", 2, [(4, 20), (20, 80), (80, 320)]),
+    ("cyclic4.json", 2, [(4, 12), (12, 36), (36, 108)]),
 ])
 def test_refusals_eliminate_only_hochschild_boundaries(capsys, eliminated,
                                                        name, degree, shapes):
@@ -103,7 +104,9 @@ def test_tower_refused_by_an_earlier_stage_ranks_b_tilde(eliminated):
     assert cont.hc_reports == (None, None)
     assert mc.b_tilde[4].shape in eliminated
     assert total_differential(mc, 4).shape not in eliminated
-    with pytest.raises(CertMissing):
+    with pytest.raises(NoCertificate,
+                       match="^stage 0 has no vanishing certificate "
+                             "within 3$"):
         hp_continuity_check(cont)
 
 
@@ -118,7 +121,9 @@ def test_tower_refused_by_a_later_stage_ranks_earlier_hc(eliminated):
     # Q: b~_1..b~_3, D_4, D_1..D_3; the dual numbers: b~_1..b~_4; one
     # block rank for the image of HH_0(Q)
     assert len(eliminated) == 12
-    with pytest.raises(CertMissing):
+    with pytest.raises(NoCertificate,
+                       match="^stage 1 has no vanishing certificate "
+                             "within 3$"):
         hp_continuity_check(cont)
     assert len(eliminated) == 12
 
@@ -162,7 +167,7 @@ def test_shared_top_gives_the_same_reports(path, variant, eliminate_once):
     a = cli.parse_algebra_file(path)
     a = basis_variants(a, DATA_ALGEBRAS.index(path))[variant]
     degrees = SHARED_TOP_DEGREES.get((path.stem, variant), (2, 3, 4))
-    # hp ranks Omega(A), the final stage of a tower C(A)
+    # an earlier tower stage ranks Omega(A); hp and a final stage C(A)
     for build in (omega_complex, build_mixed_complex):
         _check_shared_top(build(a, max(degrees) + 1), degrees)
 

@@ -9,7 +9,7 @@ from cychom import homology, mixed, towers
 from cychom.algebra import (Algebra, AlgebraHom, FiniteGroup, direct_sum,
                             group_algebra, symmetric_group_with_perms)
 from cychom.catalog import cyclic_group_rationals, dual_numbers, ground_field
-from cychom.errors import (CertMissing, NotAChain, NotInjective,
+from cychom.errors import (NoCertificate, NotAChain, NotInjective,
                            SizeCapExceeded, ValidationError)
 from cychom.cli import parse_tower_file
 from cychom.homology import (cyclic_homology, differential,
@@ -141,7 +141,9 @@ def test_hp_continuity_s3(s3_tower):
     assert rep.monotone
     assert (rep.stage_even[-1], rep.stage_odd[-1]) == (3, 0)
     # the common bound is certified per stage across the whole range
-    for cert in rep.certificates:
+    assert [hp.dims for hp in rep.stages] == [(2, 0), (3, 0)]
+    for hp in rep.stages:
+        cert = hp.certificate
         assert cert.vanishing_bound <= rep.common_bound
         assert cert.checked_through == 3
         for n in range(rep.common_bound + 1, 4):
@@ -195,10 +197,14 @@ def test_hp_constant_ground():
 
 
 def test_hp_refusals():
-    with pytest.raises(CertMissing):
+    with pytest.raises(NoCertificate,
+                       match="^stage 0 has no vanishing certificate "
+                             "within 4$"):
         hp_along(constant_tower(dual_numbers(), 2), 4)
     # certificate exists but the stabilized degrees poke past the truncation
-    with pytest.raises(CertMissing):
+    with pytest.raises(NoCertificate,
+                       match="^common bound 0 stabilizes at degrees 2, 3, "
+                             "beyond truncation 2$"):
         hp_along(constant_tower(ground_field(), 2), 2)
 
 
@@ -268,7 +274,7 @@ def test_chain_map_sends_the_adjoined_unit_to_one():
     # numbers the word (1; x) has index 2 * 2 + 1; it goes to
     # (e00 + e11; pi(e01)) in C(M2(Q)), whose letters are e01, e10, e11
     maps = induced_chain_map(dual_into_m2().to_final[0], 1)
-    assert maps[1].column(5) == {0 * 3 + 0: QQ(1), 3 * 3 + 0: QQ(1)}
+    assert maps[1].columns()[5] == {0 * 3 + 0: QQ(1), 3 * 3 + 0: QQ(1)}
 
 
 def test_every_stage_is_size_checked_before_any_build(monkeypatch):
