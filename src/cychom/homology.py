@@ -17,21 +17,20 @@ Periodic cyclic homology is only ever reported through the stabilization
 route: once HH_n = 0 has been verified for all n > N up to the truncation
 depth, the cyclic dimensions repeat with period two above N and the
 repeating values are the periodic ones.  periodic_via_stabilization states
-that rule once, for one algebra or a tower of them, and words every
-refusal; the tool refuses rather than guesses, and every certificate records
-how far vanishing was actually checked.
+that rule once, for one algebra or a tower of them, and is the only code
+that decides or words a refusal; the tool refuses rather than guesses, and
+every certificate records how far vanishing was actually checked.
 
 Every report is built from the ranks of its differentials
 (report_from_ranks), and a run eliminates each differential once:
 hochschild_homology ranks b~_n, and cyclic_homology D_n, for
 1 <= n <= max_degree + 1.  HP needs both theories on one mixed complex:
-hochschild_and_cyclic ranks b~_1 .. b~_{max_degree}; while HP can still be
-established (hp_can_hold) it then eliminates D_{max_degree+1} once, which
-yields rank b~_{max_degree+1} as well (total_rank_split), and ranks
-D_1 .. D_{max_degree}; otherwise it ranks b~_{max_degree+1} and makes no
-HC report.  Every stage of a tower, and so hp, goes through
-hochschild_and_cyclic; no command computes a cycle space.  Only
-homology_representatives, which names classes, solves for kernel vectors.
+hochschild_and_cyclic eliminates only D_1 .. D_{max_degree+1}, once each,
+and reads rank b~_n off the pivots of D_n (total_rank_split).  It ranks the
+same matrices whether or not HP is then established.  Every stage of a
+tower, and so hp, goes through hochschild_and_cyclic; no command computes a
+cycle space.  Only homology_representatives, which names classes, solves
+for kernel vectors.
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
@@ -218,31 +217,18 @@ def cyclic_homology(mc, max_degree):
     return _ranked("HC", mc, max_degree)
 
 
-def hochschild_and_cyclic(mc, max_degree, floor=0):
-    """(HH report, HC report or None) for an HP report that follows.
+def hochschild_and_cyclic(mc, max_degree):
+    """(HH report, HC report) from one elimination per Tot differential.
 
-    floor is the least vanishing bound HP is held to: 0 for one algebra,
-    and along a tower the earlier stages' largest bound.  b~_1 ..
-    b~_{max_degree} are ranked first, since the refusal rule needs HH_1 ..
-    HH_{max_degree-1}.  Taking HH_{max_degree} as 0, if HP can still be
-    established above the larger of floor and their vanishing bound, one
-    elimination of D_{max_degree+1} gives rank b~_{max_degree+1} as well
-    (total_rank_split), and D_1 .. D_{max_degree} are ranked for the HC
-    report.  Otherwise b~_{max_degree+1} is ranked and no HC report is
-    made, so a refusal eliminates what hochschild_homology would.
+    D_n is eliminated once for 1 <= n <= max_degree + 1, and its pivots give
+    rank b~_n as well (total_rank_split): Tot_n puts its C_n summand first
+    at every degree, so no b~_n is eliminated on its own.
     """
     _require_depth(mc, max_degree)
-    top = max_degree + 1
-    b = [0] + [rank(mc.b_tilde[n]) for n in range(1, top)]
-    below = [mc.spaces[n].dim - b[n] - b[n + 1] for n in range(max_degree)]
-    if not hp_can_hold(max(floor, vanishing_bound(below, max_degree - 1)),
-                       max_degree):
-        b.append(rank(mc.b_tilde[top]))
-        return report_from_ranks(mc, "HH", max_degree, b), None
-    b_top, d_top = total_rank_split(mc, top)
-    d = [0] + [rank(total_differential(mc, n)) for n in range(1, top)]
-    return (report_from_ranks(mc, "HH", max_degree, b + [b_top]),
-            report_from_ranks(mc, "HC", max_degree, d + [d_top]))
+    b, d = zip((0, 0), *(total_rank_split(mc, n)
+                         for n in range(1, max_degree + 2)))
+    return (report_from_ranks(mc, "HH", max_degree, b),
+            report_from_ranks(mc, "HC", max_degree, d))
 
 
 def homology_representatives(mc, theory, degree):
@@ -328,47 +314,47 @@ def stabilization_certificate(hh):
 def periodic_via_stabilization(hh_reports, hc_reports):
     """One HP report (even, odd) per stage, under a common bound, or refusal.
 
-    A single algebra is one stage; a tower lists its stages in order.  Each
-    stage's vanishing bound is the least N with HH_n = 0 for N < n <=
-    max_degree, and the common bound is the largest.  HP is read at the
-    cyclic degrees the common bound stabilizes, so it holds only when they
-    fit under the truncation (hp_can_hold); periodic dimensions are never
-    extrapolated.  Otherwise this raises NoCertificate, naming the first
-    stage whose own bound exceeds max_degree - 2, if one does.
+    A single algebra is one stage; a tower lists its stages in order, each
+    with the HH and HC reports of hochschild_and_cyclic.  Each stage needs
+    its own certificate (stabilization_certificate), and the common bound
+    is the largest of theirs.  HP is read at the cyclic degrees the common
+    bound stabilizes, so it holds only when they fit under the truncation
+    (hp_can_hold); periodic dimensions are never extrapolated.  Otherwise
+    this raises NoCertificate, naming the first stage without a certificate
+    if there is one.  This is the only code that decides or words an HP
+    refusal.
 
     Each stage's certificate is its own: its bound, and the degrees that
     bound stabilizes.  HC there must equal HC at the common degrees
-    (ValidationError otherwise).  hc_reports are read only past the refusal,
-    so an entry may be None where hochschild_and_cyclic made none.
+    (ValidationError otherwise).
     """
     max_degree = hh_reports[0].max_degree
-    bounds = [vanishing_bound(hh.dims, max_degree) for hh in hh_reports]
-    common = max(bounds)
+    certs = [stabilization_certificate(hh) for hh in hh_reports]
+    for i, cert in enumerate(certs):
+        if cert is None:
+            raise NoCertificate(f"stage {i} has no vanishing certificate "
+                                f"within {max_degree}")
+    # every bound is now at most max_degree - 2, but the degrees the common
+    # one stabilizes may still lie past the truncation
+    common = max(cert.vanishing_bound for cert in certs)
     even_deg, odd_deg = stabilized_degrees(common)
     if not hp_can_hold(common, max_degree):
-        for i, bound in enumerate(bounds):
-            if bound > max_degree - 2:
-                raise NoCertificate(f"stage {i} has no vanishing certificate "
-                                    f"within {max_degree}")
         raise NoCertificate(
             f"common bound {common} stabilizes at degrees {even_deg}, "
             f"{odd_deg}, beyond truncation {max_degree}")
     reports = []
-    for bound, hc in zip(bounds, hc_reports):
-        even, odd = stabilized_degrees(bound)
+    for cert, hc in zip(certs, hc_reports):
+        even, odd = stabilized_degrees(cert.vanishing_bound)
         dims = (hc.dims[even], hc.dims[odd])
         if dims != (hc.dims[even_deg], hc.dims[odd_deg]):
             raise ValidationError(
                 "stabilized cyclic dimensions disagree between the stage "
                 "bound and the common bound")
+        cert.even_degree, cert.odd_degree = even, odd
         # whether HC repeats two degrees up, None where that is truncated
-        even_repeat, odd_repeat = (
+        cert.even_repeat_equal, cert.odd_repeat_equal = (
             hc.dims[q + 2] == hc.dims[q] if q + 2 <= max_degree else None
             for q in (even, odd))
-        cert = StabilizationCertificate(
-            bound, tuple(range(bound + 1, max_degree + 1)), max_degree,
-            even_degree=even, odd_degree=odd, even_repeat_equal=even_repeat,
-            odd_repeat_equal=odd_repeat)
         reports.append(
             HomologyReport("HP", max_degree, dims, certificate=cert))
     return tuple(reports)

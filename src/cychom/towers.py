@@ -20,24 +20,21 @@ A_i~ -> A_m.  Every stage passes the one size guard, mixed.check_size,
 before any stage is built.
 
 Every stage, earlier and final, is ranked once for both theories by
-homology.hochschild_and_cyclic, held to a running floor: the largest
-vanishing bound of the stages before it.  That is b~_1 .. b~_{max_degree},
-then, while HP can still be established, D_{max_degree+1} (which also gives
-rank b~_{max_degree+1}) and D_1 .. D_{max_degree}, else b~_{max_degree+1}.
-A filtration entry at degree n is one more rank, of a block matrix built
-from the final stage's d_{n+1}, the chain map and the stage's d_n
-(_image_filtration), run only where the stage's H_n is nonzero.  No cycle
-space or class representative is computed.  hp_continuity_check reads the
-HC reports, complexes and chain maps off the continuity report and ranks
-only its two filtration degrees, none for a one-stage tower.
+homology.hochschild_and_cyclic: D_1 .. D_{max_degree+1}, one elimination
+each, which also give rank b~_1 .. b~_{max_degree+1}.  A filtration entry
+at degree n is one more rank, of a block matrix built from the final
+stage's d_{n+1}, the chain map and the stage's d_n (_image_filtration),
+run only where the stage's H_n is nonzero.  No cycle space or class
+representative is computed.  hp_continuity_check reads the HC reports,
+complexes and chain maps off the continuity report and ranks only its two
+filtration degrees, none for a one-stage tower.
 """
 
 from .algebra import (AlgebraHom, forget_unit, group_algebra, hecke_algebra,
                       hecke_inclusion)
 from .errors import NotAChain, NotInjective, ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
-                       periodic_via_stabilization, stabilized_degrees,
-                       vanishing_bound)
+                       periodic_via_stabilization, stabilized_degrees)
 from .linalg import SparseMatrix, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
 
@@ -182,8 +179,8 @@ class ContinuityReport:
     image_filtration[i][n] is the dimension of the image of stage i's
     degree-n homology in the final stage; the last row is the final stage's
     own dimensions, since it maps by the identity.  complexes, chain_maps
-    (one per earlier stage), hh_reports and hc_reports (None where a stage
-    made none) keep what hp_continuity_check reuses.
+    (one per earlier stage), hh_reports and hc_reports keep what
+    hp_continuity_check reuses.
     """
 
     __slots__ = ("max_degree", "image_filtration", "complexes", "chain_maps",
@@ -214,26 +211,19 @@ class ContinuityReport:
 def continuity_check(ds, max_degree):
     """Image filtration of every stage's Hochschild homology in the final one.
 
-    Every stage is ranked for the HP report that hp_continuity_check makes
-    next: hochschild_and_cyclic, held to a running floor, the largest
-    vanishing bound of the stages before it.  The final stage is held to
-    the largest bound of all earlier stages; an earlier stage makes its HC
-    report while HP can still hold, and that report is wasted only when a
-    later stage refuses.
+    Every stage is ranked for both theories by hochschild_and_cyclic, so
+    the HC reports that hp_continuity_check reads cost no second
+    elimination.
     """
     mcs = _stage_complexes(ds, max_degree + 1)
-    hh_reports, hc_reports, floor = [], [], 0
-    for mc in mcs:
-        hh, hc = hochschild_and_cyclic(mc, max_degree, floor)
-        hh_reports.append(hh)
-        hc_reports.append(hc)
-        floor = max(floor, vanishing_bound(hh.dims, max_degree))
+    hh_reports, hc_reports = zip(*(hochschild_and_cyclic(mc, max_degree)
+                                   for mc in mcs))
     chain_maps = tuple(induced_chain_map(f, max_degree)
                        for f in ds.to_final[:-1])
     filtration = _image_filtration(mcs, chain_maps, hh_reports, "HH",
                                    range(max_degree + 1))
     return ContinuityReport(max_degree, filtration, mcs, chain_maps,
-                            tuple(hh_reports), tuple(hc_reports))
+                            hh_reports, hc_reports)
 
 
 class HpContinuityReport:
@@ -275,8 +265,7 @@ def hp_continuity_check(cont):
     complexes, chain maps and HH and HC reports are reused, so only the two
     filtration degrees are ranked here.  homology.periodic_via_stabilization
     reads every stage's HP at the degrees the common bound stabilizes, or
-    raises NoCertificate.  Past that refusal every stage has its HC report:
-    its floor and its own bound are at most the common bound.
+    raises NoCertificate.
     """
     stages = periodic_via_stabilization(cont.hh_reports, cont.hc_reports)
     common = max(hp.certificate.vanishing_bound for hp in stages)

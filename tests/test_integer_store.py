@@ -187,5 +187,5 @@ def test_tower_eliminations_construct_no_fraction(fractions_made,
                      "--max-degree", "3", "--format", "json"])
     capsys.readouterr()
     assert code == 0
-    assert len(shapes) == 17  # as the benchmark's trace counts them
+    assert len(shapes) == 11  # as the benchmark's trace counts them
     assert fractions_made["made"] == 0
