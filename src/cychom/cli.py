@@ -33,7 +33,7 @@ from . import __version__
 from .algebra import Algebra, AlgebraHom, FiniteGroup, check_associativity
 from .errors import (CychomError, NoCertificate, OrderCapExceeded,
                      ParseError, SizeCapExceeded, ValidationError)
-from .homology import (cyclic_homology, hochschild_homology, omega_complex,
+from .homology import (cyclic_homology, hochschild_homology,
                        stabilization_certificate)
 from .linalg import QQ, SparseMatrix
 from .mixed import build_mixed_complex, verify_mixed_identities
@@ -313,7 +313,7 @@ def _certificate_fields(cert):
 
 
 def _homology_report(job, theory):
-    mc = omega_complex(parse_algebra_file(job.path), job.max_degree + 1)
+    mc = build_mixed_complex(parse_algebra_file(job.path), job.max_degree + 1)
     compute = hochschild_homology if theory == "HH" else cyclic_homology
     report = compute(mc, job.max_degree)
     body = {"theory": theory,

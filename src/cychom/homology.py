@@ -6,12 +6,12 @@ or Omega(A), and works on either.  Hochschild homology is the homology of
 Tot_n = C_n (+) C_{n-2} (+) ... with differential D = b~ + B~, where B~ is
 not applied to the top summand (its image would leave the truncation).
 
-The hh and hc commands rank Omega(A), built with A's unit forgotten
-(omega_complex), although the normalized complex C(A) of a unital A is
-smaller: the benchmark's own test pins Omega's elimination plan for hh, and
-C(Q[Z/2]) would repeat an elimination there.  The hp command is a one-stage
-tower (towers.continuity_check), so it ranks C(A), as every tower stage's
-final complex does.
+Every command ranks the complex mixed.build_mixed_complex builds: Connes'
+normalized complex C(A) for a unital A, with d (d-1)^n cells in degree n,
+and Omega(A) only for an A without a unit.  The hh, hc and identities
+commands build it for A; the hp command is a one-stage tower
+(towers.continuity_check), so it ranks C(A), as every tower's final stage
+does.  Only an earlier tower stage builds Omega(A) with a unit forgotten.
 
 Periodic cyclic homology is only ever reported through the stabilization
 route: once HH_n = 0 has been verified for all n > N up to the truncation
@@ -22,25 +22,21 @@ that decides or words a refusal; the tool refuses rather than guesses, and
 every certificate records how far vanishing was actually checked.
 
 Every report is built from the ranks of its differentials
-(report_from_ranks), and a run eliminates each differential once:
-hochschild_homology ranks b~_n, and cyclic_homology D_n, for
-1 <= n <= max_degree + 1.  HP needs both theories on one mixed complex:
+(report_from_ranks), and every command ranks them the same way:
 hochschild_and_cyclic eliminates only D_1 .. D_{max_degree+1}, once each,
-and reads rank b~_n off the pivots of D_n (total_rank_split).  It ranks the
-same matrices whether or not HP is then established.  Every stage of a
-tower, and so hp, goes through hochschild_and_cyclic; no command computes a
-cycle space.  Only homology_representatives, which names classes, solves
-for kernel vectors.
+and reads rank b~_n off the pivots of D_n (total_rank_split).
+hochschild_homology and cyclic_homology are its two halves, so hh, hc, hp
+and every tower stage eliminate the same matrices, whether or not HP is
+then established; no command computes a cycle space.  Only
+homology_representatives, which names classes, solves for kernel vectors.
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
 """
 
-from .algebra import forget_unit
 from .errors import DegreeOutOfRange, NoCertificate, NotACycle, ValidationError
 from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
-                     pivot_columns, rank, solve)
-from .mixed import build_mixed_complex
+                     pivot_columns, solve)
 
 
 # ---------------------------------------------------------------- total complex
@@ -57,26 +53,31 @@ def chain_degrees(theory, n):
 
 
 def differential_blocks(mc, theory, n):
-    """(grid, row degrees, column degrees) of the degree-n differential,
-    n >= 1: b~ for HH, D = b~ + B~ for HC, one block per pair of summands."""
+    """(blocks, row degrees, column degrees) of the degree-n differential,
+    n >= 1: b~ for HH, D = b~ + B~ for HC.
+
+    blocks maps (row summand, column summand) to the differential's b~ and
+    B~ blocks only, as SparseMatrix.from_blocks takes them; every other
+    block is zero.  Summand i is C_{n-2i} of the source and C_{n-1-2i} of
+    the target, so b~ stays in summand i and B~ moves it to i - 1.
+    """
     src, dst = chain_degrees(theory, n), chain_degrees(theory, n - 1)
-    pos = {q: i for i, q in enumerate(dst)}
-    grid = [[None] * len(src) for _ in dst]
-    for si, q in enumerate(src):
+    blocks = {}
+    for i, q in enumerate(src):
         if q >= 1:
-            grid[pos[q - 1]][si] = mc.b_tilde[q]
-        if q + 1 in pos:
-            grid[pos[q + 1]][si] = mc.B_tilde[q]
-    return grid, dst, src
+            blocks[i, i] = mc.b_tilde[q]
+        if i:
+            blocks[i - 1, i] = mc.B_tilde[q]
+    return blocks, dst, src
 
 
 def total_differential(mc, n):
     """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix."""
     if n < 1 or n > mc.n_max:
         raise DegreeOutOfRange(f"total differential needs 1 <= n <= {mc.n_max}")
-    grid, dst, src = differential_blocks(mc, "HC", n)
+    blocks, dst, src = differential_blocks(mc, "HC", n)
     return SparseMatrix.from_blocks(
-        grid,
+        blocks,
         [mc.spaces[q].dim for q in dst],
         [mc.spaces[q].dim for q in src])
 
@@ -176,21 +177,6 @@ def report_from_ranks(mc, theory, max_degree, ranks):
                           boundary_ranks=tuple(ranks))
 
 
-def omega_complex(a, n_max):
-    """Omega(A) through degree n_max: the complex hh and hc rank.
-
-    It is built with A's unit forgotten.  For a unital A the normalized
-    complex C(A), which hp ranks, has the same homology with d (d-1)^n cells
-    in place of (d+1) d^n, but
-    bench/tests/test_bench.py::test_traced_hh_counts_exactly pins Omega's
-    plan for hh cyclic2 -d2: 3 eliminations, none repeated.  In C(Q[Z/2])
-    b~_1 and b~_3 are the same zero 2x2 matrix, which the tracer counts as a
-    repeat.  ROADMAP item 1 restates that test; hh and hc move to C(A) after
-    it.
-    """
-    return build_mixed_complex(forget_unit(a), n_max)
-
-
 def _require_depth(mc, max_degree):
     if max_degree < 0:
         raise DegreeOutOfRange("max_degree must be nonnegative")
@@ -198,23 +184,6 @@ def _require_depth(mc, max_degree):
         raise DegreeOutOfRange(
             f"mixed complex truncated at {mc.n_max}; degree {max_degree} "
             f"needs the differential at {max_degree + 1}")
-
-
-def _ranked(theory, mc, max_degree):
-    _require_depth(mc, max_degree)
-    ranks = [0] + [rank(differential(mc, theory, n))
-                   for n in range(1, max_degree + 2)]
-    return report_from_ranks(mc, theory, max_degree, ranks)
-
-
-def hochschild_homology(mc, max_degree):
-    """HH_0 .. HH_{max_degree}; mc must reach one degree beyond the top."""
-    return _ranked("HH", mc, max_degree)
-
-
-def cyclic_homology(mc, max_degree):
-    """HC_0 .. HC_{max_degree} from the total complex."""
-    return _ranked("HC", mc, max_degree)
 
 
 def hochschild_and_cyclic(mc, max_degree):
@@ -229,6 +198,17 @@ def hochschild_and_cyclic(mc, max_degree):
                          for n in range(1, max_degree + 2)))
     return (report_from_ranks(mc, "HH", max_degree, b),
             report_from_ranks(mc, "HC", max_degree, d))
+
+
+def hochschild_homology(mc, max_degree):
+    """HH_0 .. HH_{max_degree}, the HH report of hochschild_and_cyclic; mc
+    must reach one degree beyond the top."""
+    return hochschild_and_cyclic(mc, max_degree)[0]
+
+
+def cyclic_homology(mc, max_degree):
+    """HC_0 .. HC_{max_degree}, the HC report of hochschild_and_cyclic."""
+    return hochschild_and_cyclic(mc, max_degree)[1]
 
 
 def homology_representatives(mc, theory, degree):

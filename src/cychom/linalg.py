@@ -111,8 +111,9 @@ class SparseMatrix:
                                         for i, v in col.items()))
 
     @classmethod
-    def from_blocks(cls, grid, row_dims, col_dims):
-        """Assemble from a 2D list of blocks (None = zero block).
+    def from_blocks(cls, blocks, row_dims, col_dims):
+        """Assemble from {(block_row, block_col): block}; absent blocks are
+        zero.
 
         Each block's shape is checked against its slot, so its entries land
         inside the slot, and slots do not overlap: the entries are in range
@@ -125,24 +126,22 @@ class SparseMatrix:
         col_off = [0]
         for d in col_dims:
             col_off.append(col_off[-1] + d)
-        den = lcm(*[b.den for row in grid for b in row if b is not None])
+        den = lcm(*[b.den for b in blocks.values()])
         data = {}
-        for bi, row_of_blocks in enumerate(grid):
-            for bj, block in enumerate(row_of_blocks):
-                if block is None:
-                    continue
-                if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
-                    raise ValueError("block shape mismatch")
-                ro, co = row_off[bi], col_off[bj]
-                scale = den // block.den
-                for (r, c), v in block.data.items():
-                    data[(ro + r, co + c)] = v * scale if scale != 1 else v
+        for (bi, bj), block in blocks.items():
+            if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
+                raise ValueError("block shape mismatch")
+            ro, co = row_off[bi], col_off[bj]
+            scale = den // block.den
+            for (r, c), v in block.data.items():
+                data[(ro + r, co + c)] = v * scale if scale != 1 else v
         return cls._trusted(row_off[-1], col_off[-1], data, den)
 
     @classmethod
     def hstack(cls, blocks):
         rows = blocks[0].rows if blocks else 0
-        return cls.from_blocks([list(blocks)], [rows], [b.cols for b in blocks])
+        return cls.from_blocks({(0, j): b for j, b in enumerate(blocks)},
+                               [rows], [b.cols for b in blocks])
 
     @property
     def shape(self):

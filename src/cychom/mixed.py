@@ -30,12 +30,13 @@ unit), and on that split b~(x, y) = (b x + (1 - lambda) y, -b' y) and
 B~(x, y) = (0, N x), with b' the bar differential, lambda the signed cyclic
 shift and N the sum of its powers.
 
-So every command builds one of two complexes of one builder: `identities`,
-`hp` and the final stage of `tower` build C(A); `hh` and `hc`, and the
-earlier stages of `tower`, build Omega(A), with A's unit forgotten (see
-homology.omega_complex and towers._stage_complexes for why).  For a unital
-A both give the same homology.  The identities b~^2 = 0, b~B~ + B~b~ = 0 and
-B~^2 = 0 hold exactly in both and are checkable per degree.
+So every command builds one of two complexes of one builder: `hh`, `hc`,
+`hp`, `identities` and the final stage of `tower` build C(A) for a unital
+A, and Omega(A) only for an A without a unit.  The earlier stages of
+`tower` build Omega(A) with A's unit forgotten, since their maps need not
+keep it (see towers._stage_complexes).  For a unital A both give the same
+homology.  The identities b~^2 = 0, b~B~ + B~b~ = 0 and B~^2 = 0 hold
+exactly in both and are checkable per degree.
 
 Words are indexed lexicographically with the first factor most significant:
 (a_0; l_1, ..., l_n) has index a_0 L^n + sum_t l_t L^(n-t), where L is the

@@ -145,26 +145,28 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
 
     M is assembled in one from_blocks call from the complexes' b~ and B~
     blocks (homology.differential_blocks) and, for HC, F block diagonal
-    over the summands of Tot_n.
+    over the summands of Tot_n: only those blocks are passed.
     """
     final_mc, final = mcs[-1], reports[-1]
     columns = []
     for n in degrees:
         top, here, above = differential_blocks(final_mc, theory, n + 1)
+        left = len(above)
         column = []
         for maps, mc, report in zip(chain_maps, mcs, reports):
             if not report.dims[n]:
                 column.append(0)
                 continue
-            grid = [row + [maps[q] if p == q else None for q in here]
-                    for row, p in zip(top, here)]
+            blocks = dict(top)
+            blocks.update(((p, left + p), maps[q]) for p, q in enumerate(here))
             row_dims = [final_mc.spaces[q].dim for q in here]
             if n:
                 low, below, _ = differential_blocks(mc, theory, n)
-                grid += [[None] * len(above) + row for row in low]
+                blocks.update(((len(here) + r, left + c), block)
+                              for (r, c), block in low.items())
                 row_dims += [mc.spaces[q].dim for q in below]
             m = SparseMatrix.from_blocks(
-                grid, row_dims, [final_mc.spaces[q].dim for q in above]
+                blocks, row_dims, [final_mc.spaces[q].dim for q in above]
                 + [mc.spaces[q].dim for q in here])
             column.append(rank(m) - report.boundary_ranks[n]
                           - final.boundary_ranks[n + 1])

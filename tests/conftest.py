@@ -11,13 +11,13 @@ from math import gcd
 import pytest
 
 from cychom.algebra import (AlgebraHom, FiniteGroup, change_of_basis,
-                            group_algebra, hecke_algebra, matrix_algebra,
-                            symmetric_group_with_perms)
+                            forget_unit, group_algebra, hecke_algebra,
+                            matrix_algebra, symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.homology import (TotChainIndex, cyclic_homology,
-                             hochschild_homology, omega_complex,
-                             total_components)
+                             hochschild_homology, total_components)
 from cychom.linalg import SparseMatrix
+from cychom.mixed import build_mixed_complex
 from cychom.towers import DirectSystem
 
 # depth each named algebra is built to when first requested; rand3 has a
@@ -61,8 +61,17 @@ def assert_canonical(m):
     assert m.data or m.den == 1
 
 
+def omega_complex(a, n_max):
+    """Omega(A) through degree n_max, built with A's unit forgotten, as an
+    earlier tower stage builds it.  For a unital A it has (d+1) d^n cells
+    in degree n where C(A), which the commands rank, has d (d-1)^n, and the
+    same homology."""
+    return build_mixed_complex(forget_unit(a), n_max)
+
+
 def hh_dims(a, max_degree):
-    """HH_0 .. HH_{max_degree} of a on Omega(A), as the hh command ranks."""
+    """HH_0 .. HH_{max_degree} of a on Omega(A): the same dimensions the hh
+    command reads off C(A), by a second complex."""
     return hochschild_homology(omega_complex(a, max_degree + 1),
                                max_degree).dims
 
@@ -123,8 +132,8 @@ def algebras():
 
 @pytest.fixture(scope="session")
 def mixed_complexes(algebras):
-    """Callable (name, n_max=None) -> Omega of depth >= n_max, the complex
-    the hh and hc commands build."""
+    """Callable (name, n_max=None) -> Omega of depth >= n_max, with the
+    algebra's unit forgotten (omega_complex)."""
     cache = {}
 
     def get(name, n_max=None):

@@ -202,22 +202,23 @@ def test_check_command(capsys, tmp_path):
 
 
 def test_size_cap_and_override(capsys):
-    # hh -d20 builds Omega^21, which has 2^22 + 2^21 cells for dimension 2;
-    # the refusal comes before any build
+    # hh -d12 builds C^13, which has 4 * 3^13 cells for Q[Z/4]; the
+    # refusal comes before any build
     started = time.perf_counter()
-    code, out = run_cli(["hh", str(DATA / "algebras" / "dual_numbers.json"),
-                         "--format", "json", "--max-degree", "20"], capsys)
+    code, out = run_cli(["hh", str(DATA / "algebras" / "cyclic4.json"),
+                         "--format", "json", "--max-degree", "12"], capsys)
     assert time.perf_counter() - started < 1
     assert code == 2
     report = json.loads(out)
     assert report["error"] == "size_cap"
     assert report["message"] == \
-        "chain space in degree 21 has 6291456 cells; cap 2000000"
+        "chain space in degree 13 has 6377292 cells; cap 2000000"
 
 
 def test_deep_ground_field_is_fast(capsys):
-    # Q has 2 cells in every degree, so nothing refuses hh -d400; building
-    # Omega^0..Omega^401 used to cost O(n) per word index, 4.6 s in all
+    # C(Q) has 1 cell in degree 0 and none above, so nothing refuses
+    # hh -d400; Tot_n still has n // 2 + 1 summands, so assembling D_n may
+    # walk only its nonzero blocks
     started = time.perf_counter()
     code, out = run_cli(["hh", str(DATA / "algebras" / "ground_field.json"),
                          "--format", "json", "--max-degree", "400"], capsys)
@@ -254,13 +255,14 @@ def test_one_guard_for_every_command(capsys, tmp_path, monkeypatch, dim,
 
 @pytest.mark.parametrize("command, degree, dim, over", [
     pytest.param(command, degree, dim, over, id=f"{prefix}{dim}-{over}")
-    for command, degree, prefix in (("identities", 4, ""), ("hp", 3, "hp-"))
+    for command, degree, prefix in (("identities", 4, ""), ("hp", 3, "hp-"),
+                                    ("hh", 3, "hh-"), ("hc", 3, "hc-"))
     for dim, over in ((17, 1), (3, 1), (3, 0))])
 def test_one_guard_refuses_the_normalized_complex(capsys, tmp_path,
                                                   monkeypatch, command,
                                                   degree, dim, over):
-    # with a unit, identities -d4 and hp -d3 both build C^4 with d (d-1)^4
-    # cells
+    # with a unit, identities -d4 and hp, hh and hc -d3 all build C^4 with
+    # d (d-1)^4 cells
     cells = dim * (dim - 1) ** 4
     monkeypatch.setattr(mixed, "CELL_CAP", cells - over)
     path = str(write(tmp_path, diagonal_doc(dim)))
@@ -276,7 +278,7 @@ def test_one_guard_refuses_the_normalized_complex(capsys, tmp_path,
 @pytest.mark.parametrize("path", sorted((DATA / "algebras").glob("*.json")),
                          ids=lambda p: p.stem)
 def test_hp_and_hh_agree_on_hochschild_dimensions(capsys, path, degree):
-    # hp ranks C(A) as a one-stage tower, hh ranks Omega(A)
+    # hp ranks C(A) as a one-stage tower, hh ranks it on its own
     args = [str(path), "--format", "json", "--max-degree", str(degree)]
     _, hp_out = run_cli(["hp", *args, "--certificate"], capsys)
     code, hh_out = run_cli(["hh", *args], capsys)

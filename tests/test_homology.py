@@ -11,7 +11,7 @@ from cychom.errors import DegreeOutOfRange, NoCertificate, NotACycle
 from cychom.homology import (EvenLift, ObstructedLift, TotChainIndex,
                              cyclic_homology, hochschild_homology,
                              homology_representatives, lift_to_periodic,
-                             omega_complex, periodic_via_stabilization,
+                             periodic_via_stabilization,
                              stabilization_certificate, total_components,
                              total_differential)
 from cychom.linalg import (QQ, SparseMatrix, image_basis, kernel_basis,
@@ -260,7 +260,7 @@ def test_morita_comparisons():
 def test_direct_sum_additivity(algebras, homology_reports):
     from cychom.algebra import direct_sum
     both = direct_sum(dual_numbers(), ground_field())
-    mc = omega_complex(both, 4)
+    mc = build_mixed_complex(both, 4)
     hh = hochschild_homology(mc, 3)
     hc = cyclic_homology(mc, 3)
     dual_hh = homology_reports("dual", "HH", 3)
@@ -274,6 +274,6 @@ def test_basis_independence():
     a = dual_numbers()
     scrambled = unimodular_scramble(a, 424242)
     assert scrambled.table != a.table
-    mc = omega_complex(scrambled, 5)
+    mc = build_mixed_complex(scrambled, 5)
     assert hochschild_homology(mc, 4).dims == (2, 1, 1, 1, 1)
     assert cyclic_homology(mc, 4).dims == (2, 0, 2, 0, 2)

@@ -89,9 +89,9 @@ def test_operations_match_the_fraction_reference():
         check(a - b, oracles.mat_sum(ea, oracles.mat_neg(eb)))
         check(-a, oracles.mat_neg(ea))
         check(_kron(a, c), oracles.mat_kron(ea, ec, k, m))
-        grid = [[a, None, b], [None, -c, None]]
+        blocks = {(0, 0): a, (0, 2): b, (1, 1): -c}
         egrid = [[ea, None, eb], [None, oracles.mat_neg(ec), None]]
-        check(SparseMatrix.from_blocks(grid, [n, k], [k, m, k]),
+        check(SparseMatrix.from_blocks(blocks, [n, k], [k, m, k]),
               oracles.mat_blocks(egrid, [n, k], [k, m, k]))
 
 
@@ -99,8 +99,8 @@ def test_from_blocks_rescales_to_the_common_denominator():
     half = SparseMatrix(1, 2, [(0, 0, "1/2")])
     eighth = SparseMatrix(1, 2, [(0, 0, "3/8"), (0, 1, "1/4")])
     one = SparseMatrix.identity(1)
-    m = SparseMatrix.from_blocks([[one, half], [None, eighth]], [1, 1],
-                                 [1, 2])
+    m = SparseMatrix.from_blocks({(0, 0): one, (0, 1): half, (1, 1): eighth},
+                                 [1, 1], [1, 2])
     assert m.den == 8
     assert m.data == {(0, 0): 8, (0, 1): 4, (1, 1): 3, (1, 2): 2}
     check(m, {(0, 0): QQ(1), (0, 1): QQ(1, 2), (1, 1): QQ(3, 8),

@@ -163,11 +163,11 @@ def test_matmul_with_rational_entries_matches_triple_loop():
 
 def test_from_blocks():
     i2 = SparseMatrix.identity(2)
-    m = SparseMatrix.from_blocks([[i2, None], [None, dense([[3, 0], [0, 3]])]],
+    m = SparseMatrix.from_blocks({(0, 0): i2, (1, 1): dense([[3, 0], [0, 3]])},
                                  [2, 2], [2, 2])
     assert m == dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
     with pytest.raises(ValueError):
-        SparseMatrix.from_blocks([[i2]], [3], [2])
+        SparseMatrix.from_blocks({(0, 0): i2}, [3], [2])
 
 
 def test_determinism_repeated_runs():

@@ -135,7 +135,7 @@ def test_upper_B_structure():
     d = a.dim
     omega = build_mixed_complex(forget_unit(a), 3)
     expected = SparseMatrix.from_blocks(
-        [[None, None], [reference_mixed.norm_N(a, 3), None]],
+        {(1, 0): reference_mixed.norm_N(a, 3)},
         [d ** 4, d ** 3], [d ** 3, d ** 2])
     assert omega.B_tilde[2] == expected
     # C(A): B(x; x, x) = sum_{i=0}^{2} (1; x, x, x) and B(1; x, x) = 0,
