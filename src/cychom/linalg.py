@@ -115,10 +115,11 @@ class SparseMatrix:
         """Assemble from {(block_row, block_col): block}; absent blocks are
         zero.
 
-        Each block's shape is checked against its slot, so its entries land
-        inside the slot, and slots do not overlap: the entries are in range
-        and at distinct positions.  They go over the lcm of the blocks'
-        denominators, and only a block whose den differs is rescaled.
+        Each key is checked to name a slot and each block's shape against
+        that slot, so its entries land inside the slot, and slots do not
+        overlap: the entries are in range and at distinct positions.  They
+        go over the lcm of the blocks' denominators, and only a block whose
+        den differs is rescaled.
         """
         row_off = [0]
         for d in row_dims:
@@ -129,6 +130,8 @@ class SparseMatrix:
         den = lcm(*[b.den for b in blocks.values()])
         data = {}
         for (bi, bj), block in blocks.items():
+            if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
+                raise ValueError("block slot out of range")
             if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
                 raise ValueError("block shape mismatch")
             ro, co = row_off[bi], col_off[bj]

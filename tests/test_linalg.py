@@ -168,6 +168,8 @@ def test_from_blocks():
     assert m == dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
     with pytest.raises(ValueError):
         SparseMatrix.from_blocks({(0, 0): i2}, [3], [2])
+    with pytest.raises(ValueError):
+        SparseMatrix.from_blocks({(-1, 0): i2}, [2, 2], [2])
 
 
 def test_determinism_repeated_runs():

@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (basis_variants, dual_into_m2, ground_into_dual,
-                      omega_complex, rational_store)
+                      omega_complex, ranked_one_by_one, rational_store)
 from cychom import cli, homology, linalg
 from cychom.errors import NoCertificate
-from cychom.homology import (hochschild_and_cyclic, report_from_ranks,
+from cychom.homology import (hochschild_and_cyclic,
                              total_differential, total_rank_split)
 from cychom.mixed import build_mixed_complex
 from cychom.towers import continuity_check, hp_continuity_check
@@ -196,20 +196,10 @@ def test_shared_top_gives_the_same_reports(path, variant, eliminate_once):
         _check_shared_top(build(a, max(degrees) + 1), degrees)
 
 
-def _ranked_one_by_one(mc, max_degree):
-    """(HH report, HC report) from rank b~_n and rank D_n, each eliminated
-    on its own: the reference for the pivot split."""
-    b = [0] + [linalg.rank(mc.b_tilde[n]) for n in range(1, max_degree + 2)]
-    d = [0] + [linalg.rank(homology.total_differential(mc, n))
-               for n in range(1, max_degree + 2)]
-    return (report_from_ranks(mc, "HH", max_degree, b),
-            report_from_ranks(mc, "HC", max_degree, d))
-
-
 def _check_shared_top(mc, degrees):
     for max_degree in degrees:
         shared = hochschild_and_cyclic(mc, max_degree)
-        plain = _ranked_one_by_one(mc, max_degree)
+        plain = ranked_one_by_one(mc, max_degree)
         for got, want in zip(shared, plain):
             assert (got.theory, got.dims, got.boundary_ranks) == \
                 (want.theory, want.dims, want.boundary_ranks), max_degree
