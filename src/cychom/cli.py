@@ -20,14 +20,24 @@ error).
 
 Every job pays for what importing this module loads, so it loads only what
 the homology commands run: argparse is imported by build_parser, which run()
-does not need, and cychom.orbifold by the orbifold command.
+does not need, and cychom.orbifold by the orbifold command.  The input digest
+uses CPython's built-in SHA-256, the one hashlib falls back to without
+OpenSSL, so no job loads libcrypto; the digest is the same.
 """
 
-import hashlib
 import json
 import re
 import sys
 import warnings
+
+# hashlib would load OpenSSL's _hashlib: 3.6 MB of peak RSS in every job
+try:
+    from _sha256 import sha256  # CPython 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .algebra import Algebra, AlgebraHom, FiniteGroup, check_associativity
@@ -428,7 +438,7 @@ _DISPATCH = {
 def _digest(path):
     try:
         with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            return sha256(fh.read()).hexdigest()
     except OSError:
         return None
 

@@ -1,5 +1,7 @@
 """File formats, commands, exit codes and canonical report output."""
 
+import hashlib
+import io
 import json
 import re
 import subprocess
@@ -563,22 +565,75 @@ def test_console_entry_point():
     assert "boundary_squared: yes" in result.stdout
 
 
+# Prints the extension modules (.so) the interpreter has loaded so far.
+_EXTENSIONS = (
+    "import sys, importlib.machinery as mach; "
+    "print(' '.join(sorted(name for name, mod in list(sys.modules.items()) "
+    "if (getattr(mod, '__file__', None) or '')"
+    ".endswith(tuple(mach.EXTENSION_SUFFIXES)))))")
+
+
+def _fresh(code):
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split("\n")
+
+
 def test_import_loads_no_unused_modules():
     # A fresh interpreter, since pytest itself imports dataclasses and inspect.
     # Every job pays for what `import cychom.cli` loads: records are plain
     # classes, argparse is loaded by build_parser and cychom.orbifold by the
-    # orbifold command.  The modules every homology job runs stay eager.
-    probe = ("import sys, cychom.cli; "
+    # orbifold command.  The modules every homology job runs stay eager.  The
+    # input digest is CPython's own SHA-256: hashlib would load OpenSSL.
+    jobs = [("tower", DATA / "towers" / "z4_tower.json", 3),
+            ("identities", DATA / "algebras" / "cyclic4.json", 4)]
+    probe = ("import io, sys, cychom.cli as cli\n"
              "print(' '.join(sorted(m for m in sys.modules "
              "if m.partition('.')[0] in "
-             "('dataclasses', 'inspect', 'argparse', 'cychom'))))")
-    result = subprocess.run([sys.executable, "-c", probe],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
+             "('dataclasses', 'inspect', 'argparse', 'cychom'))))\n"
+             + "".join(f"assert cli.run(cli.JobSpec({c!r}, {str(p)!r}, {d}, "
+                       f"'json'), out=io.StringIO()) == 0\n"
+                       for c, p, d in jobs)
+             + "print(' '.join(m for m in ('hashlib', '_hashlib') "
+             "if m in sys.modules))\n"
+             "print(cli.sha256.__module__)\n" + _EXTENSIONS)
+    loaded, hashing, sha_module, extensions, _ = _fresh(probe)
+    loaded = set(loaded.split())
     unused = loaded & {"dataclasses", "inspect", "argparse", "cychom.orbifold"}
     assert not unused, unused
     assert {"cychom.towers", "cychom.homology"} <= loaded
+    assert not hashing, hashing
+    bare, _ = _fresh(_EXTENSIONS)
+    added = set(extensions.split()) - set(bare.split())
+    assert added <= {"_json", "_decimal", sha_module}, added
+
+
+def test_input_digest_is_sha256_of_the_file():
+    # both towers are certified at degree 3; check and orbifold ignore it
+    commands = {"algebras": "check", "components": "orbifold",
+                "towers": "tower"}
+    for path in sorted(DATA.glob("*/*.json")):
+        report = io.StringIO()
+        assert run(JobSpec(commands[path.parent.name], str(path), 3, "json"),
+                   out=report) == 0
+        assert json.loads(report.getvalue())["input_sha256"] == \
+            hashlib.sha256(path.read_bytes()).hexdigest(), path
+
+
+def test_digest_falls_back_to_hashlib():
+    # An interpreter without CPython's built-in SHA-256 modules
+    path = DATA / "algebras" / "mat2.json"
+    probe = ("import io, json, sys\n"
+             "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+             "import hashlib, cychom.cli as cli\n"
+             "assert cli.sha256 is hashlib.sha256\n"
+             "report = io.StringIO()\n"
+             f"assert cli.run(cli.JobSpec('check', {str(path)!r}, "
+             "fmt='json'), out=report) == 0\n"
+             "print(json.loads(report.getvalue())['input_sha256'])")
+    digest, _ = _fresh(probe)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_jobspec_keywords_and_defaults():
