@@ -9,9 +9,8 @@ genuine obstruction.
 
 from cychom.catalog import cyclic_group_rationals, dual_numbers
 from cychom.errors import NoCertificate
-from cychom.homology import (ObstructedLift, TotChainIndex,
-                             hochschild_and_cyclic, lift_to_periodic,
-                             periodic_via_stabilization)
+from cychom.homology import (ObstructedLift, hochschild_and_cyclic,
+                             lift_to_periodic, periodic_via_stabilization)
 from cychom.linalg import QQ
 from cychom.mixed import build_mixed_complex
 
@@ -37,8 +36,7 @@ def main():
     print()
     mc = show("dual numbers", dual_numbers())
     # the class of x in Tot_0 = A cannot extend past the first square
-    x_class = TotChainIndex(0, {0: {1: QQ(1)}})
-    result = lift_to_periodic(x_class, mc)
+    result = lift_to_periodic({1: QQ(1)}, 0, mc)
     assert isinstance(result, ObstructedLift)
     print(f"dual numbers: lifting the class of x obstructs at degree "
           f"{result.degree}; the witness cycle in degree "

@@ -33,15 +33,13 @@ class Algebra:
         for (i, j), terms in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValidationError(f"structure constant index ({i}, {j}) out of range")
-            items = terms.items() if isinstance(terms, dict) else terms
             vec = {}
-            for k, c in items:
+            for k, c in terms.items():
                 if not 0 <= k < dim:
                     raise ValidationError(f"structure constant target {k} out of range")
                 c = as_rational(c)
                 if c:
-                    vec[k] = vec.get(k, QQ(0)) + c
-            vec = {k: c for k, c in vec.items() if c}
+                    vec[k] = c
             if vec:
                 clean[(i, j)] = vec
         self.table = clean

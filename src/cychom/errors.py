@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
-Outcome-style signals (an inconsistent linear system, an obstructed lift, a
-missing stabilization certificate) are ordinary return values, not exceptions;
-the exceptions below mark contract violations or refused computations.
+Outcome-style signals (an inconsistent linear system, an obstructed lift)
+are ordinary return values, not exceptions.  The exceptions below mark
+contract violations or refused computations; a missing stabilization
+certificate is one of the latter, raised as NoCertificate.
 """
 
 

@@ -27,8 +27,10 @@ hochschild_and_cyclic eliminates only D_1 .. D_{max_degree+1}, once each,
 and reads rank b~_n off the pivots of D_n (total_rank_split).
 hochschild_homology and cyclic_homology are its two halves, so hh, hc, hp
 and every tower stage eliminate the same matrices, whether or not HP is
-then established; no command computes a cycle space.  Only
-homology_representatives, which names classes, solves for kernel vectors.
+then established; no command computes a cycle space.  Only two functions
+solve: homology_representatives, which names classes, for kernel vectors,
+and lift_to_periodic, for each b~ f_{2k+2} = -B~ f_{2k} of a lift.  Every
+Tot_n chain is a flat vector in total_differential's layout, C_n first.
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
@@ -96,33 +98,6 @@ def total_rank_split(mc, n):
     pivots = pivot_columns(total_differential(mc, n))
     top = mc.spaces[n].dim
     return sum(1 for c in pivots if c < top), len(pivots)
-
-
-class TotChainIndex:
-    """A chain in Tot_n, stored per summand: components[q] lives in C_q."""
-
-    __slots__ = ("degree", "components")
-
-    def __init__(self, degree, components):
-        self.degree = degree
-        self.components = components
-
-    def component(self, q):
-        return self.components.get(q, {})
-
-
-def check_tot_chain(mc, chain):
-    """Validate parities, degree range, and coordinate ranges."""
-    for q, vec in chain.components.items():
-        if q < 0 or q > chain.degree or (q - chain.degree) % 2 != 0:
-            raise ValidationError(
-                f"component degree {q} invalid in Tot_{chain.degree}")
-        if q > mc.n_max:
-            raise DegreeOutOfRange(f"component degree {q} beyond truncation")
-        d = mc.spaces[q].dim
-        for i in vec:
-            if not 0 <= i < d:
-                raise ValidationError(f"coordinate {i} out of range in degree {q}")
 
 
 # ------------------------------------------------------------------- reports
@@ -346,20 +321,26 @@ class EvenLift:
     """An even cycle extended through the periodicity tower.
 
     components[2k] solves b~ f_{2k+2} = -B~ f_{2k} for all consecutive even
-    degrees from base_degree up to top_degree.
+    degrees from base_degree up to top_degree; space_dims[q] = dim C_q.
     """
 
-    __slots__ = ("base_degree", "top_degree", "components")
+    __slots__ = ("base_degree", "top_degree", "components", "space_dims")
 
-    def __init__(self, base_degree, top_degree, components):
+    def __init__(self, base_degree, top_degree, components, space_dims):
         self.base_degree = base_degree
         self.top_degree = top_degree
         self.components = components
+        self.space_dims = space_dims
 
     def truncate(self, n):
-        """The Tot_n chain made of the components of degree <= n."""
-        return TotChainIndex(
-            n, {q: dict(v) for q, v in self.components.items() if q <= n})
+        """The flat Tot_n vector, in total_differential's layout, made of
+        the components of degree <= n; n is even and at most top_degree."""
+        flat, at = {}, 0
+        for q in total_components(n):
+            for i, v in self.components.get(q, {}).items():
+                flat[at + i] = v
+            at += self.space_dims[q]
+        return flat
 
 
 class ObstructedLift:
@@ -380,39 +361,29 @@ class ObstructedLift:
         self.partial = partial
 
 
-def _check_even_cycle(mc, chain):
-    """(b~+B~)-cycle test for an even Tot chain, reported per odd degree."""
-    check_tot_chain(mc, chain)
-    for q in range(1, chain.degree, 2):
-        res = mc.b_tilde[q + 1].apply(chain.component(q + 1))
-        for i, v in mc.B_tilde[q - 1].apply(chain.component(q - 1)).items():
-            s = res.get(i, 0) + v
-            if s:
-                res[i] = s
-            else:
-                res.pop(i, None)
-        if res:
-            raise NotACycle(
-                f"b~ f_{q + 1} + B~ f_{q - 1} nonzero in degree {q}")
-
-
-def lift_to_periodic(c, mc, top_degree=None):
+def lift_to_periodic(c, degree, mc):
     """Extend an even cycle upward by solving b~ f_{2k+2} = -B~ f_{2k}.
 
-    c is a TotChainIndex of even total degree.  Returns an EvenLift reaching
-    top_degree (default: the largest even degree the truncation supports),
-    or an ObstructedLift at the first inconsistent solve.
+    c is a flat Tot_degree vector in total_differential's layout (the C_degree
+    summand first), with D c = 0 for the D_degree the ranks use.  Returns an
+    EvenLift reaching the largest even degree <= mc.n_max, or an
+    ObstructedLift at the first inconsistent solve.
     """
-    if c.degree % 2 != 0:
-        raise DegreeOutOfRange("lift starts from an even total degree")
-    top = top_degree
-    if top is None:
-        top = mc.n_max if mc.n_max % 2 == 0 else mc.n_max - 1
-    if top % 2 != 0 or top < c.degree or top > mc.n_max:
-        raise DegreeOutOfRange(f"invalid lift target degree {top}")
-    _check_even_cycle(mc, c)
-    comps = {q: dict(v) for q, v in c.components.items() if v}
-    for k in range(c.degree // 2, top // 2):
+    top = mc.n_max - mc.n_max % 2
+    if degree % 2 or not 0 <= degree <= top:
+        raise DegreeOutOfRange(f"lift starts from an even degree <= {top}")
+    dims = tuple(mc.spaces[q].dim for q in range(top + 1))
+    comps, at = {}, 0
+    for q in total_components(degree):
+        part = {i - at: v for i, v in c.items() if at <= i < at + dims[q] and v}
+        if part:
+            comps[q] = part
+        at += dims[q]
+    if any(not 0 <= i < at for i in c):
+        raise ValidationError(f"coordinate out of range in Tot_{degree}")
+    if degree and total_differential(mc, degree).apply(c):
+        raise NotACycle(f"D_{degree} is nonzero on the chain")
+    for k in range(degree // 2, top // 2):
         witness = mc.B_tilde[2 * k].apply(comps.get(2 * k, {}))
         rhs = {i: -v for i, v in witness.items()}
         found = solve(mc.b_tilde[2 * k + 2], rhs)
@@ -421,4 +392,5 @@ def lift_to_periodic(c, mc, top_degree=None):
                                   witness=witness, partial=comps)
         if found:
             comps[2 * k + 2] = found
-    return EvenLift(base_degree=c.degree, top_degree=top, components=comps)
+    return EvenLift(base_degree=degree, top_degree=top, components=comps,
+                    space_dims=dims)

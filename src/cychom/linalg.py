@@ -403,23 +403,10 @@ def solve(m, v):
 
 
 def solve_columns(m, vectors):
-    """Solve m x = v for several right-hand sides with one elimination.
-
-    m.data holds den M, so with L the lcm of the right-hand sides'
-    denominators, the augmented matrix [M | v] is L [den M | den v] over
-    L den, in ints.
-    """
+    """Solve m x = v for several right-hand sides with one elimination of
+    the augmented matrix [m | vectors]."""
     k = len(vectors)
-    scale = lcm(*[x.denominator for vec in vectors for x in vec.values()])
-    data = {key: v * scale for key, v in m.data.items()}
-    for j, vec in enumerate(vectors):
-        for i, x in vec.items():
-            if not (0 <= i < m.rows):
-                raise ValueError("right-hand side index out of range")
-            if x:
-                data[(i, m.cols + j)] = \
-                    x.numerator * (scale // x.denominator) * m.den
-    aug = SparseMatrix._trusted(m.rows, m.cols + k, data, scale * m.den)
+    aug = SparseMatrix.hstack([m, SparseMatrix.from_columns(m.rows, vectors)])
     pivots, rows = _echelon(aug, rhs_cols=k)
     pivot_rows = {r for r, _ in pivots}
     # A non-pivot row with any remaining entry witnesses inconsistency for

@@ -308,14 +308,6 @@ def _kron(x, y):
          for (r2, c2), v2 in y.data.items()}, x.den * y.den)
 
 
-def tensor_power(m, k):
-    """k-fold Kronecker power of a sparse matrix (k = 0 gives the 1x1 unit)."""
-    out = SparseMatrix.identity(1)
-    for _ in range(k):
-        out = _kron(out, m)
-    return out
-
-
 def induced_chain_map(f, n_max):
     """Degree-wise matrices of the chain map Omega(f.source) -> C(U).
 
@@ -335,6 +327,8 @@ def induced_chain_map(f, n_max):
     pi_f = SparseMatrix.from_columns(target.dim - 1,
                                      [pi(col) for col in columns])
     maps = {0: f.matrix}
+    power = SparseMatrix.identity(1)
     for n in range(1, n_max + 1):
-        maps[n] = _kron(g, tensor_power(pi_f, n))
+        power = _kron(power, pi_f)  # (pi f)^{(x) n}
+        maps[n] = _kron(g, power)
     return maps

@@ -14,9 +14,8 @@ from cychom.algebra import (AlgebraHom, FiniteGroup, change_of_basis,
                             forget_unit, group_algebra, hecke_algebra,
                             matrix_algebra, symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
-from cychom.homology import (TotChainIndex, cyclic_homology,
-                             hochschild_homology, report_from_ranks,
-                             total_components, total_differential)
+from cychom.homology import (cyclic_homology, hochschild_homology,
+                             report_from_ranks, total_differential)
 from cychom.linalg import SparseMatrix, rank
 from cychom.mixed import build_mixed_complex
 from cychom.towers import DirectSystem
@@ -33,18 +32,6 @@ CANONICAL_NMAX = {
     "hecke_s3_s2": 6,
     "rand3": 5,
 }
-
-
-def split_flat(mc, n, flat):
-    """The Tot_n chain of a flat vector, split into its C_q summands."""
-    components, at = {}, 0
-    for q in total_components(n):
-        dim = mc.spaces[q].dim
-        part = {i - at: v for i, v in flat.items() if at <= i < at + dim and v}
-        if part:
-            components[q] = part
-        at += dim
-    return TotChainIndex(n, components)
 
 
 def rational_store(m):

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from conftest import hh_dims, split_flat
+from conftest import hh_dims
 from cychom.algebra import matrix_algebra
 from cychom.catalog import dual_numbers, ground_field, unimodular_scramble
-from cychom.errors import DegreeOutOfRange, NoCertificate, NotACycle
-from cychom.homology import (EvenLift, ObstructedLift, TotChainIndex,
-                             cyclic_homology, hochschild_homology,
+from cychom.errors import (DegreeOutOfRange, NoCertificate, NotACycle,
+                           ValidationError)
+from cychom.homology import (EvenLift, ObstructedLift, cyclic_homology,
+                             hochschild_homology,
                              homology_representatives, lift_to_periodic,
                              periodic_via_stabilization,
                              stabilization_certificate, total_components,
@@ -187,10 +188,11 @@ def test_periodic_refusals(homology_reports):
 
 def test_unit_lift_is_pinned(mixed_complexes):
     mc = mixed_complexes("dual")
-    lift = lift_to_periodic(TotChainIndex(0, {0: {0: QQ(1)}}), mc,
-                            top_degree=2)
+    lift = lift_to_periodic({0: QQ(1)}, 0, mc)
     assert isinstance(lift, EvenLift)
-    assert lift.components == {0: {0: QQ(1)}, 2: {0: QQ(-2), 8: QQ(1)}}
+    assert lift.top_degree == 6
+    assert lift.components[0] == {0: QQ(1)}
+    assert lift.components[2] == {0: QQ(-2), 8: QQ(1)}
     # the solved component satisfies its defining equation
     got = mc.b_tilde[2].apply(lift.components[2])
     want = {i: -v for i, v in mc.B_tilde[0].apply({0: QQ(1)}).items()}
@@ -199,7 +201,7 @@ def test_unit_lift_is_pinned(mixed_complexes):
 
 def test_obstructed_lift_on_dual_numbers(mixed_complexes, homology_reports):
     mc = mixed_complexes("dual")
-    res = lift_to_periodic(TotChainIndex(0, {0: {1: QQ(1)}}), mc)
+    res = lift_to_periodic({1: QQ(1)}, 0, mc)
     assert isinstance(res, ObstructedLift)
     assert res.degree == 2
     assert res.witness_degree == 1
@@ -217,17 +219,28 @@ def test_obstructed_lift_on_dual_numbers(mixed_complexes, homology_reports):
 def test_lift_rejects_bad_input(mixed_complexes):
     mc = mixed_complexes("dual")
     with pytest.raises(NotACycle):
-        lift_to_periodic(TotChainIndex(2, {2: {0: QQ(1)}}), mc)
+        lift_to_periodic({0: QQ(1)}, 2, mc)
+    # D_2 is nonzero on the C_0 summand alone, through B~
+    with pytest.raises(NotACycle):
+        lift_to_periodic({mc.spaces[2].dim: QQ(1)}, 2, mc)
     with pytest.raises(DegreeOutOfRange):
-        lift_to_periodic(TotChainIndex(1, {1: {0: QQ(1)}}), mc)
-    with pytest.raises(DegreeOutOfRange):
-        lift_to_periodic(TotChainIndex(0, {0: {0: QQ(1)}}), mc, top_degree=8)
+        lift_to_periodic({0: QQ(1)}, 1, mc)
+    # n_max is 6, so 8 is past the top even degree and -2 below Tot_0
+    for degree in (8, -2):
+        with pytest.raises(DegreeOutOfRange):
+            lift_to_periodic({0: QQ(1)}, degree, mc)
+    tot2 = sum(mc.spaces[q].dim for q in total_components(2))
+    for bad in (mc.spaces[0].dim, -1):
+        with pytest.raises(ValidationError):
+            lift_to_periodic({bad: QQ(1)}, 0, mc)
+    with pytest.raises(ValidationError):
+        lift_to_periodic({tot2: QQ(1)}, 2, mc)
 
 
-def test_random_cycles_lift_and_round_trip(algebras, mixed_complexes):
+def test_random_cycles_lift_and_round_trip(algebras):
     rng = random.Random(20240815)
     for name in ("z2", "z3"):
-        mc = mixed_complexes(name)
+        mc = build_mixed_complex(algebras[name], 6)
         for degree in (2, 4):
             ker = kernel_basis(total_differential(mc, degree))
             for _ in range(3):
@@ -240,12 +253,27 @@ def test_random_cycles_lift_and_round_trip(algebras, mixed_complexes):
                             vec[i] = s
                         else:
                             vec.pop(i, None)
-                chain = split_flat(mc, degree, vec)
-                lift = lift_to_periodic(chain, mc)
+                lift = lift_to_periodic(vec, degree, mc)
                 assert isinstance(lift, EvenLift), (name, degree)
                 assert lift.top_degree == 6
-                back = lift.truncate(degree)
-                assert back.components == chain.components
+                assert lift.truncate(degree) == vec
+
+
+def test_cyclic_representatives_lift_to_the_top(algebras):
+    """Every class representative homology_representatives names in HC_0,
+    HC_2 and HC_4 of C(A) is a flat Tot_n vector that lifts as it is, to a
+    Tot_6 cycle of the D_6 the ranks use."""
+    for name in ("z2", "z3"):
+        mc = build_mixed_complex(algebras[name], 6)
+        d6 = total_differential(mc, 6)
+        for degree in (0, 2, 4):
+            reps = homology_representatives(mc, "HC", degree)
+            assert reps, (name, degree)
+            for vec in reps:
+                lift = lift_to_periodic(vec, degree, mc)
+                assert isinstance(lift, EvenLift), (name, degree)
+                assert lift.truncate(degree) == vec
+                assert d6.apply(lift.truncate(6)) == {}
 
 
 def test_morita_comparisons():

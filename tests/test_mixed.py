@@ -16,8 +16,7 @@ from cychom.errors import DegreeOutOfRange, NotMultiplicative, SizeCapExceeded
 from cychom.homology import cyclic_homology, hochschild_homology
 from cychom.linalg import ONE, QQ, SparseMatrix
 from cychom.mixed import (MixedComplex, build_mixed_complex, cell_count,
-                          induced_chain_map, tensor_power,
-                          verify_mixed_identities)
+                          induced_chain_map, verify_mixed_identities)
 from cychom.towers import DirectSystem
 from reference_mixed import word_to_index
 
@@ -215,19 +214,6 @@ def test_induced_chain_map_requires_multiplicative():
     f = AlgebraHom(a, a, doubled)
     with pytest.raises(NotMultiplicative):
         DirectSystem([a, a], [f])
-
-
-def test_tensor_power_matches_kronecker():
-    m = SparseMatrix.from_dense([[1, 2], [0, 1]])
-    assert tensor_power(m, 0) == SparseMatrix.identity(1)
-    assert tensor_power(m, 1) == m
-    expected = SparseMatrix.from_dense([
-        [1, 2, 2, 4],
-        [0, 1, 0, 2],
-        [0, 0, 1, 2],
-        [0, 0, 0, 1]])
-    assert tensor_power(m, 2) == expected
-    assert tensor_power(m, 3).shape == (8, 8)
 
 
 def test_size_cap_refuses_oversized_build(algebras):
