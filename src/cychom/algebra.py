@@ -236,7 +236,7 @@ class AlgebraHom:
 
     def compose(self, other):
         """self . other (apply other first)."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
+        if other.target.dim != self.source.dim:
             raise ValidationError("homs not composable")
         return AlgebraHom(other.source, self.target, self.matrix @ other.matrix)
 
@@ -281,10 +281,7 @@ class FiniteGroup:
                             f"multiplication table not associative at ({i},{j},{k})")
 
     def inverse(self, i):
-        for j in range(self.order):
-            if self.table[i][j] == self.identity:
-                return j
-        raise ValidationError(f"element {i} has no inverse")
+        return self.table[i].index(self.identity)
 
     def is_subgroup(self, subset):
         elems = set(subset)
@@ -372,46 +369,33 @@ def hecke_algebra(g, k_elems):
     this normalization makes the inclusion into the group algebra
     multiplicative (it is the corner e_K Q[G] e_K, with e_K the averaging
     idempotent of K) and non-unital in general; hecke_inclusion(G, K, {e})
-    is that inclusion.
+    is that inclusion.  For K = {e} it is Q[G], with the same table and
+    unit as group_algebra(G).
+
+    The product of two K-bi-invariant functions is K-bi-invariant, so it
+    is constant on each double coset, and the double cosets partition G.
+    So the coefficient of D_d in D_i * D_j is read at one point, the least
+    element r_d of D_d: it is #{(x, y) in D_i x D_j : xy = r_d} / |K|.  The
+    pairs are counted in ints, y = x^{-1} r_d for each x in D_i.
     """
     if not g.is_subgroup(k_elems):
         raise NotASubgroup(f"{sorted(set(k_elems))} is not a subgroup")
     k_size = len(set(k_elems))
     cosets = double_cosets(g, k_elems)
-    dim = len(cosets)
-    inv_k = ONE / k_size
-
-    def basis_fn(d):
-        return {x: inv_k for x in cosets[d]}
-
+    coset_of = {x: d for d, coset in enumerate(cosets) for x in coset}
+    counts = {}
+    for i, coset in enumerate(cosets):
+        inverses = [g.inverse(x) for x in coset]
+        for d, other in enumerate(cosets):
+            for x_inv in inverses:
+                key = (i, coset_of[g.table[x_inv][other[0]]], d)
+                counts[key] = counts.get(key, 0) + 1
     table = {}
-    for i in range(dim):
-        fi = basis_fn(i)
-        for j in range(dim):
-            fj = basis_fn(j)
-            conv = {}
-            for x, a in fi.items():
-                for y, b in fj.items():
-                    z = g.table[x][y]
-                    conv[z] = conv.get(z, QQ(0)) + a * b
-            vec = {}
-            for d in range(dim):
-                rep = cosets[d][0]
-                val = conv.pop(rep, QQ(0)) * k_size
-                for other in cosets[d][1:]:
-                    got = conv.pop(other, QQ(0)) * k_size
-                    if got != val:
-                        raise ValidationError(
-                            "convolution not constant on a double coset")
-                if val:
-                    vec[d] = val
-            if conv:
-                raise ValidationError("convolution leaked outside double cosets")
-            if vec:
-                table[(i, j)] = vec
+    for (i, j, d), count in sorted(counts.items()):
+        table.setdefault((i, j), {})[d] = QQ(count, k_size)
     labels = tuple(f"K{g.element_names[c[0]]}K" for c in cosets)
-    unit = next(d for d, coset in enumerate(cosets) if g.identity in coset)
-    return Algebra(dim, table, unit={unit: ONE}, basis_labels=labels)
+    return Algebra(len(cosets), table, unit={coset_of[g.identity]: ONE},
+                   basis_labels=labels)
 
 
 def hecke_inclusion(g, k_elems, kp_elems, source=None, target=None):

@@ -424,14 +424,28 @@ def _orbifold_report(job):
     return 0, body
 
 
-_DISPATCH = {
-    "check": _check_report,
-    "hh": lambda job: _homology_report(job, "HH"),
-    "hc": lambda job: _homology_report(job, "HC"),
-    "hp": _hp_report,
-    "identities": _identities_report,
-    "tower": _tower_report,
-    "orbifold": _orbifold_report,
+# Each command's handler, its help text and the options it reads besides
+# path and --format
+_COMMANDS = {
+    "check": (_check_report, "parse and validate an algebra file", ()),
+    "hh": (lambda job: _homology_report(job, "HH"),
+           "Hochschild homology dimensions",
+           ("--max-degree", "--certificate")),
+    "hc": (lambda job: _homology_report(job, "HC"),
+           "cyclic homology dimensions", ("--max-degree",)),
+    "hp": (_hp_report,
+           "periodic cyclic homology through a vanishing certificate",
+           ("--max-degree", "--certificate")),
+    "identities": (_identities_report,
+                   "verify the three operator identities on the normalized "
+                   "mixed complex (on Omega(A) for an algebra without a unit)",
+                   ("--max-degree",)),
+    "tower": (_tower_report,
+              "continuity of homology along a tower of inclusions",
+              ("--max-degree",)),
+    "orbifold": (_orbifold_report,
+                 "invariant Betti numbers of torus quotient components",
+                 ("--oracle",)),
 }
 
 
@@ -483,22 +497,20 @@ def render_report(report, fmt):
 def run(job, out=None):
     """Execute one job and write its report; returns the exit code."""
     out = sys.stdout if out is None else out
+    handler, _, options = _COMMANDS[job.command]
     header = {"tool": "cychom",
               "version": __version__,
               "command": job.command,
               "input": job.path,
               "input_sha256": _digest(job.path),
-              "max_degree": job.max_degree if job.command not in
-              ("check", "orbifold") else None}
+              "max_degree": job.max_degree if "--max-degree" in options
+              else None}
     try:
-        code, body = _DISPATCH[job.command](job)
+        code, body = handler(job)
     except ParseError as e:
         code, body = 1, {"error": "parse", "message": str(e)}
     except (SizeCapExceeded, OrderCapExceeded) as e:
         code, body = 2, {"error": "size_cap", "message": str(e)}
-    except NoCertificate as e:
-        code, body = 3, {"error": "no_certificate", "message": str(e),
-                         "status": "NOT_ESTABLISHED"}
     except CychomError as e:
         code, body = 1, {"error": "validation", "message": str(e)}
     report = {**header, **body}
@@ -506,22 +518,6 @@ def run(job, out=None):
     return code
 
 
-# Each command's help text and the options it reads besides path and --format
-_COMMANDS = {
-    "check": ("parse and validate an algebra file", ()),
-    "hh": ("Hochschild homology dimensions",
-           ("--max-degree", "--certificate")),
-    "hc": ("cyclic homology dimensions", ("--max-degree",)),
-    "hp": ("periodic cyclic homology through a vanishing certificate",
-           ("--max-degree", "--certificate")),
-    "identities": ("verify the three operator identities on the normalized "
-                   "mixed complex (on Omega(A) for an algebra without a unit)",
-                   ("--max-degree",)),
-    "tower": ("continuity of homology along a tower of inclusions",
-              ("--max-degree",)),
-    "orbifold": ("invariant Betti numbers of torus quotient components",
-                 ("--oracle",)),
-}
 _OPTIONS = {
     "--max-degree": {"type": int, "default": DEFAULT_MAX_DEGREE,
                      "help": "truncation degree (default 4)"},
@@ -544,7 +540,7 @@ def build_parser():
                      description="Exact Hochschild/cyclic/periodic homology "
                                  "of finite-dimensional rational algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _COMMANDS.items():
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="input file")
         p.add_argument("--format", choices=("text", "json"), default="text",

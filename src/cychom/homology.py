@@ -321,13 +321,13 @@ class EvenLift:
     """An even cycle extended through the periodicity tower.
 
     components[2k] solves b~ f_{2k+2} = -B~ f_{2k} for all consecutive even
-    degrees from base_degree up to top_degree; space_dims[q] = dim C_q.
+    degrees from the starting degree up to top_degree; space_dims[q] =
+    dim C_q.
     """
 
-    __slots__ = ("base_degree", "top_degree", "components", "space_dims")
+    __slots__ = ("top_degree", "components", "space_dims")
 
-    def __init__(self, base_degree, top_degree, components, space_dims):
-        self.base_degree = base_degree
+    def __init__(self, top_degree, components, space_dims):
         self.top_degree = top_degree
         self.components = components
         self.space_dims = space_dims
@@ -392,5 +392,4 @@ def lift_to_periodic(c, degree, mc):
                                   witness=witness, partial=comps)
         if found:
             comps[2 * k + 2] = found
-    return EvenLift(base_degree=degree, top_degree=top, components=comps,
-                    space_dims=dims)
+    return EvenLift(top_degree=top, components=comps, space_dims=dims)

@@ -348,7 +348,7 @@ def rank(m):
 def pivot_columns(m):
     """Indices of a maximal independent set of columns, scanning left to right."""
     pivots, _ = _echelon(m)
-    return sorted(c for _, c in pivots)
+    return [c for _, c in pivots]
 
 
 def kernel_basis(m):

@@ -222,10 +222,9 @@ class MixedComplex:
     B_tilde[n] : C_n -> C_{n+1} for 0 <= n <= n_max - 1.
     """
 
-    __slots__ = ("algebra", "n_max", "spaces", "b_tilde", "B_tilde")
+    __slots__ = ("n_max", "spaces", "b_tilde", "B_tilde")
 
-    def __init__(self, algebra, n_max, spaces, b_tilde, B_tilde):
-        self.algebra = algebra
+    def __init__(self, n_max, spaces, b_tilde, B_tilde):
         self.n_max = n_max
         self.spaces = spaces
         self.b_tilde = b_tilde
@@ -248,7 +247,7 @@ def build_mixed_complex(a, n_max):
                for n in range(1, n_max + 1)}
     B_tilde = {n: _connes_B(tables, spaces[n].dim, spaces[n + 1].dim, n)
                for n in range(n_max)}
-    return MixedComplex(a, n_max, spaces, b_tilde, B_tilde)
+    return MixedComplex(n_max, spaces, b_tilde, B_tilde)
 
 
 class MixedIdentityReport:
@@ -274,28 +273,23 @@ class MixedIdentityReport:
 
 
 def verify_mixed_identities(mc):
-    bb = {}
-    anti = {}
-    BB = {}
-    witness = None
-    for n in range(2, mc.n_max + 1):
-        prod = mc.b_tilde[n - 1] @ mc.b_tilde[n]
-        bb[n] = prod.is_zero()
-        if not bb[n] and witness is None:
-            witness = ("b~b~", n, prod.first_nonzero())
-    for n in range(0, mc.n_max):
-        acc = mc.b_tilde[n + 1] @ mc.B_tilde[n]
-        if n >= 1:
-            acc = acc + mc.B_tilde[n - 1] @ mc.b_tilde[n]
-        anti[n] = acc.is_zero()
-        if not anti[n] and witness is None:
-            witness = ("b~B~+B~b~", n, acc.first_nonzero())
-    for n in range(0, mc.n_max - 1):
-        prod = mc.B_tilde[n + 1] @ mc.B_tilde[n]
-        BB[n] = prod.is_zero()
-        if not BB[n] and witness is None:
-            witness = ("B~B~", n, prod.first_nonzero())
-    return MixedIdentityReport(bb, anti, BB, witness)
+    b, B = mc.b_tilde, mc.B_tilde
+    identities = (
+        ("b~b~", range(2, mc.n_max + 1), lambda n: b[n - 1] @ b[n]),
+        ("b~B~+B~b~", range(mc.n_max),
+         lambda n: (b[n + 1] @ B[n] + B[n - 1] @ b[n]) if n else b[1] @ B[0]),
+        ("B~B~", range(mc.n_max - 1), lambda n: B[n + 1] @ B[n]),
+    )
+    checks, witness = [], None
+    for name, degrees, product in identities:
+        passed = {}
+        for n in degrees:
+            m = product(n)
+            passed[n] = m.is_zero()
+            if not passed[n] and witness is None:
+                witness = (name, n, m.first_nonzero())
+        checks.append(passed)
+    return MixedIdentityReport(*checks, witness)
 
 
 def _kron(x, y):

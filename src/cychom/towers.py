@@ -30,8 +30,7 @@ complexes and chain maps off the continuity report and ranks only its two
 filtration degrees, none for a one-stage tower.
 """
 
-from .algebra import (AlgebraHom, forget_unit, group_algebra, hecke_algebra,
-                      hecke_inclusion)
+from .algebra import AlgebraHom, forget_unit, hecke_algebra, hecke_inclusion
 from .errors import NotAChain, NotInjective, ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
                        periodic_via_stabilization, stabilized_degrees)
@@ -98,8 +97,7 @@ def hecke_tower(g, chain):
             raise NotAChain(f"subgroup {i + 1} is not contained in subgroup {i}")
     if chain[-1] != [g.identity]:
         raise NotAChain("chain must end at the trivial subgroup")
-    stages = [hecke_algebra(g, k) for k in chain[:-1]]
-    stages.append(group_algebra(g))
+    stages = [hecke_algebra(g, k) for k in chain]
     maps = [hecke_inclusion(g, chain[i], chain[i + 1],
                             source=stages[i], target=stages[i + 1])
             for i in range(len(chain) - 1)]

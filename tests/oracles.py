@@ -227,6 +227,43 @@ def m2_rationals():
     return 2 * 2, mult
 
 
+def hecke_convolution(table, k_elems):
+    """The double-coset algebra of (G, K) by convolution over all of G.
+
+    table is G's multiplication table as index rows, k_elems the elements
+    of K.  The basis element of a double coset is its indicator over |K|,
+    and the cosets are ordered by their least elements.  Each product is
+    convolved as a function on G and read back on every element of every
+    coset.  Returns (dim, mult, unit): mult in this module's format, unit
+    the index of K's own coset.
+    """
+    order = len(table)
+    k_size = len(set(k_elems))
+    cosets = []
+    for x in range(order):
+        if not any(x in c for c in cosets):
+            cosets.append(sorted({table[table[a][x]][b]
+                                  for a in k_elems for b in k_elems}))
+    assert sorted(x for c in cosets for x in c) == list(range(order))
+    mult = {}
+    for i, ci in enumerate(cosets):
+        for j, cj in enumerate(cosets):
+            conv = [F(0)] * order
+            for x in ci:
+                for y in cj:
+                    conv[table[x][y]] += F(1, k_size * k_size)
+            terms = []
+            for d, cd in enumerate(cosets):
+                values = {conv[z] * k_size for z in cd}
+                assert len(values) == 1, "convolution not constant on a coset"
+                value = values.pop()
+                if value:
+                    terms.append((d, value))
+            mult[(i, j)] = tuple(terms)
+    unit = next(d for d, c in enumerate(cosets) if k_elems[0] in c)
+    return len(cosets), mult, unit
+
+
 def main():
     jobs = [
         ("ground field", ground_field(), 5, 5),

@@ -178,6 +178,39 @@ def test_hecke_algebra_s3():
         hecke_algebra(g, (g.identity, three_cycle))
 
 
+def subgroups(g):
+    """Every subgroup of g, as a sorted tuple: the closures of all pairs of
+    elements, which reach every subgroup of the groups tested here."""
+    found = set()
+    for a in range(g.order):
+        for b in range(a, g.order):
+            closure = {g.identity}
+            frontier = [a, b]
+            while frontier:
+                x = frontier.pop()
+                if x not in closure:
+                    closure.add(x)
+                    frontier.extend(g.table[x][y] for y in list(closure))
+                    frontier.extend(g.table[y][x] for y in list(closure))
+            found.add(tuple(sorted(closure)))
+    return sorted(found)
+
+
+def test_hecke_algebra_matches_convolution_on_every_subgroup():
+    groups = (FiniteGroup.cyclic(4), FiniteGroup.cyclic(6),
+              FiniteGroup.symmetric(3), FiniteGroup.symmetric(4))
+    checked = 0
+    for g in groups:
+        for k in subgroups(g):
+            dim, mult, unit = oracles.hecke_convolution(g.table, k)
+            want = {key: dict(terms) for key, terms in mult.items() if terms}
+            h = hecke_algebra(g, k)
+            assert (h.dim, h.table, h.unit) == (dim, want, {unit: QQ(1)}), k
+            checked += 1
+    # Z/4: 3 subgroups, Z/6: 4, S_3: 6, S_4: 30
+    assert checked == 43
+
+
 def test_hecke_inclusion_composes_and_is_multiplicative():
     g, perms = symmetric_group_with_perms(3)
     s2 = [i for i, p in enumerate(perms) if p[2] == 2]

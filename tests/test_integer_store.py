@@ -162,8 +162,7 @@ def test_identities_on_z4_construct_no_fraction(fractions_made):
     # the counter sees a Fraction: a corrupted complex reports its witness
     bad = dict(mc.b_tilde)
     bad[2] = bad[2] + SparseMatrix(bad[2].rows, bad[2].cols, [(0, 0, 1)])
-    corrupted = MixedComplex(mc.algebra, mc.n_max, mc.spaces, bad,
-                             mc.B_tilde)
+    corrupted = MixedComplex(mc.n_max, mc.spaces, bad, mc.B_tilde)
     fractions_made["on"] = True
     assert verify_mixed_identities(corrupted).witness is not None
     assert fractions_made["made"] > 0

@@ -159,7 +159,7 @@ def test_identity_report_flags_corruption():
     bad_B = dict(mc.B_tilde)
     bump = SparseMatrix(bad_B[1].rows, bad_B[1].cols, [(0, 0, 1)])
     bad_B[1] = bad_B[1] + bump
-    corrupted = MixedComplex(a, 3, mc.spaces, mc.b_tilde, bad_B)
+    corrupted = MixedComplex(3, mc.spaces, mc.b_tilde, bad_B)
     report = verify_mixed_identities(corrupted)
     assert not report.all_pass
     assert all(report.bb.values())

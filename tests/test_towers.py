@@ -1,5 +1,6 @@
 """Direct systems of algebra inclusions and continuity along them."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,15 @@ def test_s3_tower_continuity(s3_tower, s3_data):
     assert [row[0] for row in cont.image_filtration] == [2, 3]
     assert cont.monotone
     assert cont.final_dims == hh_dims(group_algebra(g), 3)
+
+
+@pytest.mark.parametrize("name", ["z4_tower", "s3_tower"])
+def test_hecke_tower_ends_at_the_group_algebra(name):
+    path = DATA / "towers" / f"{name}.json"
+    final = parse_tower_file(path).stages[-1]
+    g = FiniteGroup(json.loads(path.read_text())["group"])
+    assert (final.table, final.unit) == (group_algebra(g).table,
+                                         group_algebra(g).unit)
 
 
 def test_z4_tower_continuity(z4_tower):
