@@ -9,7 +9,7 @@ a finite group pair (G, K) under convolution, and direct sums.
 from itertools import permutations
 from math import lcm
 
-from .errors import NotASubgroup, NotMultiplicative, ValidationError
+from .errors import ValidationError
 from .linalg import ONE, QQ, SparseMatrix, as_rational, invert, rank, vec_eq
 
 
@@ -82,21 +82,13 @@ class Algebra:
         return f"Algebra(dim={self.dim}, unital={self.is_unital()})"
 
 
-class AssocCheck:
-    __slots__ = ("ok", "failing_triple")
-
-    def __init__(self, ok, failing_triple):
-        self.ok = ok
-        self.failing_triple = failing_triple
-
-
 def check_associativity(a):
     """Verify (e_i e_j) e_k = e_i (e_j e_k) for all dim^3 triples.
 
-    Returns AssocCheck(True, None) or AssocCheck(False, first failing triple)
-    in lexicographic order.  The table is scaled once to ints t = L c, L the
-    lcm of its denominators; the difference of the two sides of a triple is
-    then L^2 times the rational one, summed in ints.
+    Returns None when every triple associates, else the first failing
+    triple (i, j, k) in lexicographic order.  The table is scaled once to
+    ints t = L c, L the lcm of its denominators; the difference of the two
+    sides of a triple is then L^2 times the rational one, summed in ints.
     """
     den = lcm(*[c.denominator for vec in a.table.values()
                 for c in vec.values()])
@@ -114,8 +106,8 @@ def check_associativity(a):
                     for x, v in row[m]:
                         diff[x] = diff.get(x, 0) - c * v
                 if any(diff.values()):
-                    return AssocCheck(False, (i, j, k))
-    return AssocCheck(True, None)
+                    return i, j, k
+    return None
 
 
 def unitize(a):
@@ -227,7 +219,7 @@ class AlgebraHom:
                 lhs = self.apply(self.source.product(i, j))
                 rhs = self.target.multiply(cols[i], cols[j])
                 if not vec_eq(lhs, rhs):
-                    raise NotMultiplicative(
+                    raise ValidationError(
                         f"hom fails multiplicativity on basis pair ({i}, {j})")
         return True
 
@@ -379,7 +371,7 @@ def hecke_algebra(g, k_elems):
     pairs are counted in ints, y = x^{-1} r_d for each x in D_i.
     """
     if not g.is_subgroup(k_elems):
-        raise NotASubgroup(f"{sorted(set(k_elems))} is not a subgroup")
+        raise ValidationError(f"{sorted(set(k_elems))} is not a subgroup")
     k_size = len(set(k_elems))
     cosets = double_cosets(g, k_elems)
     coset_of = {x: d for d, coset in enumerate(cosets) for x in coset}
@@ -398,8 +390,8 @@ def hecke_algebra(g, k_elems):
                    basis_labels=labels)
 
 
-def hecke_inclusion(g, k_elems, kp_elems, source=None, target=None):
-    """The inclusion hecke(G, K) -> hecke(G, K') for K' a subgroup of K.
+def hecke_inclusion(g, k_elems, kp_elems, source, target):
+    """The inclusion source = hecke(G, K) -> target = hecke(G, K'), K' <= K.
 
     On functions this is the identity; in double-coset bases the basis element
     of a K-coset D expands over the K'-cosets D' contained in D with
@@ -407,11 +399,7 @@ def hecke_inclusion(g, k_elems, kp_elems, source=None, target=None):
     """
     k_set, kp_set = set(k_elems), set(kp_elems)
     if not kp_set <= k_set:
-        raise NotASubgroup("K' is not contained in K")
-    if source is None:
-        source = hecke_algebra(g, k_elems)
-    if target is None:
-        target = hecke_algebra(g, kp_elems)
+        raise ValidationError("K' is not contained in K")
     big = double_cosets(g, k_elems)
     small = double_cosets(g, kp_elems)
     small_of = {}

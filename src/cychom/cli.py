@@ -11,12 +11,12 @@ report is reproducible from the file it names.  JSON output is canonical
 (sorted keys, two-space indent, rationals as "num/den" strings) and
 round-trips byte-identically through json.loads/dumps.
 
-Exit codes: 0 success; 1 parse or validation failure; 2 size-cap refusal:
-a chain space over mixed.CELL_CAP cells or a group closure over
-orbifold.ORDER_CAP elements, refused before the work starts, or an orbifold
-component whose work would exceed orbifold.WORK_CAP; 3 a periodic computation
-refused for lack of a vanishing certificate (a mathematical outcome, not an
-error).
+Exit codes: 0 success; 1 a ParseError ("parse") or a ValidationError
+("validation"); 2 a SizeCapExceeded ("size_cap"): a chain space over
+mixed.CELL_CAP cells or a group closure over orbifold.ORDER_CAP elements,
+refused before the work starts, or an orbifold component whose work would
+exceed orbifold.WORK_CAP; 3 a NoCertificate: a periodic computation refused
+for lack of a vanishing certificate (a mathematical outcome, not an error).
 
 Every job pays for what importing this module loads, so it loads only what
 the homology commands run: argparse is imported by build_parser, which run()
@@ -41,8 +41,8 @@ except ImportError:
 
 from . import __version__
 from .algebra import Algebra, AlgebraHom, FiniteGroup, check_associativity
-from .errors import (CychomError, NoCertificate, OrderCapExceeded,
-                     ParseError, SizeCapExceeded, ValidationError)
+from .errors import (CychomError, NoCertificate, ParseError, SizeCapExceeded,
+                     ValidationError)
 from .homology import (cyclic_homology, hochschild_homology,
                        stabilization_certificate)
 from .linalg import QQ, SparseMatrix
@@ -155,10 +155,9 @@ def _algebra_from_doc(doc, path):
             if vec:
                 table[(i, j)] = vec
     algebra = Algebra(dim, table, unit=unit, basis_labels=labels)
-    result = check_associativity(algebra)
-    if not result.ok:
-        raise ValidationError(
-            f"associativity fails on basis triple {result.failing_triple}")
+    triple = check_associativity(algebra)
+    if triple is not None:
+        raise ValidationError(f"associativity fails on basis triple {triple}")
     return algebra
 
 
@@ -509,7 +508,7 @@ def run(job, out=None):
         code, body = handler(job)
     except ParseError as e:
         code, body = 1, {"error": "parse", "message": str(e)}
-    except (SizeCapExceeded, OrderCapExceeded) as e:
+    except SizeCapExceeded as e:
         code, body = 2, {"error": "size_cap", "message": str(e)}
     except CychomError as e:
         code, body = 1, {"error": "validation", "message": str(e)}

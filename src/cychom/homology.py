@@ -36,7 +36,7 @@ All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
 """
 
-from .errors import DegreeOutOfRange, NoCertificate, NotACycle, ValidationError
+from .errors import NoCertificate, ValidationError
 from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
                      pivot_columns, solve)
 
@@ -76,7 +76,7 @@ def differential_blocks(mc, theory, n):
 def total_differential(mc, n):
     """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix."""
     if n < 1 or n > mc.n_max:
-        raise DegreeOutOfRange(f"total differential needs 1 <= n <= {mc.n_max}")
+        raise ValidationError(f"total differential needs 1 <= n <= {mc.n_max}")
     blocks, dst, src = differential_blocks(mc, "HC", n)
     return SparseMatrix.from_blocks(
         blocks,
@@ -154,9 +154,9 @@ def report_from_ranks(mc, theory, max_degree, ranks):
 
 def _require_depth(mc, max_degree):
     if max_degree < 0:
-        raise DegreeOutOfRange("max_degree must be nonnegative")
+        raise ValidationError("max_degree must be nonnegative")
     if mc.n_max < max_degree + 1:
-        raise DegreeOutOfRange(
+        raise ValidationError(
             f"mixed complex truncated at {mc.n_max}; degree {max_degree} "
             f"needs the differential at {max_degree + 1}")
 
@@ -193,7 +193,7 @@ def homology_representatives(mc, theory, degree):
     (cycles in Tot_degree modulo total boundaries, as flat vectors).
     """
     if degree < 0 or degree + 1 > mc.n_max:
-        raise DegreeOutOfRange(
+        raise ValidationError(
             f"representatives at degree {degree} need depth {degree + 1}")
     cycles = (tuple({i: ONE} for i in range(mc.spaces[0].dim)) if degree == 0
               else kernel_basis(differential(mc, theory, degree)))
@@ -371,7 +371,7 @@ def lift_to_periodic(c, degree, mc):
     """
     top = mc.n_max - mc.n_max % 2
     if degree % 2 or not 0 <= degree <= top:
-        raise DegreeOutOfRange(f"lift starts from an even degree <= {top}")
+        raise ValidationError(f"lift starts from an even degree <= {top}")
     dims = tuple(mc.spaces[q].dim for q in range(top + 1))
     comps, at = {}, 0
     for q in total_components(degree):
@@ -382,7 +382,7 @@ def lift_to_periodic(c, degree, mc):
     if any(not 0 <= i < at for i in c):
         raise ValidationError(f"coordinate out of range in Tot_{degree}")
     if degree and total_differential(mc, degree).apply(c):
-        raise NotACycle(f"D_{degree} is nonzero on the chain")
+        raise ValidationError(f"D_{degree} is nonzero on the chain")
     for k in range(degree // 2, top // 2):
         witness = mc.B_tilde[2 * k].apply(comps.get(2 * k, {}))
         rhs = {i: -v for i, v in witness.items()}

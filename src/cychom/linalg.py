@@ -185,12 +185,6 @@ class SparseMatrix:
                 out[r] = out.get(r, ZERO) + v * x
         return {r: s / self.den for r, s in out.items() if s}
 
-    def __neg__(self):
-        # the negatives of a canonical store's ints, at the same positions
-        return SparseMatrix._trusted(
-            self.rows, self.cols, {k: -v for k, v in self.data.items()},
-            self.den)
-
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix addition")
@@ -206,9 +200,6 @@ class SparseMatrix:
             else:
                 del data[key]
         return SparseMatrix._trusted(self.rows, self.cols, data, den)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __matmul__(self, other):
         """The product, summed in integers over the product of the
@@ -437,5 +428,5 @@ def invert(m):
     cols = solve_columns(m, SparseMatrix.identity(m.rows).columns())
     if any(c is None for c in cols):
         return None
-    inv = SparseMatrix.from_columns(m.rows, cols)
-    return inv if (m @ inv) == SparseMatrix.identity(m.rows) else None
+    # solve_columns is exact, so column j solves m x = e_j and m @ inv = I
+    return SparseMatrix.from_columns(m.rows, cols)

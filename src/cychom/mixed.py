@@ -47,7 +47,7 @@ from itertools import product
 from math import lcm
 
 from .algebra import unitize
-from .errors import DegreeOutOfRange, SizeCapExceeded
+from .errors import SizeCapExceeded, ValidationError
 from .linalg import ONE, SparseMatrix
 
 # The one size guard for chain complexes: check_size refuses a complex whose
@@ -238,7 +238,7 @@ def build_mixed_complex(a, n_max):
     more than CELL_CAP cells.
     """
     if n_max < 0:
-        raise DegreeOutOfRange("n_max must be nonnegative")
+        raise ValidationError("n_max must be nonnegative")
     check_size(a, n_max)
     ua = a if a.unit else unitize(a)
     tables = _operator_tables(ua)

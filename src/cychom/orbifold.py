@@ -12,8 +12,7 @@ homology.
 import warnings
 from itertools import combinations, permutations
 
-from .errors import (NonIntegerAverage, OrderCapExceeded, SizeCapExceeded,
-                     ValidationError)
+from .errors import SizeCapExceeded, ValidationError
 from .linalg import QQ, SparseMatrix, rank
 
 # enumerate_group refuses a closure larger than this; read at call time.
@@ -77,15 +76,14 @@ def _charpoly(w):
 
     Computed by the trace recursion M_1 = w, c_p = -tr(M_p)/p,
     M_{p+1} = w (M_p + c_p I).  Every M_p of an integer matrix is an integer
-    matrix, so the recursion runs in ints; each division is checked exact.
+    matrix, so the recursion runs in ints.
     """
     k = len(w)
     coeffs = [1]
     m = w
     for p in range(1, k + 1):
-        c, rem = divmod(-sum(m[i][i] for i in range(k)), p)
-        if rem:
-            raise ValidationError("characteristic coefficient not integral")
+        # exact: c_p is a coefficient of det(tI - w), an integer polynomial
+        c = -sum(m[i][i] for i in range(k)) // p
         coeffs.append(c)
         if p == k:
             break
@@ -108,7 +106,7 @@ def enumerate_group(c):
 
     Breadth-first closure under multiplication, returned in sorted order
     (tuples compare entrywise, so the ordering is canonical).  Exceeding
-    ORDER_CAP raises OrderCapExceeded; a generator of infinite order is
+    ORDER_CAP raises SizeCapExceeded; a generator of infinite order is
     caught the same way, and this is the only stop for one.  Work over
     WORK_CAP raises SizeCapExceeded: before anything is allocated, when the
     generators' determinant checks and one characteristic polynomial
@@ -135,7 +133,7 @@ def enumerate_group(c):
                 if y not in group:
                     group.add(y)
                     if len(group) > ORDER_CAP:
-                        raise OrderCapExceeded(
+                        raise SizeCapExceeded(
                             f"group closure exceeded {ORDER_CAP} elements")
                     _refuse_costly(c, len(group) * step,
                                    "|W| * generators * rank^3")
@@ -191,14 +189,12 @@ def averaged_projector_rank(elements, p):
 def invariant_betti(c, cross_check=False):
     """Betti numbers (beta_0, ..., beta_k) of the invariant forms on T^k/W.
 
-    beta_p is the character average of tr Lambda^p over the group; a
-    non-integer or negative average raises NonIntegerAverage since it is
-    impossible for a genuine finite group action.  cross_check additionally
-    compares every degree against the averaged-projector rank.  Above rank
-    6 the exterior power matrices grow combinatorially, so the check is
-    skipped there with a warning naming the component.  A component with
-    |W| * rank^4 over WORK_CAP is refused with SizeCapExceeded before any
-    average is taken.
+    beta_p is the character average of tr Lambda^p over the group.
+    cross_check additionally compares every degree against the
+    averaged-projector rank.  Above rank 6 the exterior power matrices grow
+    combinatorially, so the check is skipped there with a warning naming the
+    component.  A component with |W| * rank^4 over WORK_CAP is refused with
+    SizeCapExceeded before any average is taken.
     """
     elements = enumerate_group(c)
     order = len(elements)
@@ -208,11 +204,9 @@ def invariant_betti(c, cross_check=False):
     betti = []
     for p in range(c.rank + 1):
         sign = 1 if p % 2 == 0 else -1
-        avg = QQ(sign * sum(cp[p] for cp in polys)) / order
-        if avg.denominator != 1 or avg < 0:
-            raise NonIntegerAverage(
-                f"degree {p} average {avg} is not a nonnegative integer")
-        betti.append(int(avg))
+        # exact: enumerate_group returns a finite monoid of invertible
+        # matrices, which is a group, so the average is dim (Lambda^p)^W
+        betti.append(sign * sum(cp[p] for cp in polys) // order)
     if cross_check and c.rank > 6:
         warnings.warn(f"component {c.label!r} has rank {c.rank} > 6: "
                       "projector cross-check skipped")

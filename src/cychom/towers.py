@@ -31,7 +31,7 @@ filtration degrees, none for a one-stage tower.
 """
 
 from .algebra import AlgebraHom, forget_unit, hecke_algebra, hecke_inclusion
-from .errors import NotAChain, NotInjective, ValidationError
+from .errors import ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
                        periodic_via_stabilization, stabilized_degrees)
 from .linalg import SparseMatrix, rank
@@ -62,7 +62,7 @@ class DirectSystem:
                 raise ValidationError(f"map {i} has the wrong shape")
             f.validate()
             if not f.is_injective():
-                raise NotInjective(f"stage map {i} is not injective")
+                raise ValidationError(f"stage map {i} is not injective")
         self.stages = stages
         self.maps = maps
         final = stages[-1]
@@ -91,12 +91,12 @@ def hecke_tower(g, chain):
     """
     chain = [sorted(set(k)) for k in chain]
     if not chain:
-        raise NotAChain("empty subgroup chain")
+        raise ValidationError("empty subgroup chain")
     for i in range(len(chain) - 1):
         if not set(chain[i + 1]) <= set(chain[i]):
-            raise NotAChain(f"subgroup {i + 1} is not contained in subgroup {i}")
+            raise ValidationError(f"subgroup {i + 1} is not contained in subgroup {i}")
     if chain[-1] != [g.identity]:
-        raise NotAChain("chain must end at the trivial subgroup")
+        raise ValidationError("chain must end at the trivial subgroup")
     stages = [hecke_algebra(g, k) for k in chain]
     maps = [hecke_inclusion(g, chain[i], chain[i + 1],
                             source=stages[i], target=stages[i + 1])

