@@ -20,12 +20,14 @@ def show(name, algebra, max_degree=5):
     hh, hc = hochschild_and_cyclic(mc, max_degree)
     print(f"{name}: HH dims {hh.dims}")
     try:
-        hp, = periodic_via_stabilization([hh], [hc])
+        hp = periodic_via_stabilization([hh], [hc])
     except NoCertificate as e:
         print(f"{name}: HP refused ({e})")
         return mc
-    cert = hp.certificate
-    print(f"{name}: HP (even, odd) = {hp.dims}, certified by vanishing "
+    # one algebra is a one-stage tower
+    dims, = hp.dims
+    cert, = hp.certificates
+    print(f"{name}: HP (even, odd) = {dims}, certified by vanishing "
           f"above degree {cert.vanishing_bound}, read at degrees "
           f"({cert.even_degree}, {cert.odd_degree})")
     return mc

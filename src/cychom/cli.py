@@ -309,14 +309,10 @@ class JobSpec:
 
 
 def _certificate_fields(cert):
+    """Every field of a StabilizationCertificate, under its own name."""
     if cert is None:
         return None
-    out = {"vanishing_bound": cert.vanishing_bound,
-           "checked_through": cert.checked_through,
-           "even_degree": cert.even_degree,
-           "odd_degree": cert.odd_degree,
-           "even_repeat_equal": cert.even_repeat_equal,
-           "odd_repeat_equal": cert.odd_repeat_equal}
+    out = {name: getattr(cert, name) for name in cert.__slots__}
     out["verified_degrees"] = list(cert.verified_degrees)
     return out
 
@@ -340,16 +336,14 @@ def _hp_report(job):
     ds = DirectSystem([parse_algebra_file(job.path)], [])
     cont = continuity_check(ds, job.max_degree)
     try:
-        report = hp_continuity_check(cont).stages[0]
+        hp = hp_continuity_check(cont).periodic
     except NoCertificate:
-        body = {"status": "NOT_ESTABLISHED",
-                "hh_dims": list(cont.final_dims),
-                "certificate": None}
-        return 3, body
-    body = {"status": "ESTABLISHED",
-            "hp_even": report.dims[0],
-            "hp_odd": report.dims[1],
-            "certificate": _certificate_fields(report.certificate)}
+        return 3, {"status": "NOT_ESTABLISHED",
+                   "hh_dims": list(cont.final_dims),
+                   "certificate": None}
+    (even, odd), = hp.dims
+    body = {"status": "ESTABLISHED", "hp_even": even, "hp_odd": odd,
+            "certificate": _certificate_fields(hp.certificates[0])}
     if job.certificate:
         body["hh_dims"] = list(cont.final_dims)
     return 0, body
@@ -393,12 +387,13 @@ def _tower_report(job):
     except NoCertificate as e:
         body["hp"] = {"status": "NOT_ESTABLISHED", "reason": str(e)}
         return 3, body
+    periodic = hp.periodic
     body["hp"] = {"status": "ESTABLISHED",
-                  "common_bound": hp.common_bound,
-                  "even_degree": hp.even_degree,
-                  "odd_degree": hp.odd_degree,
-                  "stage_even": list(hp.stage_even),
-                  "stage_odd": list(hp.stage_odd),
+                  "common_bound": periodic.common_bound,
+                  "even_degree": periodic.even_degree,
+                  "odd_degree": periodic.odd_degree,
+                  "stage_even": [even for even, _ in periodic.dims],
+                  "stage_odd": [odd for _, odd in periodic.dims],
                   "even_filtration": list(hp.even_filtration),
                   "odd_filtration": list(hp.odd_filtration),
                   "monotone": hp.monotone}
@@ -414,8 +409,8 @@ def _orbifold_report(job):
         table = even_odd_totals(components, gl_rank=gl_rank,
                                 cross_check=job.oracle)
     body = {"components": [
-        {"label": label, "rank": c.rank, "betti": list(row)}
-        for label, row, c in zip(table.labels, table.rows, components)],
+        {"label": c.label, "rank": c.rank, "betti": list(row)}
+        for c, row in zip(components, table.rows)],
         "even": table.even,
         "odd": table.odd,
         "oracle_checked": job.oracle,

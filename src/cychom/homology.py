@@ -18,8 +18,9 @@ route: once HH_n = 0 has been verified for all n > N up to the truncation
 depth, the cyclic dimensions repeat with period two above N and the
 repeating values are the periodic ones.  periodic_via_stabilization states
 that rule once, for one algebra or a tower of them, and is the only code
-that decides or words a refusal; the tool refuses rather than guesses, and
-every certificate records how far vanishing was actually checked.
+that decides or words a refusal; the tool refuses rather than guesses.  Its
+PeriodicReport is built whole with every stage's certificate, and every
+certificate records how far vanishing was actually checked.
 
 Every report is built from the ranks of its differentials
 (report_from_ranks), and every command ranks them the same way:
@@ -103,25 +104,22 @@ def total_rank_split(mc, n):
 # ------------------------------------------------------------------- reports
 
 class HomologyReport:
-    """Per-degree dimensions for one theory.
+    """Per-degree dimensions for one theory, "HH" or "HC".
 
-    theory is "HH", "HC", or "HP".  For HH and HC, dims[n] is the degree-n
-    dimension and space_dims[n] = dim C_n for 0 <= n <= max_degree, and
-    boundary_ranks[n] = rank d_n for 0 <= n <= max_degree + 1.  For HP, dims
-    is the pair (even, odd) and certificate carries the stabilization data.
+    dims[n] is the degree-n dimension and space_dims[n] = dim C_n for
+    0 <= n <= max_degree, and boundary_ranks[n] = rank d_n for
+    0 <= n <= max_degree + 1.
     """
 
     __slots__ = ("theory", "max_degree", "dims", "space_dims",
-                 "boundary_ranks", "certificate")
+                 "boundary_ranks")
 
-    def __init__(self, theory, max_degree, dims, space_dims=None,
-                 boundary_ranks=None, certificate=None):
+    def __init__(self, theory, max_degree, dims, space_dims, boundary_ranks):
         self.theory = theory
         self.max_degree = max_degree
         self.dims = dims
         self.space_dims = space_dims
         self.boundary_ranks = boundary_ranks
-        self.certificate = certificate
 
 
 def chain_dim(mc, theory, n):
@@ -148,8 +146,7 @@ def report_from_ranks(mc, theory, max_degree, ranks):
             raise ValidationError(f"negative homology dimension at degree {n}")
         dims.append(d)
     return HomologyReport(theory, max_degree, tuple(dims),
-                          space_dims=tuple(space_dims),
-                          boundary_ranks=tuple(ranks))
+                          tuple(space_dims), tuple(ranks))
 
 
 def _require_depth(mc, max_degree):
@@ -205,10 +202,10 @@ def homology_representatives(mc, theory, degree):
 class StabilizationCertificate:
     """Evidence that HH vanishes above some bound, up to the truncation.
 
-    vanishing_bound is the least N with HH_n = 0 for N < n <= checked_through;
-    the remaining fields are filled in when the certificate is used to report
-    periodic dimensions (which cyclic degrees were read off, and whether the
-    period-two repeats that fit under the truncation were verified equal).
+    vanishing_bound is the least N with HH_n = 0 for N < n <= checked_through.
+    Built with the stage's HC report, it also records the cyclic degrees N
+    stabilizes and whether HC repeats two degrees up at each, None where
+    that is truncated; hh --certificate passes none, so those four are None.
     """
 
     __slots__ = ("vanishing_bound", "verified_degrees", "checked_through",
@@ -216,8 +213,8 @@ class StabilizationCertificate:
                  "odd_repeat_equal")
 
     def __init__(self, vanishing_bound, verified_degrees, checked_through,
-                 even_degree=None, odd_degree=None, even_repeat_equal=None,
-                 odd_repeat_equal=None):
+                 even_degree, odd_degree, even_repeat_equal,
+                 odd_repeat_equal):
         self.vanishing_bound = vanishing_bound
         self.verified_degrees = verified_degrees
         self.checked_through = checked_through
@@ -227,92 +224,93 @@ class StabilizationCertificate:
         self.odd_repeat_equal = odd_repeat_equal
 
 
-def vanishing_bound(dims, through):
-    """Least N >= 0 with dims[n] = 0 for N < n <= through."""
-    return max((n for n in range(1, through + 1) if dims[n]), default=0)
-
-
-def stabilized_degrees(bound):
-    """The cyclic degrees (even, odd) read off above a vanishing bound."""
-    even = 2 * (bound // 2 + 1)
-    return even, even + 1
-
-
-def hp_can_hold(bound, max_degree):
-    """Whether HP can be read above a vanishing bound within max_degree.
-
-    The stabilized odd degree must fit under the truncation.  It is at
-    least bound + 2, so this also keeps the bound within the certificate's
-    own limit, max_degree - 2.
-    """
-    return stabilized_degrees(bound)[1] <= max_degree
-
-
-def stabilization_certificate(hh):
+def stabilization_certificate(hh, hc=None):
     """Least N <= max_degree - 2 with HH_n = 0 for N < n <= max_degree.
 
-    Reads the HH report hh through its max_degree.  Returns None when no
+    Reads the HH report hh through its max_degree, and the HC report hc of
+    the same complex, when given, at the degrees N stabilizes: the least
+    even degree above N and the odd one after it.  Returns None when no
     such bound exists within the truncation; callers render that as
-    NOT_ESTABLISHED.  The certificate never claims anything beyond the
-    degrees actually checked.
+    NOT_ESTABLISHED.  The certificate claims nothing beyond the degrees
+    actually checked.
     """
     max_degree = hh.max_degree
-    bound = vanishing_bound(hh.dims, max_degree)
+    bound = max((n for n in range(1, max_degree + 1) if hh.dims[n]),
+                default=0)
     if bound > max_degree - 2:
         return None
+    degrees = repeats = (None, None)
+    if hc is not None:
+        even = 2 * (bound // 2 + 1)
+        degrees = (even, even + 1)
+        repeats = tuple(hc.dims[q + 2] == hc.dims[q] if q + 2 <= max_degree
+                        else None for q in degrees)
     return StabilizationCertificate(
-        vanishing_bound=bound,
-        verified_degrees=tuple(range(bound + 1, max_degree + 1)),
-        checked_through=max_degree)
+        bound, tuple(range(bound + 1, max_degree + 1)), max_degree,
+        *degrees, *repeats)
+
+
+class PeriodicReport:
+    """HP of every stage of a tower, read under one common vanishing bound.
+
+    common_bound is the largest stage bound and even_degree, odd_degree the
+    cyclic degrees it stabilizes; dims[i] is stage i's (HP_even, HP_odd),
+    and certificates[i] its own StabilizationCertificate.
+    """
+
+    __slots__ = ("common_bound", "even_degree", "odd_degree", "dims",
+                 "certificates")
+
+    def __init__(self, common_bound, even_degree, odd_degree, dims,
+                 certificates):
+        self.common_bound = common_bound
+        self.even_degree = even_degree
+        self.odd_degree = odd_degree
+        self.dims = dims
+        self.certificates = certificates
 
 
 def periodic_via_stabilization(hh_reports, hc_reports):
-    """One HP report (even, odd) per stage, under a common bound, or refusal.
+    """The PeriodicReport of stages under a common bound, or refusal.
 
     A single algebra is one stage; a tower lists its stages in order, each
     with the HH and HC reports of hochschild_and_cyclic.  Each stage needs
     its own certificate (stabilization_certificate), and the common bound
     is the largest of theirs.  HP is read at the cyclic degrees the common
-    bound stabilizes, so it holds only when they fit under the truncation
-    (hp_can_hold); periodic dimensions are never extrapolated.  Otherwise
-    this raises NoCertificate, naming the first stage without a certificate
-    if there is one.  This is the only code that decides or words an HP
-    refusal.
+    bound stabilizes, so it holds only when they fit under the truncation;
+    periodic dimensions are never extrapolated.  Otherwise this raises
+    NoCertificate, naming the first stage without a certificate if there
+    is one.  This is the only code that decides or words an HP refusal.
 
     Each stage's certificate is its own: its bound, and the degrees that
     bound stabilizes.  HC there must equal HC at the common degrees
     (ValidationError otherwise).
     """
     max_degree = hh_reports[0].max_degree
-    certs = [stabilization_certificate(hh) for hh in hh_reports]
+    certs = tuple(stabilization_certificate(hh, hc)
+                  for hh, hc in zip(hh_reports, hc_reports))
     for i, cert in enumerate(certs):
         if cert is None:
             raise NoCertificate(f"stage {i} has no vanishing certificate "
                                 f"within {max_degree}")
-    # every bound is now at most max_degree - 2, but the degrees the common
+    # the common bound is the largest, and stabilizes where its stage does
+    top = max(certs, key=lambda cert: cert.vanishing_bound)
+    common, even_deg, odd_deg = (top.vanishing_bound, top.even_degree,
+                                 top.odd_degree)
+    # every bound is at most max_degree - 2, but the odd degree the common
     # one stabilizes may still lie past the truncation
-    common = max(cert.vanishing_bound for cert in certs)
-    even_deg, odd_deg = stabilized_degrees(common)
-    if not hp_can_hold(common, max_degree):
+    if odd_deg > max_degree:
         raise NoCertificate(
             f"common bound {common} stabilizes at degrees {even_deg}, "
             f"{odd_deg}, beyond truncation {max_degree}")
-    reports = []
-    for cert, hc in zip(certs, hc_reports):
-        even, odd = stabilized_degrees(cert.vanishing_bound)
-        dims = (hc.dims[even], hc.dims[odd])
-        if dims != (hc.dims[even_deg], hc.dims[odd_deg]):
-            raise ValidationError(
-                "stabilized cyclic dimensions disagree between the stage "
-                "bound and the common bound")
-        cert.even_degree, cert.odd_degree = even, odd
-        # whether HC repeats two degrees up, None where that is truncated
-        cert.even_repeat_equal, cert.odd_repeat_equal = (
-            hc.dims[q + 2] == hc.dims[q] if q + 2 <= max_degree else None
-            for q in (even, odd))
-        reports.append(
-            HomologyReport("HP", max_degree, dims, certificate=cert))
-    return tuple(reports)
+    dims = tuple((hc.dims[cert.even_degree], hc.dims[cert.odd_degree])
+                 for cert, hc in zip(certs, hc_reports))
+    if any(pair != (hc.dims[even_deg], hc.dims[odd_deg])
+           for pair, hc in zip(dims, hc_reports)):
+        raise ValidationError(
+            "stabilized cyclic dimensions disagree between the stage "
+            "bound and the common bound")
+    return PeriodicReport(common, even_deg, odd_deg, dims, certs)
 
 
 # ------------------------------------------------------------------- lifting

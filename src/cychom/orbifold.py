@@ -221,12 +221,12 @@ def invariant_betti(c, cross_check=False):
 
 
 class BettiTable:
-    """Per-component Betti rows and their even/odd totals."""
+    """Per-component Betti rows, in component order, and their even/odd
+    totals."""
 
-    __slots__ = ("labels", "rows", "even", "odd")
+    __slots__ = ("rows", "even", "odd")
 
-    def __init__(self, labels, rows, even, odd):
-        self.labels = labels
+    def __init__(self, rows, even, odd):
         self.rows = rows
         self.even = even
         self.odd = odd
@@ -244,11 +244,8 @@ def even_odd_totals(components, gl_rank=None, cross_check=False):
             if c.rank > gl_rank:
                 warnings.warn(
                     f"component {c.label!r} has rank {c.rank} > {gl_rank}")
-    rows = []
-    labels = []
-    for c in components:
-        rows.append(invariant_betti(c, cross_check=cross_check))
-        labels.append(c.label)
+    rows = tuple(invariant_betti(c, cross_check=cross_check)
+                 for c in components)
     even = sum(row[p] for row in rows for p in range(0, len(row), 2))
     odd = sum(row[p] for row in rows for p in range(1, len(row), 2))
-    return BettiTable(tuple(labels), tuple(rows), even, odd)
+    return BettiTable(rows, even, odd)

@@ -9,7 +9,8 @@ stage, the filtration grows with the stage, and the last stage fills it.
 Periodic continuity is gated by the rule single-algebra reports follow,
 homology.periodic_via_stabilization: a common vanishing bound is taken over
 the stages, and the periodic dimensions are read off at the cyclic degrees
-it stabilizes.  The hp command is the one-stage case of this module.
+it stabilizes; its PeriodicReport is all hp_continuity_check reports but
+the image filtration there.  The hp command is the one-stage case.
 
 The tower command builds each stage's mixed complex once.  The final stage
 builds the normalized complex C(A_m) when it has a unit.  An earlier stage's
@@ -25,15 +26,15 @@ each, which also give rank b~_1 .. b~_{max_degree+1}.  A filtration entry
 at degree n is one more rank, of a block matrix built from the final
 stage's d_{n+1}, the chain map and the stage's d_n (_image_filtration),
 run only where the stage's H_n is nonzero.  No cycle space or class
-representative is computed.  hp_continuity_check reads the HC reports,
-complexes and chain maps off the continuity report and ranks only its two
-filtration degrees, none for a one-stage tower.
+representative is computed.  hp_continuity_check reuses the continuity
+report's HC reports, complexes and chain maps, and ranks only the two
+periodic filtration degrees, none for a one-stage tower.
 """
 
 from .algebra import AlgebraHom, forget_unit, hecke_algebra, hecke_inclusion
 from .errors import ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
-                       periodic_via_stabilization, stabilized_degrees)
+                       periodic_via_stabilization)
 from .linalg import SparseMatrix, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
 
@@ -70,9 +71,6 @@ class DirectSystem:
         for i in range(len(maps) - 1, -1, -1):
             to_final.append(to_final[-1].compose(maps[i]))
         self.to_final = tuple(reversed(to_final))
-
-    def __len__(self):
-        return len(self.stages)
 
     def __repr__(self):
         dims = ", ".join(str(a.dim) for a in self.stages)
@@ -173,6 +171,12 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
     return tuple(zip(*columns))
 
 
+def _nondecreasing(*columns):
+    """Whether no column of image dimensions shrinks from stage to stage."""
+    return all(a <= b for column in columns
+               for a, b in zip(column, column[1:]))
+
+
 class ContinuityReport:
     """Image filtration of stage Hochschild homology inside the final stage.
 
@@ -183,12 +187,11 @@ class ContinuityReport:
     hp_continuity_check reuses.
     """
 
-    __slots__ = ("max_degree", "image_filtration", "complexes", "chain_maps",
-                 "hh_reports", "hc_reports")
+    __slots__ = ("image_filtration", "complexes", "chain_maps", "hh_reports",
+                 "hc_reports")
 
-    def __init__(self, max_degree, image_filtration, complexes, chain_maps,
-                 hh_reports, hc_reports):
-        self.max_degree = max_degree
+    def __init__(self, image_filtration, complexes, chain_maps, hh_reports,
+                 hc_reports):
         self.image_filtration = image_filtration
         self.complexes = complexes
         self.chain_maps = chain_maps
@@ -201,11 +204,7 @@ class ContinuityReport:
 
     @property
     def monotone(self):
-        for n in range(self.max_degree + 1):
-            dims = [row[n] for row in self.image_filtration]
-            if any(a > b for a, b in zip(dims, dims[1:])):
-                return False
-        return True
+        return _nondecreasing(*zip(*self.image_filtration))
 
 
 def continuity_check(ds, max_degree):
@@ -222,40 +221,28 @@ def continuity_check(ds, max_degree):
                        for f in ds.to_final[:-1])
     filtration = _image_filtration(mcs, chain_maps, hh_reports, "HH",
                                    range(max_degree + 1))
-    return ContinuityReport(max_degree, filtration, mcs, chain_maps,
-                            hh_reports, hc_reports)
+    return ContinuityReport(filtration, mcs, chain_maps, hh_reports,
+                            hc_reports)
 
 
 class HpContinuityReport:
-    """Stage-wise periodic dimensions under a common vanishing bound.
+    """The stages' PeriodicReport and the image filtrations at its degrees.
 
-    stages holds each stage's HP report with its own certificate;
-    stage_even/stage_odd are the periodic dimensions per stage, read at the
-    common stabilized degrees; the filtrations are image dimensions of stage
-    cyclic homology inside the final stage at those two degrees.
+    even_filtration and odd_filtration are the image dimensions of stage
+    cyclic homology inside the final stage at periodic.even_degree and
+    periodic.odd_degree.
     """
 
-    __slots__ = ("common_bound", "even_degree", "odd_degree", "stages",
-                 "stage_even", "stage_odd", "even_filtration",
-                 "odd_filtration")
+    __slots__ = ("periodic", "even_filtration", "odd_filtration")
 
-    def __init__(self, common_bound, even_degree, odd_degree, stages,
-                 stage_even, stage_odd, even_filtration, odd_filtration):
-        self.common_bound = common_bound
-        self.even_degree = even_degree
-        self.odd_degree = odd_degree
-        self.stages = stages
-        self.stage_even = stage_even
-        self.stage_odd = stage_odd
+    def __init__(self, periodic, even_filtration, odd_filtration):
+        self.periodic = periodic
         self.even_filtration = even_filtration
         self.odd_filtration = odd_filtration
 
     @property
     def monotone(self):
-        return (all(a <= b for a, b in
-                    zip(self.even_filtration, self.even_filtration[1:]))
-                and all(a <= b for a, b in
-                        zip(self.odd_filtration, self.odd_filtration[1:])))
+        return _nondecreasing(self.even_filtration, self.odd_filtration)
 
 
 def hp_continuity_check(cont):
@@ -267,15 +254,8 @@ def hp_continuity_check(cont):
     reads every stage's HP at the degrees the common bound stabilizes, or
     raises NoCertificate.
     """
-    stages = periodic_via_stabilization(cont.hh_reports, cont.hc_reports)
-    common = max(hp.certificate.vanishing_bound for hp in stages)
-    even_deg, odd_deg = stabilized_degrees(common)
-    filtration = _image_filtration(cont.complexes, cont.chain_maps,
-                                   cont.hc_reports, "HC", (even_deg, odd_deg))
-    return HpContinuityReport(
-        common_bound=common, even_degree=even_deg, odd_degree=odd_deg,
-        stages=stages,
-        stage_even=tuple(hp.dims[0] for hp in stages),
-        stage_odd=tuple(hp.dims[1] for hp in stages),
-        even_filtration=tuple(row[0] for row in filtration),
-        odd_filtration=tuple(row[1] for row in filtration))
+    periodic = periodic_via_stabilization(cont.hh_reports, cont.hc_reports)
+    filtration = _image_filtration(
+        cont.complexes, cont.chain_maps, cont.hc_reports, "HC",
+        (periodic.even_degree, periodic.odd_degree))
+    return HpContinuityReport(periodic, *zip(*filtration))

@@ -85,9 +85,9 @@ def test_criterion_3_stabilized_degeneration(homology_reports):
             cert = stabilization_certificate(hh)
             assert cert is not None
             assert cert.vanishing_bound == 0
-            hp, = periodic_via_stabilization([hh], [hc])
-            assert hp.dims == (hc.dims[2], hc.dims[3])
-            assert hp.certificate.vanishing_bound == cert.vanishing_bound
+            hp = periodic_via_stabilization([hh], [hc])
+            assert hp.dims == ((hc.dims[2], hc.dims[3]),)
+            assert hp.certificates[0].vanishing_bound == cert.vanishing_bound
 
 
 def test_criterion_4_lift_roundtrip(algebras):
@@ -148,13 +148,11 @@ def test_criterion_6_tower_continuity():
             assert tuple(row[0] for row in cont.image_filtration) == hh0
             assert cont.monotone
             hp = hp_continuity_check(cont)
-            assert hp.common_bound == 0
-            assert hp.stage_even == hh0
-            assert hp.stage_odd == (0,) * len(ds)
+            assert hp.periodic.common_bound == 0
+            assert hp.periodic.dims == tuple((n, 0) for n in hh0)
             assert hp.monotone
             # the final stage is the plain group-algebra computation
             assert cont.final_dims[0] == hh0[-1]
-            assert hp.stage_even[-1] == hh0[-1]
 
 
 def _perm_det(w):

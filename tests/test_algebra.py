@@ -242,13 +242,11 @@ def test_direct_sum():
 
 
 def test_change_of_basis_preserves_associativity_and_unit():
-    rng = random.Random(19)
     a = dual_numbers()
     s = SparseMatrix.from_dense([[1, 2], [1, 3]])
     b = change_of_basis(a, s)
     assert check_associativity(b) is None
     assert b.is_unital()
-    del rng
 
 
 def test_hom_validation_catches_non_multiplicative():

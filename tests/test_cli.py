@@ -610,13 +610,15 @@ def test_import_loads_no_unused_modules():
 
 
 def test_input_digest_is_sha256_of_the_file():
-    # both towers are certified at degree 3; check and orbifold ignore it
+    # every tower but dual_tower is certified at degree 3 (the dual numbers
+    # never stabilize, exit 3); check and orbifold ignore the degree
     commands = {"algebras": "check", "components": "orbifold",
                 "towers": "tower"}
     for path in sorted(DATA.glob("*/*.json")):
         report = io.StringIO()
         assert run(JobSpec(commands[path.parent.name], str(path), 3, "json"),
-                   out=report) == 0
+                   out=report) == (3 if path.name == "dual_tower.json"
+                                   else 0)
         assert json.loads(report.getvalue())["input_sha256"] == \
             hashlib.sha256(path.read_bytes()).hexdigest(), path
 

@@ -8,10 +8,10 @@ from conftest import hh_dims
 from cychom.algebra import matrix_algebra
 from cychom.catalog import dual_numbers, ground_field, unimodular_scramble
 from cychom.errors import NoCertificate, ValidationError
-from cychom.homology import (EvenLift, ObstructedLift, cyclic_homology,
-                             hochschild_homology,
+from cychom.homology import (EvenLift, HomologyReport, ObstructedLift,
+                             cyclic_homology, hochschild_homology,
                              homology_representatives, lift_to_periodic,
-                             periodic_via_stabilization,
+                             periodic_via_stabilization, report_from_ranks,
                              stabilization_certificate, total_components,
                              total_differential)
 from cychom.linalg import (QQ, SparseMatrix, image_basis, kernel_basis,
@@ -158,11 +158,11 @@ def test_periodic_reports(homology_reports):
                 "z4": (4, 0), "m2q": (1, 0), "hecke_s3_s2": (2, 0)}
     for name, want in expected.items():
         # one algebra is a one-stage tower
-        hp, = periodic_via_stabilization([homology_reports(name, "HH", 5)],
-                                         [homology_reports(name, "HC", 5)])
-        assert hp.theory == "HP"
-        assert hp.dims == want, name
-        cert = hp.certificate
+        hp = periodic_via_stabilization([homology_reports(name, "HH", 5)],
+                                        [homology_reports(name, "HC", 5)])
+        assert hp.dims == (want,), name
+        assert (hp.common_bound, hp.even_degree, hp.odd_degree) == (0, 2, 3)
+        cert, = hp.certificates
         assert cert.vanishing_bound == 0
         assert cert.verified_degrees == (1, 2, 3, 4, 5)
         assert cert.checked_through == 5
@@ -184,6 +184,37 @@ def test_periodic_refusals(homology_reports):
                              "beyond truncation 2$"):
         periodic_via_stabilization([homology_reports("z2", "HH", 2)],
                                    [homology_reports("z2", "HC", 2)])
+
+
+def test_stage_and_common_bound_must_read_the_same_cyclic_dimensions():
+    # hand-built reports at max_degree 5: stage 0 vanishes above 0 and reads
+    # HP at degrees 2, 3; stage 1 vanishes above 2, so the common degrees
+    # are 4, 5, and stage 0's HC_2 != HC_4 breaks its own period two
+    def report(theory, dims):
+        return HomologyReport(theory, 5, dims, None, None)
+
+    hh = [report("HH", (1, 0, 0, 0, 0, 0)), report("HH", (1, 0, 1, 0, 0, 0))]
+    hc = [report("HC", (1, 0, 1, 0, 2, 0)), report("HC", (1, 0, 1, 0, 1, 0))]
+    with pytest.raises(ValidationError,
+                       match="^stabilized cyclic dimensions disagree between "
+                             "the stage bound and the common bound$"):
+        periodic_via_stabilization(hh, hc)
+    # with HC_2 = HC_4 on stage 0 both bounds read the same pair
+    hc[0] = report("HC", (1, 0, 2, 0, 2, 0))
+    hp = periodic_via_stabilization(hh, hc)
+    assert (hp.common_bound, hp.even_degree, hp.odd_degree) == (2, 4, 5)
+    assert hp.dims == ((2, 0), (1, 0))
+    assert [(c.even_degree, c.odd_degree) for c in hp.certificates] == \
+        [(2, 3), (4, 5)]
+
+
+def test_ranks_past_a_chain_space_are_refused(mixed_complexes):
+    # rank d_1 is at most dim C_0; one more would make H_0 negative
+    mc = mixed_complexes("ground")
+    ranks = [0, mc.spaces[0].dim + 1, 0]
+    with pytest.raises(ValidationError,
+                       match="^negative homology dimension at degree 0$"):
+        report_from_ranks(mc, "HH", 1, ranks)
 
 
 def test_unit_lift_is_pinned(mixed_complexes):

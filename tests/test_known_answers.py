@@ -7,6 +7,7 @@ route surfaces as a disagreement rather than a silently stale table.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ import oracles
 from cychom.algebra import (FiniteGroup, group_algebra,
                             symmetric_group_with_perms)
 from cychom.cli import algebra_to_doc, main
+
+TOWERS = Path(__file__).resolve().parent.parent / "data" / "towers"
 
 CRITERION_HH = {
     "ground": (1, 0, 0, 0, 0),
@@ -71,3 +74,47 @@ def test_group_algebra_hp_counts_conjugacy_classes(order, tmp_path, capsys):
     assert code == 0
     assert report["hh_dims"] == [classes, 0, 0, 0]
     assert (report["hp_even"], report["hp_odd"]) == (classes, 0)
+
+
+def _tower(capsys, name, degree):
+    code = main(["tower", str(TOWERS / f"{name}.json"), "--max-degree",
+                 str(degree), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_diagonal_tower_into_matrices(capsys):
+    # Q x Q -> M_2(Q), e0 -> E00, e1 -> E11.  HH_0 is 2 and then 1 (Morita:
+    # HH(M_2(Q)) = HH(Q)), higher HH vanishes, and E00, E11 have the same
+    # trace class, so both stages' HH_0 and HC_2 map onto one dimension.
+    for degree, reason in (
+            (1, "stage 0 has no vanishing certificate within 1"),
+            (2, "common bound 0 stabilizes at degrees 2, 3, beyond "
+                "truncation 2")):
+        code, report = _tower(capsys, "diag_tower", degree)
+        assert code == 3
+        assert report["hp"] == {"status": "NOT_ESTABLISHED", "reason": reason}
+    code, report = _tower(capsys, "diag_tower", 3)
+    assert code == 0
+    assert report["hh"]["filtration"] == [[1, 0, 0, 0], [1, 0, 0, 0]]
+    hp = report["hp"]
+    assert hp["status"] == "ESTABLISHED"
+    assert (hp["common_bound"], hp["even_degree"], hp["odd_degree"]) == \
+        (0, 2, 3)
+    assert (hp["stage_even"], hp["stage_odd"]) == ([2, 1], [0, 0])
+    assert (hp["even_filtration"], hp["odd_filtration"]) == ([1, 1], [0, 0])
+
+
+def test_dual_numbers_into_quartic_truncation(capsys):
+    # Q[x]/(x^2) -> Q[y]/(y^4), x -> y^2: HH_n(Q[y]/(y^m)) is m at n = 0 and
+    # m - 1 above, the images keep every class of the dual numbers,
+    # positive degrees included, and no stage has a vanishing certificate
+    dim, mult = oracles.dual_numbers()
+    for degree in (1, 2, 3):
+        code, report = _tower(capsys, "dual_tower", degree)
+        assert code == 3
+        assert report["hp"] == {
+            "status": "NOT_ESTABLISHED",
+            "reason": f"stage 0 has no vanishing certificate within {degree}"}
+        assert report["hh"]["filtration"] == [
+            list(oracles.hh_oracle(dim, mult, degree)),
+            [4] + [3] * degree]

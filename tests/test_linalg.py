@@ -92,14 +92,12 @@ def test_solutions_verify_exactly():
                          ((r, c, rng.randint(-3, 3))
                           for r in range(rows) for c in range(cols)
                           if rng.random() < 0.6))
-        target = {r: as_rational(rng.randint(-4, 4)) for r in range(rows)}
         # force consistency by using m applied to a random vector
         xin = {c: as_rational(rng.randint(-3, 3)) for c in range(cols)}
         v = m.apply(xin)
         x = solve(m, v)
         assert x is not None
         assert vec_eq(m.apply(x), v)
-        del target
 
 
 def test_invert_is_a_two_sided_inverse_or_none():

@@ -212,11 +212,11 @@ def test_even_odd_totals():
     t1_free = TorusComponent(1, (), label="circle")
     table = even_odd_totals([t1_free])
     assert (table.even, table.odd) == (1, 1)
-    pair = even_odd_totals([TorusComponent(2, (SWAP2,), label="half plane"),
-                            t1_free])
+    components = [TorusComponent(2, (SWAP2,), label="half plane"), t1_free]
+    pair = even_odd_totals(components)
     assert pair.rows == ((1, 1, 0), (1, 1))
     assert (pair.even, pair.odd) == (2, 2)
-    assert pair.labels == ("half plane", "circle")
+    assert [c.label for c in components] == ["half plane", "circle"]
     empty = even_odd_totals([])
     assert (empty.even, empty.odd) == (0, 0)
 

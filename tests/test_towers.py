@@ -144,29 +144,25 @@ def test_z4_tower_continuity(z4_tower):
 
 def test_hp_continuity_s3(s3_tower):
     rep = hp_along(s3_tower, 3)
-    assert rep.common_bound == 0
-    assert (rep.even_degree, rep.odd_degree) == (2, 3)
-    assert rep.stage_even == (2, 3)
-    assert rep.stage_odd == (0, 0)
+    hp = rep.periodic
+    assert hp.common_bound == 0
+    assert (hp.even_degree, hp.odd_degree) == (2, 3)
+    assert hp.dims == ((2, 0), (3, 0))
     assert rep.even_filtration == (2, 3)
     assert rep.odd_filtration == (0, 0)
     assert rep.monotone
-    assert (rep.stage_even[-1], rep.stage_odd[-1]) == (3, 0)
     # the common bound is certified per stage across the whole range
-    assert [hp.dims for hp in rep.stages] == [(2, 0), (3, 0)]
-    for hp in rep.stages:
-        cert = hp.certificate
-        assert cert.vanishing_bound <= rep.common_bound
+    for cert in hp.certificates:
+        assert cert.vanishing_bound <= hp.common_bound
         assert cert.checked_through == 3
-        for n in range(rep.common_bound + 1, 4):
+        for n in range(hp.common_bound + 1, 4):
             assert n in cert.verified_degrees
 
 
 def test_hp_continuity_z4(z4_tower):
     rep = hp_along(z4_tower, 3)
-    assert rep.common_bound == 0
-    assert rep.stage_even == (2, 4)
-    assert rep.stage_odd == (0, 0)
+    assert rep.periodic.common_bound == 0
+    assert rep.periodic.dims == ((2, 0), (4, 0))
     assert rep.even_filtration == (2, 4)
     assert rep.odd_filtration == (0, 0)
     assert rep.monotone
@@ -183,7 +179,7 @@ def test_hp_reuses_hh_continuity(z4_tower, monkeypatch):
 
     monkeypatch.setattr(towers, "build_mixed_complex", no_build)
     monkeypatch.setattr(towers, "induced_chain_map", no_chain_map)
-    assert hp_continuity_check(cont).stage_even == (2, 4)
+    assert hp_continuity_check(cont).periodic.dims == ((2, 0), (4, 0))
 
 
 def test_three_stage_tower_builds_each_chain_map_once(s3_full_tower,
@@ -196,14 +192,14 @@ def test_three_stage_tower_builds_each_chain_map_once(s3_full_tower,
         return chain_map(f, n_max)
 
     monkeypatch.setattr(towers, "induced_chain_map", recording)
-    assert hp_along(s3_full_tower, 3).stage_even == (1, 2, 3)
+    assert hp_along(s3_full_tower, 3).periodic.dims == ((1, 0), (2, 0),
+                                                         (3, 0))
     assert sources == [1, 2]
 
 
 def test_hp_constant_ground():
     rep = hp_along(constant_tower(ground_field(), 3), 3)
-    assert rep.stage_even == (1, 1, 1)
-    assert rep.stage_odd == (0, 0, 0)
+    assert rep.periodic.dims == ((1, 0),) * 3
     assert rep.even_filtration == (1, 1, 1)
 
 
