@@ -159,16 +159,6 @@ class SparseMatrix:
         return [(r, c, QQ(self.data[(r, c)], self.den))
                 for r, c in sorted(self.data)]
 
-    def is_zero(self):
-        return not self.data
-
-    def first_nonzero(self):
-        """Lexicographically first nonzero entry, or None; used as witness."""
-        if not self.data:
-            return None
-        r, c = min(self.data)
-        return (r, c, QQ(self.data[(r, c)], self.den))
-
     def columns(self):
         """All columns as sparse dicts, including zero columns."""
         cols = [dict() for _ in range(self.cols)]

@@ -40,15 +40,25 @@ exactly in both and are checkable per degree.
 
 Words are indexed lexicographically with the first factor most significant:
 (a_0; l_1, ..., l_n) has index a_0 L^n + sum_t l_t L^(n-t), where L is the
-number of bar letters and l_t the position of a_t among them.
+number of bar letters and l_t the position of a_t among them.  So a word
+gains its last letter l as index L + l, and b~ is built by its face
+recursion in that letter (_boundaries): with F_n the faces 0 .. n-1,
+
+  F_1 = face 0,    F_n = F_{n-1} (x) I_L + (-1)^(n-1) (I (x) mu),
+  b~_n = F_n + (-1)^n W_n,
+
+where mu = pi o mult merges the last two letters and W_n is face n, the
+wrap.  Only the mu and W terms need sums; the Kronecker product with I_L
+moves each entry of F_{n-1} to L distinct positions.
 """
 
-from itertools import product
+from collections import Counter
 from math import lcm
+from operator import itemgetter
 
 from .algebra import unitize
 from .errors import SizeCapExceeded, ValidationError
-from .linalg import ONE, SparseMatrix
+from .linalg import ONE, QQ, SparseMatrix
 
 # The one size guard for chain complexes: check_size refuses a complex whose
 # top chain space would hold more cells than this.  Read at call time, so it
@@ -144,51 +154,68 @@ def _operator_tables(ua):
 
 
 # b~ and B~ below sum their entries in ints, scaled by the common
-# denominator, and drop a position whose sum reaches zero.  Row indices are
-# computed in range, so the sums go to SparseMatrix._trusted over that
-# denominator.  In the reduced complex no row of C_0 is the unit's: a first
-# factor times a letter lies in A, and so does the unit times a letter.
+# denominator: _add adds one term at a time and drops a position whose sum
+# reaches zero.  Row indices are computed in range, so the sums go to
+# SparseMatrix._trusted over that denominator.  In the reduced complex no
+# row of C_0 is the unit's: a first factor times a letter lies in A, and so
+# does the unit times a letter.
 
-def _add(acc, hits, col):
-    for base, step, terms, slot in hits:
-        for term in terms:
-            key = (base + term[0] * step, col)
-            s = acc.get(key, 0) + term[slot]
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+def _add(acc, key, value):
+    s = acc.get(key, 0) + value
+    if s:
+        acc[key] = s
+    else:
+        del acc[key]
 
 
-def _boundary(tables, dim, rows, n):
-    """b~ : C_n -> C_{n-1} for n >= 1, with dim first factors.
+def _boundaries(tables, dim, spaces, n_max):
+    """b~_1 .. b~_{n_max} by the face recursion, as {n: matrix}, for dim
+    first factors.
 
-    Face i merges entries i and i+1 of the word w = (a_0, l_1, .., l_n) at
-    column col.  Face 0 puts e_{a_0} e_{l_1} = sum C_k e_k first: row
-    k L^(n-1) + col mod L^(n-1).  A middle face 1 <= i < n puts pi(e_{l_i}
-    e_{l_{i+1}}) = sum C_j (letter j) at letter i: row prefix L^(n-i) +
-    j L^(n-i-1) + suffix, where prefix = col div L^(n-i+1) and suffix = col
-    mod L^(n-i-1) index the entries before and after the pair.  Face n puts
-    e_{l_n} e_{a_0} first, before l_1 .. l_{n-1}.
+    F_n = b~_n - (-1)^n W_n is the sum of the faces 0 .. n-1.  Faces
+    0 .. n-2 leave the last letter l_n in place, and a word gains its last
+    letter as index L + l, so they make F_{n-1} (x) I_L: each position
+    (r, c) of F_{n-1} goes to (r L + l, c L + l) for every letter l.  Face
+    n-1, with sign (-1)^(n-1), merges l_{n-1} = x and l_n = y into
+    mid[x][y] = pi(e_x e_y) = sum C_j (letter j): column p L^2 + x L + y
+    gets C_j at row p L + j, for every prefix p.  F_1 is face 0 alone, which
+    puts e_{a_0} e_{l_1} = sum C_k e_k at row k.  The wrap face W_n puts
+    e_{l_n} e_{a_0} = sum C_k e_k first, before l_1 .. l_{n-1}: column
+    (a_0 L^(n-1) + rest) L + l_n gets C_k at row k L^(n-1) + rest.
     """
     den, left, right, mid, _ = tables
     letters = len(mid)
-    pw = [letters ** e for e in range(n + 1)]
-    # a middle face as (position, L^(n-i+1), L^(n-i), L^(n-i-1), sign slot)
-    faces = [(i, pw[n - i + 1], pw[n - i], pw[n - i - 1], 1 + i % 2)
-             for i in range(1, n)]
-    low, wrap_slot = pw[n - 1], 1 + n % 2
-    acc = {}
-    words = product(range(dim), *[range(letters)] * n)
-    for col, w in enumerate(words):
-        hits = [(col % low, low, left[w[0]][w[1]], 1)]
-        hits += [(col // high * step + col % bottom, bottom,
-                  mid[w[i]][w[i + 1]], slot)
-                 for i, high, step, bottom, slot in faces]
-        hits.append((col % pw[n] // letters, low, right[w[n]][w[0]],
-                     wrap_slot))
-        _add(acc, hits, col)
-    return SparseMatrix._trusted(rows, dim * pw[n], acc, den)
+    pair = letters * letters
+    # M's nonzero tables, by the index x L + y of their pair
+    merges = [(x * letters + y, mid[x][y]) for x in range(letters)
+              for y in range(letters) if mid[x][y]]
+    # (a_0, l, e_l e_{a_0}) for each nonzero wrap product
+    wraps = [(x, l, right[l][x]) for x in range(dim)
+             for l in range(letters) if right[l][x]]
+    face = {(term[0], x * letters + l): term[1] for x in range(dim)
+            for l in range(letters) for term in left[x][l]}
+    out = {}
+    for n in range(1, n_max + 1):
+        if n > 1:
+            # positions of F_{n-1} (x) I_L are distinct and nonzero
+            face = {(r * letters + l, c * letters + l): v
+                    for (r, c), v in face.items() for l in range(letters)}
+            slot = 1 + (n - 1) % 2
+            for p in range(dim * letters ** (n - 2)):
+                for xy, terms in merges:
+                    col = p * pair + xy
+                    for term in terms:
+                        _add(face, (p * letters + term[0], col), term[slot])
+        b = dict(face)
+        slot, low = 1 + n % 2, letters ** (n - 1)
+        for x, l, terms in wraps:
+            for rest in range(low):
+                col = (x * low + rest) * letters + l
+                for term in terms:
+                    _add(b, (term[0] * low + rest, col), term[slot])
+        out[n] = SparseMatrix._trusted(spaces[n - 1].dim, spaces[n].dim, b,
+                                       den)
+    return out
 
 
 def _connes_B(tables, cols, rows, n):
@@ -209,8 +236,10 @@ def _connes_B(tables, cols, rows, n):
         first, rest = divmod(col, pw[n])
         for j, terms in ones[first]:
             word = j * pw[n] + rest
-            _add(acc, [(word % high * step + word // high, pw[n + 1], terms,
-                        slot) for high, step, slot in rotations], col)
+            for high, step, slot in rotations:
+                base = word % high * step + word // high
+                for term in terms:
+                    _add(acc, (base + term[0] * pw[n + 1], col), term[slot])
     return SparseMatrix._trusted(rows, cols, acc, den)
 
 
@@ -243,8 +272,7 @@ def build_mixed_complex(a, n_max):
     ua = a if a.unit else unitize(a)
     tables = _operator_tables(ua)
     spaces = tuple(ChainSpace(cell_count(a, n)) for n in range(n_max + 1))
-    b_tilde = {n: _boundary(tables, ua.dim, spaces[n - 1].dim, n)
-               for n in range(1, n_max + 1)}
+    b_tilde = _boundaries(tables, ua.dim, spaces, n_max)
     B_tilde = {n: _connes_B(tables, spaces[n].dim, spaces[n + 1].dim, n)
                for n in range(n_max)}
     return MixedComplex(n_max, spaces, b_tilde, B_tilde)
@@ -272,22 +300,94 @@ class MixedIdentityReport:
                 and all(self.BB.values()) and self.witness is None)
 
 
+def _sum_first_entry(pairs, sizes):
+    """None when sum_i L_i R_i = 0 over the pairs (L_i, R_i), else its least
+    position and entry as (row, col, numerator, den).
+
+    The sum goes over den, the lcm of the products L_i.den R_i.den, so the
+    ints L_i.data R_i.data get the factors scale_i = den / (L_i.den R_i.den).
+    Column k of L_i.data is packed into one int, P_k = sum_r L[r,k] 2^(w r),
+    and column j of the sum is the int T_j = sum_i scale_i sum_k R[k,j] P_k
+    = sum_r S_r 2^(w r), whose digit S_r is den times entry (r, j).
+
+    The width w: |S_r| <= sum_i scale_i sum_k |L_i[r,k]| |R_i[k,j]| <= M =
+    sum_i scale_i max|L_i| max|R_i| c_i, with c_i the most entries in one
+    row of L_i, read from sizes[id(L_i)].  With w = bits(M) + 1 every digit
+    lies in (-2^(w-1), 2^(w-1)), and such signed base-2^w digits are unique:
+    T_j = 0 iff every S_r is 0.  Otherwise, for r0 the least r with S_r !=
+    0, T_j = 2^(w r0) (S_r0 + 2^w q) and 0 < |S_r0| < 2^w, so the lowest set
+    bit of T_j lies in [w r0, w r0 + w), and S_r0 is the residue of
+    T_j >> w r0 modulo 2^w taken in [-2^(w-1), 2^(w-1)).  All of it is exact
+    for every size of coefficient.
+    """
+    den = lcm(*[left.den * right.den for left, right in pairs])
+    scales = [den // (left.den * right.den) for left, right in pairs]
+    bound = 0
+    for (left, right), scale in zip(pairs, scales):
+        if left.data and right.data:
+            top, row_count = sizes[id(left)]
+            bound += scale * top * sizes[id(right)][0] * row_count
+    w = bound.bit_length() + 1
+    sums = {}
+    for (left, right), scale in zip(pairs, scales):
+        packed = {}
+        for (r, k), v in left.data.items():
+            packed[k] = packed.get(k, 0) + (v << w * r)
+        for (k, j), v in right.data.items():
+            column = packed.get(k)
+            if column is not None:
+                sums[j] = sums.get(j, 0) + scale * v * column
+    first = min(((((t & -t).bit_length() - 1) // w, j)
+                 for j, t in sums.items() if t), default=None)
+    if first is None:
+        return None
+    row, col = first
+    digit = (sums[col] >> w * row) & ((1 << w) - 1)
+    if digit >> (w - 1):
+        digit -= 1 << w
+    return row, col, digit, den
+
+
+def _sizes(m):
+    """(largest |entry| of m.data, most entries in one row), 0s for zero."""
+    if not m.data:
+        return 0, 0
+    return (max(map(abs, m.data.values())),
+            max(Counter(map(itemgetter(0), m.data)).values()))
+
+
 def verify_mixed_identities(mc):
+    """Check b~b~ = 0, b~B~ + B~b~ = 0 and B~B~ = 0 in every degree of mc.
+
+    Each check decides whether a sum sum_i L_i R_i of products is zero; the
+    witness is the least (row, col) entry of the first sum that is not.  No
+    product is formed (_sum_first_entry): column k of L_i is packed into
+    the int sum_r L_i[r,k] 2^(w r), and column j of the sum into
+    sum_i scale_i sum_k R_i[k,j] (packed column k), over the lcm of the
+    denominators.  Every digit of that int is bounded by M = sum_i scale_i
+    max|L_i| max|R_i| c_i, with c_i the most entries in one row of L_i, and
+    w = bits(M) + 1, so the int is 0 exactly when the column is, and its
+    lowest set bit and signed digit give the witness.  Only the witness's
+    value is made a Fraction.
+    """
     b, B = mc.b_tilde, mc.B_tilde
+    sizes = {id(m): _sizes(m) for ops in (b, B) for m in ops.values()}
     identities = (
-        ("b~b~", range(2, mc.n_max + 1), lambda n: b[n - 1] @ b[n]),
+        ("b~b~", range(2, mc.n_max + 1), lambda n: [(b[n - 1], b[n])]),
         ("b~B~+B~b~", range(mc.n_max),
-         lambda n: (b[n + 1] @ B[n] + B[n - 1] @ b[n]) if n else b[1] @ B[0]),
-        ("B~B~", range(mc.n_max - 1), lambda n: B[n + 1] @ B[n]),
+         lambda n: [(b[n + 1], B[n]), (B[n - 1], b[n])] if n
+         else [(b[1], B[0])]),
+        ("B~B~", range(mc.n_max - 1), lambda n: [(B[n + 1], B[n])]),
     )
     checks, witness = [], None
-    for name, degrees, product in identities:
+    for name, degrees, pairs in identities:
         passed = {}
         for n in degrees:
-            m = product(n)
-            passed[n] = m.is_zero()
-            if not passed[n] and witness is None:
-                witness = (name, n, m.first_nonzero())
+            entry = _sum_first_entry(pairs(n), sizes)
+            passed[n] = entry is None
+            if entry is not None and witness is None:
+                row, col, numerator, den = entry
+                witness = (name, n, (row, col, QQ(numerator, den)))
         checks.append(passed)
     return MixedIdentityReport(*checks, witness)
 

@@ -147,7 +147,7 @@ def test_matmul_add_transpose():
     b = dense([[0, 1], [1, 0]])
     assert (a @ b) == dense([[2, 1], [4, 3]])
     assert (a + b) == dense([[1, 3], [4, 4]])
-    assert (a + dense([[-1, -2], [-3, -4]])).is_zero()
+    assert not (a + dense([[-1, -2], [-3, -4]])).data
 
 
 def naive_product(a, b):

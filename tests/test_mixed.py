@@ -1,6 +1,7 @@
 """Operator identities and assembly conventions for the mixed complexes:
 C(A) of a unital algebra and Omega(A), built with the unit forgotten."""
 
+import random
 from itertools import product
 from pathlib import Path
 
@@ -16,8 +17,9 @@ from cychom.catalog import dual_numbers, ground_field
 from cychom.errors import SizeCapExceeded, ValidationError
 from cychom.homology import cyclic_homology, hochschild_homology
 from cychom.linalg import ONE, QQ, SparseMatrix
-from cychom.mixed import (MixedComplex, build_mixed_complex, cell_count,
-                          induced_chain_map, verify_mixed_identities)
+from cychom.mixed import (ChainSpace, MixedComplex, build_mixed_complex,
+                          cell_count, induced_chain_map,
+                          verify_mixed_identities)
 from cychom.towers import DirectSystem
 from reference_mixed import word_to_index
 
@@ -62,9 +64,9 @@ def test_b_and_bprime_square_to_zero(algebras):
     for n in (3, 4):
         b_hi, bp_hi = blocks(n)
         b_lo, bp_lo = blocks(n - 1)
-        assert not b_hi.is_zero() and not bp_hi.is_zero()
-        assert (b_lo @ b_hi).is_zero()
-        assert (bp_lo @ bp_hi).is_zero()
+        assert b_hi.data and bp_hi.data
+        assert not (b_lo @ b_hi).data
+        assert not (bp_lo @ bp_hi).data
 
 
 def test_degree_guards():
@@ -112,8 +114,8 @@ def test_degree_zero_conventions():
     assert rational_store(build_mixed_complex(a, 2).B_tilde[0]) == \
         {(0, 1): ONE}
     # on a commutative algebra b~ out of degree 1 is identically zero
-    assert omega.b_tilde[1].is_zero()
-    assert build_mixed_complex(a, 2).b_tilde[1].is_zero()
+    assert not omega.b_tilde[1].data
+    assert not build_mixed_complex(a, 2).b_tilde[1].data
 
 
 def test_degree_one_b_on_noncommutative(algebras):
@@ -142,7 +144,7 @@ def test_upper_B_structure():
     # while B(x; x) = (1; x, x) - (1; x, x) = 0
     mc = build_mixed_complex(a, 3)
     assert rational_store(mc.B_tilde[2]) == {(0, 1): QQ(3)}
-    assert mc.B_tilde[1].is_zero()
+    assert not mc.B_tilde[1].data
 
 
 def test_identities_on_small_suite(algebras, mixed_complexes):
@@ -169,6 +171,114 @@ def test_identity_report_flags_corruption():
     identity, degree, entry = report.witness
     assert (identity, degree) == ("b~B~+B~b~", 1)
     assert entry == (0, 0, ONE)
+
+
+def reference_identities(mc):
+    """(bb, anticommute, BB, witness) as verify_mixed_identities reports
+    them, from the products and sums of SparseMatrix: each check is whether
+    its sum has no entry, and the witness is the least key of the first
+    nonzero sum."""
+    b, B = mc.b_tilde, mc.B_tilde
+    sums = (
+        ("b~b~", {n: b[n - 1] @ b[n] for n in range(2, mc.n_max + 1)}),
+        ("b~B~+B~b~", {n: b[n + 1] @ B[n] + B[n - 1] @ b[n] if n
+                       else b[1] @ B[0] for n in range(mc.n_max)}),
+        ("B~B~", {n: B[n + 1] @ B[n] for n in range(mc.n_max - 1)}),
+    )
+    checks, witness = [], None
+    for name, by_degree in sums:
+        checks.append({n: not m.data for n, m in by_degree.items()})
+        for n, m in by_degree.items():
+            if m.data and witness is None:
+                r, c = min(m.data)
+                witness = (name, n, (r, c, QQ(m.data[(r, c)], m.den)))
+    return (*checks, witness)
+
+
+def assert_report_matches_reference(mc):
+    report = verify_mixed_identities(mc)
+    assert (report.bb, report.anticommute, report.BB, report.witness) == \
+        reference_identities(mc)
+    return report
+
+
+BUMPS = (1, QQ(-1, 2), QQ(7, 3), 10 ** 20 + 7)
+
+
+def nonempty_operators(mc):
+    return [(ops, n) for ops in (mc.b_tilde, mc.B_tilde)
+            for n, m in ops.items() if m.rows and m.cols]
+
+
+def bumped(mc, rng, value):
+    """mc with value added to one seeded entry of one seeded nonempty b~_n
+    or B~_n."""
+    ops, n = rng.choice(nonempty_operators(mc))
+    m = ops[n]
+    changed = dict(ops)
+    changed[n] = m + SparseMatrix(m.rows, m.cols, [
+        (rng.randrange(m.rows), rng.randrange(m.cols), value)])
+    if ops is mc.b_tilde:
+        return MixedComplex(mc.n_max, mc.spaces, changed, mc.B_tilde)
+    return MixedComplex(mc.n_max, mc.spaces, mc.b_tilde, changed)
+
+
+@pytest.mark.parametrize("path", DATA_ALGEBRAS, ids=lambda p: p.stem)
+def test_packed_identities_match_products(path):
+    # on C(A) and Omega(A) of every data algebra, in all three bases, the
+    # packed decision equals the one read off the products, and so it does
+    # after one entry of one operator is bumped
+    a = cli.parse_algebra_file(path)
+    seed = DATA_ALGEBRAS.index(path)
+    rng = random.Random(seed)
+    for variant in basis_variants(a, seed):
+        for mc in (build_mixed_complex(variant, 3),
+                   build_mixed_complex(forget_unit(variant), 3)):
+            assert assert_report_matches_reference(mc).all_pass
+            # C(Q) is zero above degree 0, so it has nothing to bump
+            for value in BUMPS if nonempty_operators(mc) else ():
+                assert_report_matches_reference(bumped(mc, rng, value))
+
+
+def constant(rows, cols, value):
+    return SparseMatrix(rows, cols, [(r, c, value) for r in range(rows)
+                                     for c in range(cols)])
+
+
+@pytest.mark.parametrize("u, v", [(1, 1), (QQ(7, 3), 10 ** 20 + 7),
+                                  (-5, QQ(-1, 2)), (3, 2 ** 61 - 1)])
+def test_packed_witness_at_the_digit_bound(u, v):
+    # b~_1 b~_2 = (3 u v), a single sum of three equal products: its digit
+    # reaches the bound 3 max|b~_1| max|b~_2| that the digit width is
+    # chosen from, so a width one bit short misreads the witness
+    spaces = [ChainSpace(1), ChainSpace(3), ChainSpace(1)]
+    mc = MixedComplex(2, spaces, {1: constant(1, 3, u), 2: constant(3, 1, v)},
+                      {0: SparseMatrix(3, 1), 1: SparseMatrix(1, 3)})
+    report = assert_report_matches_reference(mc)
+    assert report.witness == ("b~b~", 2, (0, 0, 3 * u * v))
+
+
+def test_packed_identities_match_products_on_random_operators():
+    # random operators with entries of one sign in many sizes: most digits
+    # are far from zero, and the anticommutator sums two products over
+    # different denominators
+    rng = random.Random(5)
+    values = (1, 2, QQ(1, 2), QQ(7, 3), 10 ** 20 + 7, 3 ** 40)
+    for _ in range(60):
+        n_max = rng.randint(1, 4)
+        dims = [rng.randint(0, 4) for _ in range(n_max + 1)]
+        sign = rng.choice((1, -1))
+
+        def operator(rows, cols):
+            return SparseMatrix(rows, cols, [
+                (r, c, sign * rng.choice(values)) for r in range(rows)
+                for c in range(cols) if rng.random() < 0.7])
+
+        mc = MixedComplex(
+            n_max, [ChainSpace(d) for d in dims],
+            {n: operator(dims[n - 1], dims[n]) for n in range(1, n_max + 1)},
+            {n: operator(dims[n + 1], dims[n]) for n in range(n_max)})
+        assert_report_matches_reference(mc)
 
 
 def test_induced_chain_map_commutes_with_differentials():
