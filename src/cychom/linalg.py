@@ -193,20 +193,27 @@ class SparseMatrix:
 
     def __matmul__(self, other):
         """The product, summed in integers over the product of the
-        denominators.  A sum is keyed by row * other.cols + col, so the
-        zero sums are dropped and the keys split once, at the end."""
+        denominators, one column at a time: column j sums column k of self
+        times other[k, j] for every k, so each sum is one column long
+        whatever order the entries are stored in, and its zeros are dropped
+        before the next column starts."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.cols
-        left_cols = {}
-        for (r, c), v in self.data.items():
-            left_cols.setdefault(c, []).append((r * cols, v))
-        acc = {}
+        left_cols, right_cols = {}, {}
+        for (r, k), v in self.data.items():
+            left_cols.setdefault(k, []).append((r, v))
         for (k, j), w in other.data.items():
-            for at, v in left_cols.get(k, ()):
-                acc[at + j] = acc.get(at + j, 0) + v * w
-        data = {divmod(at, cols): s for at, s in acc.items() if s}
-        return SparseMatrix._trusted(self.rows, cols, data,
+            right_cols.setdefault(j, []).append((k, w))
+        data = {}
+        for j, column in right_cols.items():
+            acc = {}
+            for k, w in column:
+                for r, v in left_cols.get(k, ()):
+                    acc[r] = acc.get(r, 0) + v * w
+            for r, s in acc.items():
+                if s:
+                    data[r, j] = s
+        return SparseMatrix._trusted(self.rows, other.cols, data,
                                      self.den * other.den)
 
     def __eq__(self, other):

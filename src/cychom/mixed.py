@@ -65,6 +65,10 @@ from .linalg import ONE, QQ, SparseMatrix
 # can be lowered for a single run.
 CELL_CAP = 2_000_000
 
+# The widest packed column of verify_mixed_identities, in bits; a sum whose
+# columns would be wider is decided from its products.  Read at call time.
+PACK_BITS = 1 << 12
+
 
 class ChainSpace:
     """One chain space C_n, by its number of cells."""
@@ -197,8 +201,11 @@ def _boundaries(tables, dim, spaces, n_max):
     out = {}
     for n in range(1, n_max + 1):
         if n > 1:
-            # positions of F_{n-1} (x) I_L are distinct and nonzero
-            face = {(r * letters + l, c * letters + l): v
+            # positions of F_{n-1} (x) I_L are distinct and nonzero; their
+            # keys share one int per row and per column
+            at_row = list(range(spaces[n - 1].dim))
+            at_col = list(range(spaces[n].dim))
+            face = {(at_row[r * letters + l], at_col[c * letters + l]): v
                     for (r, c), v in face.items() for l in range(letters)}
             slot = 1 + (n - 1) % 2
             for p in range(dim * letters ** (n - 2)):
@@ -206,7 +213,7 @@ def _boundaries(tables, dim, spaces, n_max):
                     col = p * pair + xy
                     for term in terms:
                         _add(face, (p * letters + term[0], col), term[slot])
-        b = dict(face)
+        b = face if n == n_max else dict(face)
         slot, low = 1 + n % 2, letters ** (n - 1)
         for x, l, terms in wraps:
             for rest in range(low):
@@ -319,6 +326,13 @@ def _sum_first_entry(pairs, sizes):
     bit of T_j lies in [w r0, w r0 + w), and S_r0 is the residue of
     T_j >> w r0 modulo 2^w taken in [-2^(w-1), 2^(w-1)).  All of it is exact
     for every size of coefficient.
+
+    Each P_k, T_j and partial sum of T_j has at most w L_0.rows bits, and a
+    column of the builder's operators spreads over nearly all of them (the
+    wrap face and B's rotations reach the top rows).  So packing L_i holds
+    about w L_i.rows L_i.cols bits, and it pays only while the columns are
+    narrow: when w L_0.rows > PACK_BITS the sum is formed with @ and +,
+    whose cost is one small multiplication per pair of entries that meet.
     """
     den = lcm(*[left.den * right.den for left, right in pairs])
     scales = [den // (left.den * right.den) for left, right in pairs]
@@ -328,6 +342,14 @@ def _sum_first_entry(pairs, sizes):
             top, row_count = sizes[id(left)]
             bound += scale * top * sizes[id(right)][0] * row_count
     w = bound.bit_length() + 1
+    if pairs[0][0].rows * w > PACK_BITS:
+        total = pairs[0][0] @ pairs[0][1]
+        for left, right in pairs[1:]:
+            total = total + left @ right
+        if not total.data:
+            return None
+        row, col = min(total.data)
+        return row, col, total.data[row, col], total.den
     sums = {}
     for (left, right), scale in zip(pairs, scales):
         packed = {}
@@ -360,15 +382,16 @@ def verify_mixed_identities(mc):
     """Check b~b~ = 0, b~B~ + B~b~ = 0 and B~B~ = 0 in every degree of mc.
 
     Each check decides whether a sum sum_i L_i R_i of products is zero; the
-    witness is the least (row, col) entry of the first sum that is not.  No
-    product is formed (_sum_first_entry): column k of L_i is packed into
-    the int sum_r L_i[r,k] 2^(w r), and column j of the sum into
+    witness is the least (row, col) entry of the first sum that is not
+    (_sum_first_entry).  Column k of L_i is packed into the int
+    sum_r L_i[r,k] 2^(w r), and column j of the sum into
     sum_i scale_i sum_k R_i[k,j] (packed column k), over the lcm of the
     denominators.  Every digit of that int is bounded by M = sum_i scale_i
     max|L_i| max|R_i| c_i, with c_i the most entries in one row of L_i, and
     w = bits(M) + 1, so the int is 0 exactly when the column is, and its
-    lowest set bit and signed digit give the witness.  Only the witness's
-    value is made a Fraction.
+    lowest set bit and signed digit give the witness.  A sum whose packed
+    columns would be wider than PACK_BITS (w L_i.rows bits) is formed with
+    @ and + instead.  Only the witness's value is made a Fraction.
     """
     b, B = mc.b_tilde, mc.B_tilde
     sizes = {id(m): _sizes(m) for ops in (b, B) for m in ops.values()}

@@ -9,7 +9,7 @@ import pytest
 
 import reference_mixed
 from conftest import assert_canonical, basis_variants, rational_store
-from cychom import cli
+from cychom import cli, mixed
 from cychom.algebra import (Algebra, AlgebraHom, forget_unit, group_algebra,
                             hecke_algebra, hecke_inclusion,
                             symmetric_group_with_perms)
@@ -23,8 +23,8 @@ from cychom.mixed import (ChainSpace, MixedComplex, build_mixed_complex,
 from cychom.towers import DirectSystem
 from reference_mixed import word_to_index
 
-DATA_ALGEBRAS = sorted(
-    (Path(__file__).resolve().parent.parent / "data" / "algebras").glob("*.json"))
+DATA = Path(__file__).resolve().parent.parent / "data" / "algebras"
+DATA_ALGEBRAS = sorted(DATA.glob("*.json"))
 
 
 def s3_hecke_pair():
@@ -279,6 +279,49 @@ def test_packed_identities_match_products_on_random_operators():
             {n: operator(dims[n - 1], dims[n]) for n in range(1, n_max + 1)},
             {n: operator(dims[n + 1], dims[n]) for n in range(n_max)})
         assert_report_matches_reference(mc)
+
+
+def count_products(monkeypatch):
+    """A list that gets one item per SparseMatrix product formed."""
+    formed = []
+    matmul = SparseMatrix.__matmul__
+
+    def counting(self, other):
+        formed.append(None)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    return formed
+
+
+def test_identities_on_cyclic4_form_no_product(monkeypatch):
+    # every packed column of C(Q[Z/4]) through degree 4 is narrower than
+    # PACK_BITS, so the whole check runs on packed ints
+    a = cli.parse_algebra_file(DATA / "cyclic4.json")
+    mc = build_mixed_complex(a, 4)
+    formed = count_products(monkeypatch)
+    assert verify_mixed_identities(mc).all_pass
+    assert formed == []
+
+
+@pytest.mark.parametrize("pack_bits", [0, 120])
+@pytest.mark.parametrize("name", ["cyclic4", "mat2", "random_dim3"])
+def test_wide_columns_are_decided_from_products(monkeypatch, name,
+                                                 pack_bits):
+    # with PACK_BITS lowered, every sum (0) or only the ones on the larger
+    # chain spaces (120) is decided from @ and +, and the report still
+    # equals the reference, also with one entry bumped
+    a = cli.parse_algebra_file(DATA / f"{name}.json")
+    mc = build_mixed_complex(a, 4)
+    rng = random.Random(pack_bits)
+    monkeypatch.setattr(mixed, "PACK_BITS", pack_bits)
+    formed = count_products(monkeypatch)
+    assert assert_report_matches_reference(mc).all_pass
+    # the reference forms 13 products itself, and the check 13 at most
+    checked = len(formed) - 13
+    assert checked == 13 if pack_bits == 0 else 0 < checked < 13
+    for value in BUMPS:
+        assert_report_matches_reference(bumped(mc, rng, value))
 
 
 def test_induced_chain_map_commutes_with_differentials():
