@@ -22,13 +22,26 @@ that decides or words a refusal; the tool refuses rather than guesses.  Its
 PeriodicReport is built whole with every stage's certificate, and every
 certificate records how far vanishing was actually checked.
 
-Every report is built from the ranks of its differentials
-(report_from_ranks), and every command ranks them the same way:
+Every report is built from the pivot columns of its differentials
+(report_from_pivots), and every command finds them the same way:
 hochschild_and_cyclic eliminates only D_1 .. D_{max_degree+1}, once each,
-and reads rank b~_n off the pivots of D_n (total_rank_split).
+and reads the pivots of b~_n off those of D_n (total_rank_split).
 hochschild_homology and cyclic_homology are its two halves, so hh, hc, hp
 and every tower stage eliminate the same matrices, whether or not HP is
-then established; no command computes a cycle space.  Only two functions
+then established; no command computes a cycle space.
+
+Each D_n is eliminated without the rows that D_{n-1} D_n = 0 proves
+dependent.  Let P be the pivot columns of D_{n-1} and Q the other columns
+of Tot_{n-1}.  The columns of D_{n-1} at P are independent, so D_{n-1}[:, P]
+has a left inverse L, and D_{n-1} D_n = 0 gives
+D_n[P, :] = -L D_{n-1}[:, Q] D_n[Q, :]: the rows of D_n at P are
+combinations of its rows at Q.  Deleting them keeps the row space, hence
+the null space, every linear relation among the columns and the pivot
+columns, so no report changes; only the fill-in those rows carried is
+gone.  A tower drops rows of its filtration matrix the same way, with
+d F = F d for its chain map F in place of d d = 0 for the rows of the final
+stage (towers._image_filtration); so every report carries the pivot
+columns of its differentials, not only their ranks.  Only two functions
 solve: homology_representatives, which names classes, for kernel vectors,
 and lift_to_periodic, for each b~ f_{2k+2} = -B~ f_{2k} of a lift.  Every
 Tot_n chain is a flat vector in total_differential's layout, C_n first.
@@ -37,9 +50,11 @@ All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
 """
 
+from bisect import bisect_left
+
 from .errors import NoCertificate, ValidationError
-from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
-                     pivot_columns, solve)
+from .linalg import (ONE, SparseMatrix, drop_rows, independent_modulo,
+                     kernel_basis, pivot_columns, solve)
 
 
 # ---------------------------------------------------------------- total complex
@@ -85,20 +100,26 @@ def total_differential(mc, n):
         [mc.spaces[q].dim for q in src])
 
 
-def total_rank_split(mc, n):
-    """(rank b~_n, rank D_n) from one elimination of D_n.
+def total_rank_split(mc, n, dependent):
+    """(pivot columns of b~_n, pivot columns of D_n) from one elimination.
+
+    dependent is the pivot columns of D_{n-1}, () for n = 1; the rows of
+    D_n there are combinations of its other rows (module docstring), so
+    they are dropped before the elimination and the pivot columns are
+    those of the whole D_n.
 
     total_differential puts the C_n summand first and applies no B~ to it,
     so the first dim C_n columns of D_n are exactly [b~_n; 0].
     Row operations keep every linear relation among the columns, so column
     j of an echelon form is a pivot exactly when it is not in the span of
     columns 0..j-1, whichever pivot rows were chosen (independent_modulo
-    relies on the same fact).  Hence the pivots below dim C_n count
-    rank [b~_n; 0] = rank b~_n, and all the pivots count rank D_n.
+    relies on the same fact).  Hence the pivots below dim C_n are those of
+    [b~_n; 0], which are those of b~_n, and their counts are rank b~_n and
+    rank D_n.
     """
-    pivots = pivot_columns(total_differential(mc, n))
-    top = mc.spaces[n].dim
-    return sum(1 for c in pivots if c < top), len(pivots)
+    pivots = tuple(pivot_columns(drop_rows(total_differential(mc, n),
+                                           dependent)))
+    return pivots[:bisect_left(pivots, mc.spaces[n].dim)], pivots
 
 
 # ------------------------------------------------------------------- reports
@@ -107,19 +128,28 @@ class HomologyReport:
     """Per-degree dimensions for one theory, "HH" or "HC".
 
     dims[n] is the degree-n dimension and space_dims[n] = dim C_n for
-    0 <= n <= max_degree, and boundary_ranks[n] = rank d_n for
-    0 <= n <= max_degree + 1.
+    0 <= n <= max_degree, and boundary_pivots[n] the pivot columns of d_n,
+    in increasing order, for 0 <= n <= max_degree + 1, () for d_0 = 0; so
+    boundary_ranks[n] = rank d_n.  A tower keeps the pivots, not only the
+    ranks: the rows of its filtration matrix at the pivot columns of d_n
+    and d_{n-1} are dependent, and it drops them
+    (towers._image_filtration).
     """
 
     __slots__ = ("theory", "max_degree", "dims", "space_dims",
-                 "boundary_ranks")
+                 "boundary_pivots")
 
-    def __init__(self, theory, max_degree, dims, space_dims, boundary_ranks):
+    def __init__(self, theory, max_degree, dims, space_dims,
+                 boundary_pivots):
         self.theory = theory
         self.max_degree = max_degree
         self.dims = dims
         self.space_dims = space_dims
-        self.boundary_ranks = boundary_ranks
+        self.boundary_pivots = boundary_pivots
+
+    @property
+    def boundary_ranks(self):
+        return tuple(len(p) for p in self.boundary_pivots)
 
 
 def chain_dim(mc, theory, n):
@@ -132,12 +162,14 @@ def differential(mc, theory, n):
     return mc.b_tilde[n] if theory == "HH" else total_differential(mc, n)
 
 
-def report_from_ranks(mc, theory, max_degree, ranks):
-    """The HH or HC report through max_degree from ranks[n] = rank d_n.
+def report_from_pivots(mc, theory, max_degree, pivots):
+    """The HH or HC report through max_degree from pivots[n], the pivot
+    columns of d_n.
 
-    ranks runs over 0 <= n <= max_degree + 1, with ranks[0] = 0 (d_0 = 0);
-    H_n = dim C_n - rank d_n - rank d_{n+1}.
+    pivots runs over 0 <= n <= max_degree + 1, with pivots[0] = () (d_0 =
+    0); H_n = dim C_n - rank d_n - rank d_{n+1}.
     """
+    ranks = [len(p) for p in pivots]
     space_dims = [chain_dim(mc, theory, n) for n in range(max_degree + 1)]
     dims = []
     for n, space in enumerate(space_dims):
@@ -146,7 +178,7 @@ def report_from_ranks(mc, theory, max_degree, ranks):
             raise ValidationError(f"negative homology dimension at degree {n}")
         dims.append(d)
     return HomologyReport(theory, max_degree, tuple(dims),
-                          tuple(space_dims), tuple(ranks))
+                          tuple(space_dims), tuple(pivots))
 
 
 def _require_depth(mc, max_degree):
@@ -161,15 +193,21 @@ def _require_depth(mc, max_degree):
 def hochschild_and_cyclic(mc, max_degree):
     """(HH report, HC report) from one elimination per Tot differential.
 
-    D_n is eliminated once for 1 <= n <= max_degree + 1, and its pivots give
-    rank b~_n as well (total_rank_split): Tot_n puts its C_n summand first
-    at every degree, so no b~_n is eliminated on its own.
+    D_n is eliminated once for 1 <= n <= max_degree + 1, in order, and its
+    pivots give those of b~_n as well (total_rank_split): Tot_n puts its
+    C_n summand first at every degree, so no b~_n is eliminated on its own.
+    Each D_n goes without its rows at the pivot columns of D_{n-1}, which
+    D_{n-1} D_n = 0 makes combinations of the rest (module docstring); its
+    pivot columns, and so both reports, are those of the whole D_n.
     """
     _require_depth(mc, max_degree)
-    b, d = zip((0, 0), *(total_rank_split(mc, n)
-                         for n in range(1, max_degree + 2)))
-    return (report_from_ranks(mc, "HH", max_degree, b),
-            report_from_ranks(mc, "HC", max_degree, d))
+    b, d = [()], [()]
+    for n in range(1, max_degree + 2):
+        b_pivots, d_pivots = total_rank_split(mc, n, d[-1])
+        b.append(b_pivots)
+        d.append(d_pivots)
+    return (report_from_pivots(mc, "HH", max_degree, b),
+            report_from_pivots(mc, "HC", max_degree, d))
 
 
 def hochschild_homology(mc, max_degree):

@@ -327,6 +327,32 @@ def _back_substitute(pivots, rows, x):
     return x
 
 
+def drop_rows(m, dropped):
+    """m without the rows in dropped, the others kept in order.
+
+    The callers drop rows that lie in the span of the rows kept, which
+    keeps the row space, so the kernel, every linear relation among the
+    columns and hence the pivot columns of any echelon form.
+    """
+    if not dropped:
+        return m
+    skip = set(dropped)
+    if min(skip) < 0 or max(skip) >= m.rows:
+        raise ValueError("dropped row out of range")
+    index, kept = [], 0
+    for r in range(m.rows):
+        if r in skip:
+            index.append(None)
+        else:
+            index.append(kept)
+            kept += 1
+    # each kept row moves to a distinct index below kept, and its entries
+    # stay nonzero ints
+    return SparseMatrix._trusted(
+        kept, m.cols, {(i, c): v for (r, c), v in m.data.items()
+                       if (i := index[r]) is not None}, m.den)
+
+
 def rank(m):
     """Exact rank over Q."""
     pivots, _ = _echelon(m)

@@ -29,13 +29,22 @@ run only where the stage's H_n is nonzero.  No cycle space or class
 representative is computed.  hp_continuity_check reuses the continuity
 report's HC reports, complexes and chain maps, and ranks only the two
 periodic filtration degrees, none for a one-stage tower.
+
+That block matrix is M = [[D, F], [0, d]], with D the final stage's
+d_{n+1}, F the chain map and d the stage's d_n, and two sets of its rows
+are combinations of the others, so they are dropped before it is ranked.
+The top rows at the pivot columns of the final stage's d_n: F is a chain
+map, so d_n [D, F] = F [0, d], and the columns of d_n at its pivots have a
+left inverse.  The bottom rows at the pivot columns of the stage's
+d_{n-1}: d_{n-1} d_n = 0, the argument by which homology drops rows of
+D_n.  The reports carry every d_n's pivot columns for this.
 """
 
 from .algebra import AlgebraHom, forget_unit, hecke_algebra, hecke_inclusion
 from .errors import ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
                        periodic_via_stabilization)
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, drop_rows, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
 
 
@@ -142,6 +151,25 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
     M is assembled in one from_blocks call from the complexes' b~ and B~
     blocks (homology.differential_blocks) and, for HC, F block diagonal
     over the summands of Tot_n: only those blocks are passed.
+
+    Before M is ranked, two sets of its rows are dropped; each is a
+    combination of the rows kept, so the row space and rank M stay.  With
+    P the pivot columns of a differential and Q the others, its columns at
+    P have a left inverse L (homology's module docstring).
+
+    - Top rows, at the pivot columns of the final stage's d_n.  F is a
+      chain map, so d^f_n [D, F] = [d^f_n d^f_{n+1}, F_{n-1} d_n] =
+      F_{n-1} [0, d], and the top rows at P are
+      L (F_{n-1} [0, d] - d^f_n[:, Q] [D, F][Q, :]): combinations of the
+      bottom rows and the other top rows.
+    - Bottom rows, at the pivot columns of the stage's d_{n-1}.  There
+      d_{n-1} d_n = 0 makes the rows [0, d] at P combinations of the other
+      rows [0, d], as in homology.
+
+    The dropped bottom rows are combinations of kept ones, so the dropped
+    top rows are too.  Both sets are read off the reports'
+    boundary_pivots; for HH, d_n's pivots are D_n's below dim C_n
+    (homology.total_rank_split).
     """
     final_mc, final = mcs[-1], reports[-1]
     columns = []
@@ -156,15 +184,19 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
             blocks = dict(top)
             blocks.update(((p, left + p), maps[q]) for p, q in enumerate(here))
             row_dims = [final_mc.spaces[q].dim for q in here]
+            dependent = list(final.boundary_pivots[n])
             if n:
                 low, below, _ = differential_blocks(mc, theory, n)
                 blocks.update(((len(here) + r, left + c), block)
                               for (r, c), block in low.items())
+                offset = sum(row_dims)
+                dependent += [offset + r for r in report.boundary_pivots[n - 1]]
                 row_dims += [mc.spaces[q].dim for q in below]
             m = SparseMatrix.from_blocks(
                 blocks, row_dims, [final_mc.spaces[q].dim for q in above]
                 + [mc.spaces[q].dim for q in here])
-            column.append(rank(m) - report.boundary_ranks[n]
+            column.append(rank(drop_rows(m, dependent))
+                          - report.boundary_ranks[n]
                           - final.boundary_ranks[n + 1])
         column.append(final.dims[n])
         columns.append(column)

@@ -15,8 +15,8 @@ from cychom.algebra import (AlgebraHom, FiniteGroup, change_of_basis,
                             matrix_algebra, symmetric_group_with_perms)
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.homology import (cyclic_homology, hochschild_homology,
-                             report_from_ranks, total_differential)
-from cychom.linalg import SparseMatrix, rank
+                             report_from_pivots, total_differential)
+from cychom.linalg import SparseMatrix, pivot_columns
 from cychom.mixed import build_mixed_complex
 from cychom.towers import DirectSystem
 
@@ -58,14 +58,16 @@ def omega_complex(a, n_max):
 
 
 def ranked_one_by_one(mc, max_degree):
-    """(HH report, HC report) from rank b~_n and rank D_n, each eliminated
-    on its own: a reference for the pivot split of hochschild_and_cyclic,
-    which every command ranks through."""
-    b = [0] + [rank(mc.b_tilde[n]) for n in range(1, max_degree + 2)]
-    d = [0] + [rank(total_differential(mc, n))
-               for n in range(1, max_degree + 2)]
-    return (report_from_ranks(mc, "HH", max_degree, b),
-            report_from_ranks(mc, "HC", max_degree, d))
+    """(HH report, HC report) from the pivot columns of the whole b~_n and
+    the whole D_n, each eliminated on its own: a reference for
+    hochschild_and_cyclic, which every command ranks through, and which
+    reads b~_n off D_n and drops rows of D_n."""
+    b = [()] + [tuple(pivot_columns(mc.b_tilde[n]))
+                for n in range(1, max_degree + 2)]
+    d = [()] + [tuple(pivot_columns(total_differential(mc, n)))
+                for n in range(1, max_degree + 2)]
+    return (report_from_pivots(mc, "HH", max_degree, b),
+            report_from_pivots(mc, "HC", max_degree, d))
 
 
 def hh_dims(a, max_degree):

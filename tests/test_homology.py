@@ -11,7 +11,7 @@ from cychom.errors import NoCertificate, ValidationError
 from cychom.homology import (EvenLift, HomologyReport, ObstructedLift,
                              cyclic_homology, hochschild_homology,
                              homology_representatives, lift_to_periodic,
-                             periodic_via_stabilization, report_from_ranks,
+                             periodic_via_stabilization, report_from_pivots,
                              stabilization_certificate, total_components,
                              total_differential)
 from cychom.linalg import (QQ, SparseMatrix, image_basis, kernel_basis,
@@ -209,12 +209,12 @@ def test_stage_and_common_bound_must_read_the_same_cyclic_dimensions():
 
 
 def test_ranks_past_a_chain_space_are_refused(mixed_complexes):
-    # rank d_1 is at most dim C_0; one more would make H_0 negative
+    # rank d_1 is at most dim C_0; one more pivot would make H_0 negative
     mc = mixed_complexes("ground")
-    ranks = [0, mc.spaces[0].dim + 1, 0]
+    pivots = [(), tuple(range(mc.spaces[0].dim + 1)), ()]
     with pytest.raises(ValidationError,
                        match="^negative homology dimension at degree 0$"):
-        report_from_ranks(mc, "HH", 1, ranks)
+        report_from_pivots(mc, "HH", 1, pivots)
 
 
 def test_unit_lift_is_pinned(mixed_complexes):
