@@ -15,8 +15,9 @@ Exit codes: 0 success; 1 a ParseError ("parse") or a ValidationError
 ("validation"); 2 a SizeCapExceeded ("size_cap"): a chain space over
 mixed.CELL_CAP cells or a group closure over orbifold.ORDER_CAP elements,
 refused before the work starts, or an orbifold component whose work would
-exceed orbifold.WORK_CAP; 3 a NoCertificate: a periodic computation refused
-for lack of a vanishing certificate (a mathematical outcome, not an error).
+exceed orbifold.WORK_CAP, or a job the caps admitted that ran out of memory
+(MemoryError); 3 a NoCertificate: a periodic computation refused for lack
+of a vanishing certificate (a mathematical outcome, not an error).
 
 Every job pays for what importing this module loads, so it loads only what
 the homology commands run: argparse is imported by build_parser, which run()
@@ -505,6 +506,8 @@ def run(job, out=None):
         code, body = 1, {"error": "parse", "message": str(e)}
     except SizeCapExceeded as e:
         code, body = 2, {"error": "size_cap", "message": str(e)}
+    except MemoryError:  # leaving this block frees the job's matrices
+        code, body = 2, {"error": "size_cap", "message": "out of memory"}
     except CychomError as e:
         code, body = 1, {"error": "validation", "message": str(e)}
     report = {**header, **body}

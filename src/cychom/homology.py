@@ -30,17 +30,17 @@ hochschild_homology and cyclic_homology are its two halves, so hh, hc, hp
 and every tower stage eliminate the same matrices, whether or not HP is
 then established; no command computes a cycle space.
 
-Each D_n is eliminated without the rows that D_{n-1} D_n = 0 proves
-dependent.  Let P be the pivot columns of D_{n-1} and Q the other columns
-of Tot_{n-1}.  The columns of D_{n-1} at P are independent, so D_{n-1}[:, P]
-has a left inverse L, and D_{n-1} D_n = 0 gives
-D_n[P, :] = -L D_{n-1}[:, Q] D_n[Q, :]: the rows of D_n at P are
-combinations of its rows at Q.  Deleting them keeps the row space, hence
-the null space, every linear relation among the columns and the pivot
-columns, so no report changes; only the fill-in those rows carried is
-gone.  A tower drops rows of its filtration matrix the same way, with
-d F = F d for its chain map F in place of d d = 0 for the rows of the final
-stage (towers._image_filtration); so every report carries the pivot
+Each D_n is assembled, and so eliminated, without the rows that
+D_{n-1} D_n = 0 proves dependent.  Let P be the pivot columns of D_{n-1}
+and Q the other columns of Tot_{n-1}.  The columns of D_{n-1} at P are
+independent, so D_{n-1}[:, P] has a left inverse L, and D_{n-1} D_n = 0
+gives D_n[P, :] = -L D_{n-1}[:, Q] D_n[Q, :]: the rows of D_n at P are
+combinations of its rows at Q.  Leaving them out keeps the row space,
+hence the null space, every linear relation among the columns and the
+pivot columns, so no report changes; only the fill-in those rows carried
+is gone.  A tower leaves out rows of its filtration matrix the same way,
+with d F = F d for its chain map F in place of d d = 0 for the rows of the
+final stage (towers._image_filtration); so every report carries the pivot
 columns of its differentials, not only their ranks.  Only two functions
 solve: homology_representatives, which names classes, for kernel vectors,
 and lift_to_periodic, for each b~ f_{2k+2} = -B~ f_{2k} of a lift.  Every
@@ -53,8 +53,8 @@ nose or the run fails loudly.
 from bisect import bisect_left
 
 from .errors import NoCertificate, ValidationError
-from .linalg import (ONE, SparseMatrix, drop_rows, independent_modulo,
-                     kernel_basis, pivot_columns, solve)
+from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
+                     pivot_columns, solve)
 
 
 # ---------------------------------------------------------------- total complex
@@ -89,15 +89,16 @@ def differential_blocks(mc, theory, n):
     return blocks, dst, src
 
 
-def total_differential(mc, n):
-    """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix."""
+def total_differential(mc, n, dropped=()):
+    """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix, assembled
+    without the rows in dropped (SparseMatrix.from_blocks)."""
     if n < 1 or n > mc.n_max:
         raise ValidationError(f"total differential needs 1 <= n <= {mc.n_max}")
     blocks, dst, src = differential_blocks(mc, "HC", n)
     return SparseMatrix.from_blocks(
         blocks,
         [mc.spaces[q].dim for q in dst],
-        [mc.spaces[q].dim for q in src])
+        [mc.spaces[q].dim for q in src], dropped)
 
 
 def total_rank_split(mc, n, dependent):
@@ -105,8 +106,8 @@ def total_rank_split(mc, n, dependent):
 
     dependent is the pivot columns of D_{n-1}, () for n = 1; the rows of
     D_n there are combinations of its other rows (module docstring), so
-    they are dropped before the elimination and the pivot columns are
-    those of the whole D_n.
+    D_n is assembled without them, and the pivot columns are those of the
+    whole D_n.
 
     total_differential puts the C_n summand first and applies no B~ to it,
     so the first dim C_n columns of D_n are exactly [b~_n; 0].
@@ -117,8 +118,7 @@ def total_rank_split(mc, n, dependent):
     [b~_n; 0], which are those of b~_n, and their counts are rank b~_n and
     rank D_n.
     """
-    pivots = tuple(pivot_columns(drop_rows(total_differential(mc, n),
-                                           dependent)))
+    pivots = tuple(pivot_columns(total_differential(mc, n, dependent)))
     return pivots[:bisect_left(pivots, mc.spaces[n].dim)], pivots
 
 

@@ -23,6 +23,7 @@ what rational elimination would.
 """
 
 from fractions import Fraction as QQ
+from itertools import accumulate
 from math import gcd, lcm
 
 ZERO = QQ(0)
@@ -111,22 +112,35 @@ class SparseMatrix:
                                         for i, v in col.items()))
 
     @classmethod
-    def from_blocks(cls, blocks, row_dims, col_dims):
+    def from_blocks(cls, blocks, row_dims, col_dims, dropped=()):
         """Assemble from {(block_row, block_col): block}; absent blocks are
-        zero.
+        zero.  The rows in dropped are left out as the blocks are placed,
+        and the others kept in order.
 
         Each key is checked to name a slot and each block's shape against
         that slot, so its entries land inside the slot, and slots do not
-        overlap: the entries are in range and at distinct positions.  They
-        go over the lcm of the blocks' denominators, and only a block whose
-        den differs is rescaled.
+        overlap; a kept row moves to a distinct row below the number kept.
+        So the entries are in range and at distinct positions.  They go
+        over the lcm of the blocks' denominators, and only a block whose
+        den differs is rescaled.  Every caller drops rows in the span of
+        the rows kept, which keeps the row space, hence the kernel and the
+        pivot columns of any echelon form.
         """
-        row_off = [0]
-        for d in row_dims:
-            row_off.append(row_off[-1] + d)
-        col_off = [0]
-        for d in col_dims:
-            col_off.append(col_off[-1] + d)
+        row_off = list(accumulate(row_dims, initial=0))
+        col_off = list(accumulate(col_dims, initial=0))
+        rows, index = row_off[-1], None
+        if dropped:
+            if min(dropped) < 0 or max(dropped) >= rows:
+                raise ValueError("dropped row out of range")
+            # index[r] is the row that row r moves to, up past the rows
+            # dropped above it, or None if it is dropped
+            kept = bytearray(b"\1") * rows
+            for r in dropped:
+                kept[r] = 0
+            index = list(accumulate(kept, initial=-1))[1:]
+            for r in dropped:
+                index[r] = None
+            rows = kept.count(1)
         den = lcm(*[b.den for b in blocks.values()])
         data = {}
         for (bi, bj), block in blocks.items():
@@ -136,9 +150,14 @@ class SparseMatrix:
                 raise ValueError("block shape mismatch")
             ro, co = row_off[bi], col_off[bj]
             scale = den // block.den
+            if index is None:
+                for (r, c), v in block.data.items():
+                    data[(ro + r, co + c)] = v * scale if scale != 1 else v
+                continue
             for (r, c), v in block.data.items():
-                data[(ro + r, co + c)] = v * scale if scale != 1 else v
-        return cls._trusted(row_off[-1], col_off[-1], data, den)
+                if (i := index[ro + r]) is not None:
+                    data[(i, co + c)] = v * scale if scale != 1 else v
+        return cls._trusted(rows, col_off[-1], data, den)
 
     @classmethod
     def hstack(cls, blocks):
@@ -325,32 +344,6 @@ def _back_substitute(pivots, rows, x):
         if s:
             x[c] = -s / row[c]
     return x
-
-
-def drop_rows(m, dropped):
-    """m without the rows in dropped, the others kept in order.
-
-    The callers drop rows that lie in the span of the rows kept, which
-    keeps the row space, so the kernel, every linear relation among the
-    columns and hence the pivot columns of any echelon form.
-    """
-    if not dropped:
-        return m
-    skip = set(dropped)
-    if min(skip) < 0 or max(skip) >= m.rows:
-        raise ValueError("dropped row out of range")
-    index, kept = [], 0
-    for r in range(m.rows):
-        if r in skip:
-            index.append(None)
-        else:
-            index.append(kept)
-            kept += 1
-    # each kept row moves to a distinct index below kept, and its entries
-    # stay nonzero ints
-    return SparseMatrix._trusted(
-        kept, m.cols, {(i, c): v for (r, c), v in m.data.items()
-                       if (i := index[r]) is not None}, m.den)
 
 
 def rank(m):

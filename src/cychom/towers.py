@@ -32,7 +32,7 @@ periodic filtration degrees, none for a one-stage tower.
 
 That block matrix is M = [[D, F], [0, d]], with D the final stage's
 d_{n+1}, F the chain map and d the stage's d_n, and two sets of its rows
-are combinations of the others, so they are dropped before it is ranked.
+are combinations of the others, so M is assembled without them.
 The top rows at the pivot columns of the final stage's d_n: F is a chain
 map, so d_n [D, F] = F [0, d], and the columns of d_n at its pivots have a
 left inverse.  The bottom rows at the pivot columns of the stage's
@@ -44,7 +44,7 @@ from .algebra import AlgebraHom, forget_unit, hecke_algebra, hecke_inclusion
 from .errors import ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
                        periodic_via_stabilization)
-from .linalg import SparseMatrix, drop_rows, rank
+from .linalg import SparseMatrix, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
 
 
@@ -150,12 +150,11 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
 
     M is assembled in one from_blocks call from the complexes' b~ and B~
     blocks (homology.differential_blocks) and, for HC, F block diagonal
-    over the summands of Tot_n: only those blocks are passed.
-
-    Before M is ranked, two sets of its rows are dropped; each is a
-    combination of the rows kept, so the row space and rank M stay.  With
-    P the pivot columns of a differential and Q the others, its columns at
-    P have a left inverse L (homology's module docstring).
+    over the summands of Tot_n: only those blocks are passed.  The call
+    leaves out two sets of M's rows, so no copy of M holds them.  Each is
+    a combination of the rows kept, so the row space and rank M stay.
+    With P the pivot columns of a differential and Q the others, its
+    columns at P have a left inverse L (homology's module docstring).
 
     - Top rows, at the pivot columns of the final stage's d_n.  F is a
       chain map, so d^f_n [D, F] = [d^f_n d^f_{n+1}, F_{n-1} d_n] =
@@ -194,8 +193,8 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
                 row_dims += [mc.spaces[q].dim for q in below]
             m = SparseMatrix.from_blocks(
                 blocks, row_dims, [final_mc.spaces[q].dim for q in above]
-                + [mc.spaces[q].dim for q in here])
-            column.append(rank(drop_rows(m, dependent))
+                + [mc.spaces[q].dim for q in here], dependent)
+            column.append(rank(m)
                           - report.boundary_ranks[n]
                           - final.boundary_ranks[n + 1])
         column.append(final.dims[n])

@@ -183,22 +183,72 @@ def mat_blocks(grid, row_dims, col_dims):
     return out
 
 
+def times(mult, u, v):
+    """The product of sparse vectors u and v, {index: Fraction}."""
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            for k, c in mult.get((i, j), ()):
+                out[k] = out.get(k, F(0)) + x * y * c
+    return {k: v for k, v in out.items() if v}
+
+
 def first_nonassociative(dim, mult):
     """The first triple (i, j, k) in lexicographic order with
     (e_i e_j) e_k != e_i (e_j e_k), or None."""
-    def times(u, v):
-        out = {}
-        for i, x in u.items():
-            for j, y in v.items():
-                for k, c in mult.get((i, j), ()):
-                    out[k] = out.get(k, F(0)) + x * y * c
-        return {k: v for k, v in out.items() if v}
-
     for i, j, k in product(range(dim), repeat=3):
         ei, ej, ek = {i: F(1)}, {j: F(1)}, {k: F(1)}
-        if times(times(ei, ej), ek) != times(ei, times(ej, ek)):
+        if times(mult, times(mult, ei, ej), ek) != \
+                times(mult, ei, times(mult, ej, ek)):
             return (i, j, k)
     return None
+
+
+def _coordinates(basis, v, dim):
+    """The coefficients of v in basis, dim sparse vectors of Q^dim, or None
+    when they are not a basis (Gauss-Jordan on dense rows)."""
+    rows = [[b.get(i, F(0)) for b in basis] + [v.get(i, F(0))]
+            for i in range(dim)]
+    for k in range(dim):
+        p = next((i for i in range(k, dim) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(dim):
+            if i != k and (f := rows[i][k]):
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [row[dim] for row in rows]
+
+
+def one_generator_hh(dim, mult, unit, x, n_max):
+    """Hochschild homology dims in degrees 0..n_max of A = Q[x]/(f) from its
+    2-periodic resolution, or None when 1, x, ..., x^{dim-1} do not span A.
+
+    unit and x are sparse vectors.  With f monic of degree dim, A has the
+    resolution A (x) A <- A (x) A <- ... over A (x) A with maps
+    x (x) 1 - 1 (x) x and (f (x) 1 - 1 (x) f) / (x (x) 1 - 1 (x) x) in
+    turn.  Tensored down it is A <- A <- A <- ... with maps 0, f'(x), 0,
+    f'(x), ...  So HH_0 = A, and for n >= 1 HH_n is A / (f'(x)) in odd
+    degrees and the annihilator of f'(x) in even ones, both of dimension
+    dim - rank(f'(x) .).  Reference: Buenos Aires Cyclic Homology Group,
+    "Cyclic homology of algebras with one generator", K-Theory 5 (1991).
+    """
+    powers = [unit]
+    for _ in range(dim):
+        powers.append(times(mult, x, powers[-1]))
+    # f(x) = x^dim - sum c_k x^k
+    c = _coordinates(powers[:dim], powers[dim], dim)
+    if c is None:
+        return None
+    derivative = {i: dim * v for i, v in powers[dim - 1].items()}
+    for k in range(1, dim):
+        for i, v in powers[k - 1].items():
+            derivative[i] = derivative.get(i, F(0)) - k * c[k] * v
+    rank = oracle_rank(dim, {(i, j): v for j in range(dim)
+                             for i, v in times(mult, derivative,
+                                               {j: F(1)}).items()})
+    return [dim] + [dim - rank] * n_max
 
 
 # Fixture algebras as plain data.

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cychom import homology, mixed, towers
+from cychom import cli, homology, mixed, towers
 from cychom.algebra import Algebra
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.cli import (JobSpec, algebra_to_doc, format_rational, main,
@@ -217,6 +217,22 @@ def test_size_cap_and_override(capsys):
         "chain space in degree 13 has 6377292 cells; cap 2000000"
 
 
+def test_running_out_of_memory_is_a_size_cap_report(capsys, monkeypatch):
+    # a job the caps admit can still exhaust memory; it gets a report and
+    # exit 2, not a traceback
+    def exhausted(a, n_max):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_mixed_complex", exhausted)
+    code, out = run_cli(["hh", str(DATA / "algebras" / "mat2.json"),
+                         "--format", "json", "--max-degree", "9"], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "size_cap"
+    assert report["message"] == "out of memory"
+    assert report["command"] == "hh" and report["max_degree"] == 9
+
+
 def test_deep_ground_field_is_fast(capsys):
     # C(Q) has 1 cell in degree 0 and none above, so nothing refuses
     # hh -d400; Tot_n still has n // 2 + 1 summands, so assembling D_n may
@@ -366,9 +382,9 @@ def test_tower_assembles_each_total_differential_once(capsys, monkeypatch):
     assembled = []
     total = homology.total_differential
 
-    def recording(mc, n):
+    def recording(mc, n, dropped=()):
         assembled.append((id(mc), n))
-        return total(mc, n)
+        return total(mc, n, dropped)
 
     monkeypatch.setattr(homology, "total_differential", recording)
     code, _ = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),

@@ -199,6 +199,39 @@ def test_from_blocks():
         SparseMatrix.from_blocks({(-1, 0): i2}, [2, 2], [2])
 
 
+def test_from_blocks_leaves_out_dropped_rows_in_order():
+    blocks = {(0, 0): dense([[1, 2], [3, 4], [5, 6]]),
+              (1, 1): dense([[7], [8]]), (2, 0): dense([[9, 0]])}
+    dims = [3, 2, 1], [2, 1]
+    # a dropped row in the middle of a slot, a whole slot, a repeat
+    m = SparseMatrix.from_blocks(blocks, *dims, [4, 1, 3, 4])
+    assert m == dense([[1, 2, 0], [5, 6, 0], [9, 0, 0]])
+    assert SparseMatrix.from_blocks(blocks, *dims, []) == \
+        SparseMatrix.from_blocks(blocks, *dims)
+    assert SparseMatrix.from_blocks(blocks, *dims, range(6)).shape == (0, 3)
+    for row in (-1, 6):
+        with pytest.raises(ValueError):
+            SparseMatrix.from_blocks(blocks, *dims, [0, row])
+
+
+def test_from_blocks_drop_keeps_the_store_canonical():
+    # [[1], [2]] / 2 without row 0 is [[1]]: the common factor 2 goes
+    m = SparseMatrix.from_blocks(
+        {(0, 0): SparseMatrix(2, 1, [(0, 0, "1/2"), (1, 0, 1)])}, [2], [1],
+        [0])
+    want = SparseMatrix(1, 1, [(0, 0, 1)])
+    assert (m.shape, m.data, m.den) == (want.shape, want.data, want.den)
+    assert_canonical(m)
+    blocks = {(0, 0): SparseMatrix(1, 2, [(0, 0, "3/4")]),
+              (1, 0): SparseMatrix(1, 2, [(0, 1, "1/6")])}
+    cases = {(0,): SparseMatrix(1, 2, [(0, 1, "1/6")]),
+             (1,): SparseMatrix(1, 2, [(0, 0, "3/4")]),
+             (0, 1): SparseMatrix(0, 2)}
+    for dropped, want in cases.items():
+        m = SparseMatrix.from_blocks(blocks, [1, 1], [2], dropped)
+        assert (m.shape, m.data, m.den) == (want.shape, want.data, want.den)
+
+
 def test_determinism_repeated_runs():
     rng = random.Random(5)
     m = SparseMatrix(6, 9, ((r, c, rng.randint(-5, 5))
