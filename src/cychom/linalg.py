@@ -128,12 +128,13 @@ class SparseMatrix:
         """
         row_off = list(accumulate(row_dims, initial=0))
         col_off = list(accumulate(col_dims, initial=0))
-        rows, index = row_off[-1], None
+        # index[r] is the row that row r moves to, or None if it is dropped
+        rows = row_off[-1]
+        index = list(range(rows))
         if dropped:
             if min(dropped) < 0 or max(dropped) >= rows:
                 raise ValueError("dropped row out of range")
-            # index[r] is the row that row r moves to, up past the rows
-            # dropped above it, or None if it is dropped
+            # a kept row moves up past the rows dropped above it
             kept = bytearray(b"\1") * rows
             for r in dropped:
                 kept[r] = 0
@@ -150,10 +151,6 @@ class SparseMatrix:
                 raise ValueError("block shape mismatch")
             ro, co = row_off[bi], col_off[bj]
             scale = den // block.den
-            if index is None:
-                for (r, c), v in block.data.items():
-                    data[(ro + r, co + c)] = v * scale if scale != 1 else v
-                continue
             for (r, c), v in block.data.items():
                 if (i := index[ro + r]) is not None:
                     data[(i, co + c)] = v * scale if scale != 1 else v

@@ -146,7 +146,7 @@ def two_periodic_hh(name, max_degree):
 
 
 @pytest.mark.parametrize("name, degree", [
-    *ONE_GENERATOR.items(), ("ground_field", 400), ("dual_numbers", 400)])
+    *ONE_GENERATOR.items(), ("dual_numbers", 400)])
 def test_hh_matches_the_two_periodic_resolution(name, degree, capsys):
     # HH_n of Q[x]/(f) is dim A - rank(f'(x) .) in every degree n >= 1; at
     # -d400 the dual numbers rank D_n whose dropped rows are already zero
