@@ -14,14 +14,15 @@ from rationals, and entries, columns, matrix-vector products and the
 vectors of back substitution come out as QQ.  Vectors are sparse dicts
 {index: rational} with zero entries absent.
 
-All operations are pure and deterministic: elimination processes columns left
-to right and picks the pivot row with the fewest stored entries (ties broken
-by the lowest row index), and solve() sets free variables to zero, so the
-particular solutions and bases produced are reproducible bit for bit.
-Elimination is fraction-free; _echelon spells out why its integer rows give
-what rational elimination would.
+All operations are pure and deterministic: elimination inserts the rows
+highest index first, reducing each only against the pivot rows its leading
+columns meet, and solve() sets free variables to zero, so the particular
+solutions and bases produced are reproducible bit for bit.  Elimination is
+fraction-free; _echelon spells out why its integer rows give what rational
+elimination would.
 """
 
+from collections import defaultdict
 from fractions import Fraction as QQ
 from itertools import accumulate
 from math import gcd, lcm
@@ -245,83 +246,73 @@ def _echelon(m, rhs_cols=0):
 
     Returns (pivots, rows) where pivots is a list of (row, col) in increasing
     column order and rows maps row index to its reduced sparse row dict of
-    coprime integers.  Pivot rule: columns left to right; pivot row = fewest
-    stored entries, ties by lowest row index.  After processing, every pivot
-    row has support only in its pivot column and later ones.
+    coprime integers.  Rule: rows are inserted one at a time, highest row
+    index first.  While the row's leading (least) column c lies below
+    cols - rhs_cols and already has a pivot row, c is cleared against that
+    row.  A row that reaches a free leading column becomes its pivot row;
+    a row that empties, or keeps only right-hand-side columns, is a
+    non-pivot row.  So every pivot row's least column is its pivot column.
 
     A stored row of m is den times the rational row, and each row starts
     divided by the gcd of its entries: a nonzero multiple of the rational
     row, in coprime integers.  To clear column c of row r against pivot row
     p, with a = r[c], pval = p[c] and g = gcd(a, pval), the row becomes
     (pval/g) r - (a/g) p, whose entry at c is 0, and is then divided by the
-    gcd of its entries.  If r = x R and p = y P for the rows R, P rational
-    elimination holds, with x, y nonzero rationals, the new row is
-    (x y P[c] / g) (R - (R[c]/P[c]) P): a nonzero multiple of rational
-    elimination's update of R.  By induction every stored row is a nonzero
-    rational multiple of the rational one, so:
+    gcd of its entries.  If r = x R and p = y P for the rows R, P that
+    rational insertion in the same order holds, with x, y nonzero
+    rationals, the new row is (x y P[c] / g) (R - (R[c]/P[c]) P): a nonzero
+    multiple of rational insertion's update of R.  By induction every
+    stored row is a nonzero rational multiple of the rational one, so:
 
-    - supports are identical, hence the pivot rule (which reads only
-      supports and row lengths) picks the same pivots in the same order;
+    - supports are identical, hence the rule (which reads only leading
+      columns) picks the same pivots in the same order;
     - the inconsistency test of solve_columns reads supports only;
     - back substitution (_back_substitute, behind kernel_basis and
       solve_columns) divides a sum of a row's entries by the same row's
-      pivot entry, a quotient no scaling of the row changes, so it returns
-      the same Fractions.
+      pivot entry, a quotient no scaling of the row changes.
+
+    Any echelon form of the row space has the same pivot columns, and with
+    the free coordinates at zero back substitution has one solution, so
+    the insertion order decides the speed, not the results.  Descending row
+    index keeps fill near the least measured (test_linalg.py bounds it);
+    by row length or ascending index it grows several times over.
     """
-    rows = {}
-    col_rows = {}
+    rows = defaultdict(dict)
     for (r, c), v in m.data.items():
-        rows.setdefault(r, {})[c] = v
-        col_rows.setdefault(c, set()).add(r)
-    for r, row in rows.items():
-        g = gcd(*row.values())
-        if g != 1:
-            rows[r] = {c: v // g for c, v in row.items()}
+        rows[r][c] = v
     pivot_limit = m.cols - rhs_cols
-    done = set()
-    pivots = []
-    for c in sorted(col_rows):
-        if c >= pivot_limit:
-            break
-        members = col_rows[c]
-        live = [r for r in members if r not in done and c in rows[r]]
-        if not live:
-            continue
-        best = min(live, key=lambda r: (len(rows[r]), r))
-        done.add(best)
-        pivots.append((best, c))
-        prow = rows[best]
-        pval = prow[c]
-        for r in live:
-            if r == best:
-                continue
-            rrow = rows[r]
-            a = rrow[c]
+    pivot_rows = {}
+    for r in sorted(rows, reverse=True):
+        row = rows[r]
+        g = gcd(*row.values())
+        while row:
+            if g != 1:
+                for cc in row:
+                    row[cc] //= g
+            c = min(row)
+            if c >= pivot_limit:
+                break
+            p = pivot_rows.get(c)
+            if p is None:
+                pivot_rows[c] = r
+                break
+            prow = rows[p]
+            pval = prow[c]
+            a = row[c]
             g = gcd(a, pval)
             s, t = pval // g, a // g
             if s != 1:
-                rrow = {cc: s * vv for cc, vv in rrow.items()}
+                for cc in row:
+                    row[cc] *= s
+            get = row.get
             for cc, vv in prow.items():
-                cur = rrow.get(cc)
-                if cur is None:
-                    # a new entry (never at c, which cancels); cc is a column
-                    # of the pivot row, so col_rows already has it
-                    rrow[cc] = -t * vv
-                    col_rows[cc].add(r)
+                nv = get(cc, 0) - t * vv
+                if nv:
+                    row[cc] = nv
                 else:
-                    nv = cur - t * vv
-                    if nv:
-                        rrow[cc] = nv
-                    else:
-                        del rrow[cc]
-            if rrow:
-                g = gcd(*rrow.values())
-                if g != 1:
-                    rrow = {cc: vv // g for cc, vv in rrow.items()}
-            rows[r] = rrow
-        if len(done) == m.rows:
-            break
-    return pivots, rows
+                    del row[cc]
+            g = gcd(*row.values())
+    return [(r, c) for c, r in sorted(pivot_rows.items())], rows
 
 
 def _back_substitute(pivots, rows, x):
@@ -414,7 +405,8 @@ def solve_columns(m, vectors):
     pivots, rows = _echelon(aug, rhs_cols=k)
     pivot_rows = {r for r, _ in pivots}
     # A non-pivot row with any remaining entry witnesses inconsistency for
-    # the right-hand sides it touches (its m-part is fully eliminated).
+    # the right-hand sides it touches: its reduction stopped only once no
+    # entry of its m-part was left.
     bad = set()
     for r, row in rows.items():
         if r in pivot_rows:

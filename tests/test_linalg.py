@@ -1,15 +1,21 @@
 """Tests for the exact sparse linear algebra core."""
 
 import random
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 import oracles
-from conftest import assert_canonical, rational_store
-from cychom import linalg
+from conftest import assert_canonical, basis_variants, rational_store
+from cychom import cli, linalg
+from cychom.homology import total_differential, total_rank_split
 from cychom.linalg import (QQ, SparseMatrix, as_rational, image_basis,
                            independent_modulo, invert, kernel_basis,
                            pivot_columns, rank, solve, solve_columns, vec_eq)
+from cychom.mixed import build_mixed_complex
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def dense(rows):
@@ -245,8 +251,11 @@ def test_determinism_repeated_runs():
 
 
 def fraction_echelon(m, rhs_cols=0):
-    """Reference: the rational elimination _echelon ran before it became
-    fraction-free; same pivot rule, rows held as reduced rationals."""
+    """Reference: the column-wise rule _echelon used before it inserted
+    rows (columns left to right, pivot row with the fewest stored entries,
+    ties by lowest row index), in rational arithmetic.  Any echelon form
+    has the same pivot columns, and back substitution from it gives the
+    same vectors, so callers get from it what they get from _echelon."""
     rows = {}
     col_rows = {}
     for (r, c), v in rational_store(m).items():
@@ -326,17 +335,28 @@ def test_fraction_free_elimination_matches_rational_reference(monkeypatch):
         aug = SparseMatrix.hstack(
             [m, SparseMatrix.from_columns(m.rows, rhs)])
         pivots, rows = linalg._echelon(aug, rhs_cols=len(rhs))
-        ref_pivots, ref_rows = fraction_echelon(aug, rhs_cols=len(rhs))
-        assert pivots == ref_pivots
-        assert rows.keys() == ref_rows.keys()
+        ref_pivots, _ = fraction_echelon(aug, rhs_cols=len(rhs))
+        pivot_cols = [c for _, c in pivots]
+        assert pivot_cols == [c for _, c in ref_pivots]
+        # what callers rely on: distinct increasing pivot columns, coprime
+        # int rows, each pivot row led by its pivot column, no non-pivot row
+        # left of the right-hand sides, and every row in the row space of aug
+        assert pivot_cols == sorted(set(pivot_cols))
+        pivot_of = dict(pivots)
+        store = rational_store(aug)
+        aug_rank = oracles.oracle_rank(aug.rows, store)
         for r, row in rows.items():
-            ref = ref_rows[r]
-            assert row.keys() == ref.keys()
             assert all(type(v) is int for v in row.values())
+            if r in pivot_of:
+                assert min(row) == pivot_of[r]
+            else:
+                assert all(c >= m.cols for c in row)
             if row:
-                ratio = QQ(row[min(row)]) / ref[min(ref)]
-                assert all(QQ(v) == ratio * ref[c] for c, v in row.items())
-        negative_pivots += sum(1 for r, c in ref_pivots if ref_rows[r][c] < 0)
+                assert gcd(*row.values()) == 1
+                appended = dict(store)
+                appended.update(((aug.rows, c), QQ(v)) for c, v in row.items())
+                assert oracles.oracle_rank(aug.rows + 1, appended) == aug_rank
+        negative_pivots += sum(1 for r, c in pivots if rows[r][c] < 0)
 
         got = (pivot_columns(m), kernel_basis(m), solve_columns(m, rhs))
         with monkeypatch.context() as patch:
@@ -353,6 +373,22 @@ def test_fraction_free_elimination_matches_rational_reference(monkeypatch):
         assert rank(m) == oracles.oracle_rank(m.rows, rational_store(m))
     assert outcomes["inconsistent"] >= 50 and outcomes["consistent"] >= 250
     assert negative_pivots >= 100
+
+
+def test_insertion_order_keeps_fill_down():
+    # D_5 of C(Q[Z/4]) in the rational basis, reduced as hh -d4 ranks it:
+    # 268x1092 with 5,758 nonzeros.  The column-wise rule stored 20,380
+    # entries after elimination, insertion by descending row index stores
+    # 24,531, and insertion by row length 58,728; the bound sits between.
+    a = cli.parse_algebra_file(DATA / "algebras" / "cyclic4.json")
+    mc = build_mixed_complex(basis_variants(a, 0)[2], 5)
+    dependent = ()
+    for n in range(1, 5):
+        dependent = total_rank_split(mc, n, dependent)[1]
+    d5 = total_differential(mc, 5, dependent)
+    assert (d5.shape, d5.nnz) == ((268, 1092), 5758)
+    _, rows = linalg._echelon(d5)
+    assert sum(len(row) for row in rows.values()) <= 30_000
 
 
 def test_results_are_rationals_not_ints_or_floats():
