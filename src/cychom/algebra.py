@@ -1,34 +1,54 @@
 """Finite-dimensional associative algebras, homomorphisms and finite groups.
 
-Algebras are given by structure constants over exact rationals: e_i e_j =
-sum_k c_{ij}^k e_k with an optional unit vector.  Constructors cover
-unitization, matrix algebras M_n(A), group algebras, double-coset algebras of
-a finite group pair (G, K) under convolution, and direct sums.
+Algebras are given by structure constants over Q: e_i e_j = sum_k c_{ij}^k
+e_k with an optional unit vector.  They are stored as SparseMatrix stores
+its entries, nonzero ints over one positive denominator, so checks and
+the operator tables of mixed.py run on ints; product and multiply are the
+rational view.  Constructors cover unitization, matrix algebras M_n(A),
+group algebras, double-coset algebras of a finite group pair (G, K) under
+convolution, and direct sums; all but change_of_basis build the integer
+store directly.
 """
 
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ValidationError
-from .linalg import ONE, QQ, SparseMatrix, as_rational, invert, rank, vec_eq
+from .linalg import ONE, QQ, SparseMatrix, as_rational, invert, rank
+
+
+def _combination(terms):
+    """sum_t c_t v_t over the pairs (c_t, v_t), v_t sparse int dicts, with
+    zero sums dropped."""
+    out = {}
+    for c, vec in terms:
+        for k, v in vec.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 class Algebra:
     """A finite-dimensional associative algebra over Q by structure constants.
 
-    table maps a basis-index pair (i, j) to a dict {k: coefficient} giving the
-    expansion of e_i * e_j; absent pairs and absent k's mean zero.  unit, when
-    present, is a sparse coordinate dict and is verified to be two-sided.
-    Associativity is not checked at construction (it costs dim^3 products);
-    call check_associativity, as the file loaders do.
+    table maps a basis-index pair (i, j) to a dict {k: nonzero int}, and
+    c_{ij}^k = table[i, j][k] / den; absent pairs and absent k's mean zero.
+    The store is canonical as a SparseMatrix's is (den >= 1, the gcd of den
+    and every stored int is 1, den == 1 for an empty table), so equal
+    algebras over Q have equal stores.  product and multiply are the
+    rational view.  unit, when present, is a sparse coordinate dict of
+    rationals and is verified to be two-sided, in ints.  Associativity is
+    not checked at construction (it costs dim^3 products); call
+    check_associativity, as the file loaders do.
+
+    The constructor takes the constants as rationals (ints, 'p/q' strings
+    or Fractions; floats are refused) and range-checks every index.
     """
 
-    __slots__ = ("dim", "basis_labels", "table", "unit")
+    __slots__ = ("dim", "basis_labels", "table", "den", "unit")
 
     def __init__(self, dim, table, unit=None, basis_labels=None):
         if dim < 0:
             raise ValidationError("negative dimension")
-        self.dim = dim
         clean = {}
         for (i, j), terms in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
@@ -37,43 +57,85 @@ class Algebra:
             for k, c in terms.items():
                 if not 0 <= k < dim:
                     raise ValidationError(f"structure constant target {k} out of range")
-                c = as_rational(c)
+                if type(c) is not QQ:
+                    c = as_rational(c)
                 if c:
                     vec[k] = c
             if vec:
                 clean[(i, j)] = vec
-        self.table = clean
+        den = lcm(*[c.denominator for vec in clean.values()
+                    for c in vec.values()])
+        ints = {key: {k: c.numerator * (den // c.denominator)
+                      for k, c in vec.items()} for key, vec in clean.items()}
         if basis_labels is None:
             basis_labels = tuple(f"e{i}" for i in range(dim))
         if len(basis_labels) != dim:
             raise ValidationError("wrong number of basis labels")
-        self.basis_labels = tuple(basis_labels)
         if unit is not None:
-            unit = {k: as_rational(c) for k, c in unit.items() if as_rational(c)}
-            for i in range(dim):
-                e = {i: ONE}
-                if not (vec_eq(self.multiply(unit, e), e)
-                        and vec_eq(self.multiply(e, unit), e)):
-                    raise ValidationError(f"claimed unit fails on basis element {i}")
+            unit = {k: q for k, c in unit.items() if (q := as_rational(c))}
+        self._store(dim, ints, den, unit, basis_labels)
+
+    def _store(self, dim, table, den, unit, basis_labels):
+        if den != 1:
+            g = gcd(den, *[v for vec in table.values() for v in vec.values()])
+            if g != 1:
+                den //= g
+                table = {key: {k: v // g for k, v in vec.items()}
+                         for key, vec in table.items()}
+        self.dim = dim
+        self.table = table
+        self.den = den
+        self.basis_labels = tuple(basis_labels)
         self.unit = unit
+        if unit is not None:
+            self._check_unit()
+
+    @classmethod
+    def _trusted(cls, dim, table, den, unit, basis_labels):
+        """The algebra with constants table[i, j][k] / den, for table a dict
+        {(i, j): {k: nonzero int}} with every index in range, den > 0 and
+        dim labels.
+
+        __init__ checks every index and coefficient; each caller builds a
+        table that meets these by construction.  Only the common factor of
+        den and the table is divided out here, and the unit is still
+        checked.
+        """
+        a = cls.__new__(cls)
+        a._store(dim, table, den, unit, basis_labels)
+        return a
+
+    def integer_unit(self):
+        """(p, q) with unit = sum_k p_k e_k / q, q the lcm of its
+        denominators."""
+        q = lcm(*[c.denominator for c in self.unit.values()])
+        return {k: c.numerator * (q // c.denominator)
+                for k, c in self.unit.items()}, q
+
+    def _check_unit(self):
+        """Raise unless unit e_i = e_i = e_i unit for every i.  With t the
+        table, unit e_i = sum_k p_k t[k, i] / (q den), so it is e_i exactly
+        when sum_k p_k t[k, i] = q den e_i; likewise on the right."""
+        p, q = self.integer_unit()
+        get = self.table.get
+        for i in range(self.dim):
+            want = {i: q * self.den}
+            left = _combination((c, get((k, i), {})) for k, c in p.items())
+            right = _combination((c, get((i, k), {})) for k, c in p.items())
+            if left != want or right != want:
+                raise ValidationError(f"claimed unit fails on basis element {i}")
 
     def product(self, i, j):
-        """e_i * e_j as a sparse coordinate dict."""
-        return self.table.get((i, j), {})
+        """e_i * e_j as a sparse coordinate dict of rationals."""
+        return {k: QQ(c, self.den)
+                for k, c in self.table.get((i, j), {}).items()}
 
     def multiply(self, u, v):
         """Product of two elements given as sparse coordinate dicts."""
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                coeff = a * b
-                for k, c in self.product(i, j).items():
-                    s = out.get(k, QQ(0)) + coeff * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+        get = self.table.get
+        out = _combination((a * b, get((i, j), {}))
+                           for i, a in u.items() for j, b in v.items())
+        return {k: QQ(s, self.den) for k, s in out.items()}
 
     def is_unital(self):
         return self.unit is not None
@@ -86,14 +148,11 @@ def check_associativity(a):
     """Verify (e_i e_j) e_k = e_i (e_j e_k) for all dim^3 triples.
 
     Returns None when every triple associates, else the first failing
-    triple (i, j, k) in lexicographic order.  The table is scaled once to
-    ints t = L c, L the lcm of its denominators; the difference of the two
-    sides of a triple is then L^2 times the rational one, summed in ints.
+    triple (i, j, k) in lexicographic order.  The table holds den times
+    each constant, so the difference of the two sides of a triple, summed
+    in its ints, is den^2 times the rational one.
     """
-    den = lcm(*[c.denominator for vec in a.table.values()
-                for c in vec.values()])
-    t = [[[(k, c.numerator * (den // c.denominator))
-           for k, c in a.product(i, j).items()] for j in range(a.dim)]
+    t = [[tuple(a.table.get((i, j), {}).items()) for j in range(a.dim)]
          for i in range(a.dim)]
     for i, row in enumerate(t):
         for j, left_ij in enumerate(row):
@@ -114,21 +173,22 @@ def unitize(a):
     """The unitization A~ = A (+) Q: A keeps its basis, and the new unit is
     the last basis vector, index a.dim.
 
-    The new element is the unit even when A already had one.
+    The new element is the unit even when A already had one.  Its products
+    are e_i and go over A's den as den e_i.
     """
-    d = a.dim
+    d, den = a.dim, a.den
     table = dict(a.table)
     for i in range(d):
-        table[(d, i)] = {i: ONE}
-        table[(i, d)] = {i: ONE}
-    table[(d, d)] = {d: ONE}
+        table[(d, i)] = {i: den}
+        table[(i, d)] = {i: den}
+    table[(d, d)] = {d: den}
     labels = tuple(a.basis_labels) + ("one",)
-    return Algebra(d + 1, table, unit={d: ONE}, basis_labels=labels)
+    return Algebra._trusted(d + 1, table, den, {d: ONE}, labels)
 
 
 def forget_unit(a):
     """The algebra a with no unit recorded: same basis and table."""
-    return Algebra(a.dim, a.table, basis_labels=a.basis_labels)
+    return Algebra._trusted(a.dim, a.table, a.den, None, a.basis_labels)
 
 
 def matrix_algebra(a, n):
@@ -153,16 +213,19 @@ def matrix_algebra(a, n):
         for p in range(n):
             for i, c in a.unit.items():
                 unit[idx(p, p, i)] = c
-    return Algebra(d, table, unit=unit, basis_labels=labels)
+    return Algebra._trusted(d, table, a.den, unit, labels)
 
 
 def direct_sum(a, b):
-    """A + B with products across the summands equal to zero."""
-    table = {}
-    for (i, j), vec in a.table.items():
-        table[(i, j)] = dict(vec)
+    """A + B with products across the summands equal to zero, over the lcm
+    of the summands' denominators."""
+    den = lcm(a.den, b.den)
+    up_a, up_b = den // a.den, den // b.den
+    table = {key: {k: c * up_a for k, c in vec.items()}
+             for key, vec in a.table.items()}
     for (i, j), vec in b.table.items():
-        table[(i + a.dim, j + a.dim)] = {k + a.dim: c for k, c in vec.items()}
+        table[(i + a.dim, j + a.dim)] = {k + a.dim: c * up_b
+                                         for k, c in vec.items()}
     unit = None
     if a.unit is not None and b.unit is not None:
         unit = dict(a.unit)
@@ -170,7 +233,7 @@ def direct_sum(a, b):
             unit[k + a.dim] = c
     labels = tuple(f"l:{x}" for x in a.basis_labels) + \
         tuple(f"r:{x}" for x in b.basis_labels)
-    return Algebra(a.dim + b.dim, table, unit=unit, basis_labels=labels)
+    return Algebra._trusted(a.dim + b.dim, table, den, unit, labels)
 
 
 def change_of_basis(a, s):
@@ -212,13 +275,27 @@ class AlgebraHom:
         return self.matrix.apply(vec)
 
     def validate(self):
-        """Check f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
-        cols = self.matrix.columns()
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                lhs = self.apply(self.source.product(i, j))
-                rhs = self.target.multiply(cols[i], cols[j])
-                if not vec_eq(lhs, rhs):
+        """Check f(e_i e_j) = f(e_i) f(e_j) on all basis pairs, in ints.
+
+        With s and t the source's and target's tables and M = f.matrix,
+        f(e_i e_j) = sum_k s[i,j][k] M[:,k] / (s.den M.den) and f(e_i) f(e_j)
+        = sum_{k,l} M[k,i] M[l,j] t[k,l] / (M.den^2 t.den).  Times
+        s.den M.den^2 t.den, the two sides are compared as
+        sum_k s[i,j][k] M[:,k] M.den t.den and
+        sum_{k,l} M[k,i] M[l,j] t[k,l] s.den.
+        """
+        m, source, target = self.matrix, self.source, self.target
+        cols = m.integer_columns()
+        scale = m.den * target.den
+        s, t = source.table.get, target.table.get
+        for i in range(source.dim):
+            for j in range(source.dim):
+                lhs = _combination((c * scale, cols[k])
+                                   for k, c in s((i, j), {}).items())
+                rhs = _combination((a * b * source.den, t((k, l), {}))
+                                   for k, a in cols[i].items()
+                                   for l, b in cols[j].items())
+                if lhs != rhs:
                     raise ValidationError(
                         f"hom fails multiplicativity on basis pair ({i}, {j})")
         return True
@@ -328,10 +405,10 @@ def symmetric_group_with_perms(n):
 
 def group_algebra(g):
     """The group algebra Q[G]: basis = group elements, convolution product."""
-    table = {(i, j): {g.table[i][j]: ONE}
+    table = {(i, j): {g.table[i][j]: 1}
              for i in range(g.order) for j in range(g.order)}
-    return Algebra(g.order, table, unit={g.identity: ONE},
-                   basis_labels=g.element_names)
+    return Algebra._trusted(g.order, table, 1, {g.identity: ONE},
+                            g.element_names)
 
 
 def double_cosets(g, k_elems):
@@ -368,7 +445,8 @@ def hecke_algebra(g, k_elems):
     is constant on each double coset, and the double cosets partition G.
     So the coefficient of D_d in D_i * D_j is read at one point, the least
     element r_d of D_d: it is #{(x, y) in D_i x D_j : xy = r_d} / |K|.  The
-    pairs are counted in ints, y = x^{-1} r_d for each x in D_i.
+    pairs are counted in ints, y = x^{-1} r_d for each x in D_i, and the
+    counts are the table over den = |K|.
     """
     if not g.is_subgroup(k_elems):
         raise ValidationError(f"{sorted(set(k_elems))} is not a subgroup")
@@ -384,10 +462,10 @@ def hecke_algebra(g, k_elems):
                 counts[key] = counts.get(key, 0) + 1
     table = {}
     for (i, j, d), count in sorted(counts.items()):
-        table.setdefault((i, j), {})[d] = QQ(count, k_size)
+        table.setdefault((i, j), {})[d] = count
     labels = tuple(f"K{g.element_names[c[0]]}K" for c in cosets)
-    return Algebra(len(cosets), table, unit={coset_of[g.identity]: ONE},
-                   basis_labels=labels)
+    return Algebra._trusted(len(cosets), table, k_size,
+                            {coset_of[g.identity]: ONE}, labels)
 
 
 def hecke_inclusion(g, k_elems, kp_elems, source, target):
@@ -406,9 +484,12 @@ def hecke_inclusion(g, k_elems, kp_elems, source, target):
     for d, coset in enumerate(small):
         for x in coset:
             small_of[x] = d
-    coeff = QQ(len(kp_set)) / len(k_set)
-    entries = []
+    # |K'| over |K| at each (small coset, big coset) pair, once, and both
+    # indices in range of the cosets; AlgebraHom checks the shape against
+    # source and target
+    data = {}
     for dbig, coset in enumerate(big):
-        inside = sorted({small_of[x] for x in coset})
-        entries.extend((dsm, dbig, coeff) for dsm in inside)
-    return AlgebraHom(source, target, SparseMatrix(target.dim, source.dim, entries))
+        for dsm in sorted({small_of[x] for x in coset}):
+            data[(dsm, dbig)] = len(kp_set)
+    matrix = SparseMatrix._trusted(len(small), len(big), data, len(k_set))
+    return AlgebraHom(source, target, matrix)

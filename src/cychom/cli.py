@@ -319,7 +319,9 @@ def _certificate_fields(cert):
 
 
 def _homology_report(job, theory):
-    mc = build_mixed_complex(parse_algebra_file(job.path), job.max_degree + 1)
+    # D_1 .. D_{max_degree+1} read B~ through max_degree - 1 only
+    mc = build_mixed_complex(parse_algebra_file(job.path), job.max_degree + 1,
+                             job.max_degree - 1)
     compute = hochschild_homology if theory == "HH" else cyclic_homology
     report = compute(mc, job.max_degree)
     body = {"theory": theory,

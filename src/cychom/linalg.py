@@ -38,10 +38,6 @@ def as_rational(x):
     return QQ(x)
 
 
-def vec_eq(u, v):
-    return {i: x for i, x in u.items() if x} == {i: x for i, x in v.items() if x}
-
-
 class SparseMatrix:
     """Immutable sparse matrix over Q: the nonzero ints data over den.
 
@@ -178,9 +174,15 @@ class SparseMatrix:
 
     def columns(self):
         """All columns as sparse dicts, including zero columns."""
+        return [{r: QQ(v, self.den) for r, v in col.items()}
+                for col in self.integer_columns()]
+
+    def integer_columns(self):
+        """The stored ints of every column as sparse dicts: column j is
+        integer_columns()[j] / den."""
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.data.items():
-            cols[c][r] = QQ(v, self.den)
+            cols[c][r] = v
         return cols
 
     def apply(self, vec):

@@ -19,7 +19,16 @@ differentials are (Loday, Cyclic Homology, 1.1.14 and 2.1.9)
     = sum_{i=0}^{n} (-1)^{ni} (1; a_i .. a_n, pi(a_0), a_1 .. a_{i-1})
 
 with the leading 1 of B expanded as sum_k c_k e_k.  They are written b~
-(degree -1) and B~ (degree +1) below.
+(degree -1) and B~ (degree +1) below.  Both are built in ints: A's table
+is ints over one denominator (algebra.Algebra), the unit is
+sum_k p_k e_k / q, and pi is applied as |p_u| pi, an int map
+(_projection), so building makes no Fraction.
+
+HH and HC rank the total differential D_n of Tot_n = C_n (+) C_{n-2}
+(+) ..., which applies B~ to every summand but the top one, C_n; so D_n
+reads B~ only through degree n - 2.  The hh, hc, hp and tower commands
+rank D_1 .. D_{n_max} and build B~ through n_max - 2; identities checks
+every B~ the chain spaces reach, through n_max - 1.
 
 For A without a unit the builder runs the same formulas on A~ = unitize(A),
 whose unit is the last basis vector, and drops that unit from degree 0: the
@@ -58,7 +67,7 @@ from operator import itemgetter
 
 from .algebra import unitize
 from .errors import SizeCapExceeded, ValidationError
-from .linalg import ONE, QQ, SparseMatrix
+from .linalg import QQ, SparseMatrix
 
 # The one size guard for chain complexes: check_size refuses a complex whose
 # top chain space would hold more cells than this.  Read at call time, so it
@@ -99,16 +108,27 @@ def check_size(a, n_max):
             f"chain space in degree {n_max} has {cells} cells; cap {CELL_CAP}")
 
 
-def _bar(ua):
-    """(letters, pi) for a unital algebra ua: the basis indices of the bar
-    letters, and pi from a sparse vector over the basis to one over the
-    letters."""
-    unit = ua.unit
-    u = min(unit)
+def _projection(ua):
+    """(letters, p, q, s, pi) for a unital ua, all in ints.
+
+    unit = sum_k p_k e_k / q with q the lcm of its denominators (so B's
+    leading 1 is sum_k p_k e_k over q), u is the least k with p_k != 0 and
+    s = |p_u|; letters are the basis indices other than u.  pi takes an int
+    vector v over the basis to s pi(v) over the letters.  Since
+    pi(e_u) = -(1/p_u) sum_{i != u} p_i e_i, and s / p_u = sgn(p_u),
+
+      s pi(v) = sum_{k != u} s v_k l_k - sgn(p_u) v_u sum_{i != u} p_i l_i,
+
+    an int vector with each coefficient multiplied by s or by +-p_i, so a
+    vector v over a denominator D goes to pi(v) over D s.
+    """
+    p, q = ua.integer_unit()
+    u = min(p)
+    s = abs(p[u])
     letters = [i for i in range(ua.dim) if i != u]
     at = {k: j for j, k in enumerate(letters)}
-    # pi(e_u) subtracts e_u's coordinate times 1 / c_u
-    spill = [(at[k], c / unit[u]) for k, c in unit.items() if k != u]
+    # sgn(p_u) p_i at each letter i != u
+    spill = [(at[k], c if p[u] > 0 else -c) for k, c in p.items() if k != u]
 
     def pi(vec):
         out = {}
@@ -117,10 +137,10 @@ def _bar(ua):
                 for j, c in spill:
                     out[j] = out.get(j, 0) - v * c
             else:
-                out[at[k]] = out.get(at[k], 0) + v
+                out[at[k]] = out.get(at[k], 0) + s * v
         return {j: v for j, v in out.items() if v}
 
-    return letters, pi
+    return letters, p, q, s, pi
 
 
 def _operator_tables(ua):
@@ -129,32 +149,32 @@ def _operator_tables(ua):
 
     left[x][l] = e_x e_l and right[l][x] = e_l e_x over the basis, for a
     first factor x and a letter l; mid[l][m] = pi(e_l e_m) over the letters.
-    ones[x] lists (j, terms) for pi(e_x) = sum_j p_j (letter j), with terms
-    the coefficients c_k p_j of B's leading 1.  A coefficient C is stored as
+    ones[x] lists (j, terms) for pi(e_x) = sum_j r_j (letter j), with terms
+    the coefficients c_k r_j of B's leading 1.  A coefficient C is stored as
     (k, C, -C), so that a sign picks a slot and multiplies nothing.
-    """
-    letters, pi = _bar(ua)
-    basis = range(ua.dim)
-    left = [[ua.product(x, l) for l in letters] for x in basis]
-    right = [[ua.product(l, x) for x in basis] for l in letters]
-    mid = [[pi(ua.product(l, m)) for m in letters] for l in letters]
-    ones = [[(j, {k: c * p for k, c in ua.unit.items()})
-             for j, p in pi({x: ONE}).items()] for x in basis]
-    vectors = [vec for table in (left, right, mid) for row in table
-               for vec in row]
-    vectors += [vec for terms in ones for _, vec in terms]
-    den = lcm(*[c.denominator for vec in vectors for c in vec.values()])
 
-    def ints(vec):
-        return tuple((k, c.numerator * (den // c.denominator),
-                      -c.numerator * (den // c.denominator))
-                     for k, c in vec.items())
+    With D = ua.den, and q and s as in _projection, a product is an int
+    vector over D, its pi one over D s, and c_k r_j an int over q s; so all
+    go over den = s lcm(D, q), each times den over its own denominator.
+    """
+    letters, p, q, s, pi = _projection(ua)
+    t, d = ua.table, ua.den
+    den = s * lcm(d, q)
+    side, merge, one = den // d, den // (d * s), den // (q * s)
+    basis, none = range(ua.dim), {}
+
+    def ints(vec, scale):
+        return tuple((k, c * scale, -c * scale) for k, c in vec.items())
 
     return (den,
-            [[ints(vec) for vec in row] for row in left],
-            [[ints(vec) for vec in row] for row in right],
-            [[ints(vec) for vec in row] for row in mid],
-            [[(j, ints(vec)) for j, vec in terms] for terms in ones])
+            [[ints(t.get((x, l), none), side) for l in letters]
+             for x in basis],
+            [[ints(t.get((l, x), none), side) for x in basis]
+             for l in letters],
+            [[ints(pi(t.get((l, m), none)), merge) for m in letters]
+             for l in letters],
+            [[(j, ints({k: c * r for k, c in p.items()}, one))
+              for j, r in pi({x: 1}).items()] for x in basis])
 
 
 # b~ and B~ below sum their entries in ints, scaled by the common
@@ -255,7 +275,8 @@ class MixedComplex:
     degree n_max.
 
     b_tilde[n] : C_n -> C_{n-1} for 1 <= n <= n_max;
-    B_tilde[n] : C_n -> C_{n+1} for 0 <= n <= n_max - 1.
+    B_tilde[n] : C_n -> C_{n+1} for 0 <= n <= B_max, with B_max <= n_max - 1
+    as build_mixed_complex was asked.
     """
 
     __slots__ = ("n_max", "spaces", "b_tilde", "B_tilde")
@@ -267,11 +288,15 @@ class MixedComplex:
         self.B_tilde = B_tilde
 
 
-def build_mixed_complex(a, n_max):
-    """C(A) for a unital a, else Omega(A), through degree n_max.
+def build_mixed_complex(a, n_max, B_max=None):
+    """C(A) for a unital a, else Omega(A): every b~ through degree n_max,
+    and B~_0 .. B~_{B_max}, B_max = n_max - 1 by default.
 
-    Raises SizeCapExceeded, before building anything, when C_{n_max} has
-    more than CELL_CAP cells.
+    The default is every B~ the chain spaces reach, which
+    verify_mixed_identities checks.  A caller that only ranks D_1 ..
+    D_{n_max} passes n_max - 2, since D_n reads B~ only through degree
+    n - 2 (module docstring).  Raises SizeCapExceeded, before building
+    anything, when C_{n_max} has more than CELL_CAP cells.
     """
     if n_max < 0:
         raise ValidationError("n_max must be nonnegative")
@@ -280,8 +305,10 @@ def build_mixed_complex(a, n_max):
     tables = _operator_tables(ua)
     spaces = tuple(ChainSpace(cell_count(a, n)) for n in range(n_max + 1))
     b_tilde = _boundaries(tables, ua.dim, spaces, n_max)
+    if B_max is None:
+        B_max = n_max - 1
     B_tilde = {n: _connes_B(tables, spaces[n].dim, spaces[n + 1].dim, n)
-               for n in range(n_max)}
+               for n in range(B_max + 1)}
     return MixedComplex(n_max, spaces, b_tilde, B_tilde)
 
 
@@ -436,13 +463,23 @@ def induced_chain_map(f, n_max):
     is g (x) (pi f)^{(x) n}, and in degree 0, where Omega^0 = A, it is f.
     f is not validated here: towers.DirectSystem validates every stage map,
     and a composite of algebra maps is an algebra map.
+
+    Both factors are built in ints.  g = [f | 1] goes over lcm(M.den, q)
+    for M = f.matrix and the unit sum_k p_k e_k / q; pi f takes column i of
+    M, an int vector over M.den, to _projection's s pi, over M.den s.  Each
+    position is written once and lies in range.
     """
     target = f.target if f.target.unit else unitize(f.target)
-    _, pi = _bar(target)
-    columns = f.matrix.columns()
-    g = SparseMatrix.from_columns(target.dim, columns + [target.unit])
-    pi_f = SparseMatrix.from_columns(target.dim - 1,
-                                     [pi(col) for col in columns])
+    letters, p, q, s, pi = _projection(target)
+    m = f.matrix
+    den = lcm(m.den, q)
+    data = {(r, c): v * (den // m.den) for (r, c), v in m.data.items()}
+    data.update(((k, m.cols), c * (den // q)) for k, c in p.items())
+    g = SparseMatrix._trusted(target.dim, m.cols + 1, data, den)
+    pi_f = SparseMatrix._trusted(
+        len(letters), m.cols,
+        {(j, i): v for i, col in enumerate(m.integer_columns())
+         for j, v in pi(col).items()}, m.den * s)
     maps = {0: f.matrix}
     power = SparseMatrix.identity(1)
     for n in range(1, n_max + 1):

@@ -120,12 +120,14 @@ def _stage_complexes(ds, n_max):
     through the unital extension of the map.  Neither bounds the other: a
     stage isomorphic to the final one has (d+1) d^n cells in degree n
     against d (d-1)^n.  So every stage passes the size guard before any is
-    built, and a refusal costs no build.
+    built, and a refusal costs no build.  Every stage is ranked through
+    D_{n_max}, which reads B~ only through degree n_max - 2, so B~ is built
+    that far.
     """
     algebras = [forget_unit(a) for a in ds.stages[:-1]] + [ds.stages[-1]]
     for a in algebras:
         check_size(a, n_max)
-    return tuple(build_mixed_complex(a, n_max) for a in algebras)
+    return tuple(build_mixed_complex(a, n_max, n_max - 2) for a in algebras)
 
 
 def _image_filtration(mcs, chain_maps, reports, theory, degrees):

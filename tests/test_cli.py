@@ -220,7 +220,7 @@ def test_size_cap_and_override(capsys):
 def test_running_out_of_memory_is_a_size_cap_report(capsys, monkeypatch):
     # a job the caps admit can still exhaust memory; it gets a report and
     # exit 2, not a traceback
-    def exhausted(a, n_max):
+    def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr(cli, "build_mixed_complex", exhausted)
@@ -341,14 +341,17 @@ def test_tower_command(capsys):
     assert report["hp"]["stage_odd"] == [0, 0]
 
 
-def record_builds(monkeypatch):
-    """The dimensions of the algebras whose mixed complex builds complete."""
+def record_builds(monkeypatch, complexes=None):
+    """The dimensions of the algebras whose mixed complex builds complete;
+    the complexes themselves go to complexes, when given."""
     original = mixed.build_mixed_complex
     built = []
 
     def counting(a, *args, **kwargs):
         mc = original(a, *args, **kwargs)
         built.append(a.dim)
+        if complexes is not None:
+            complexes.append(mc)
         return mc
 
     for name, module in list(sys.modules.items()):
@@ -374,6 +377,31 @@ def test_tower_builds_each_stage_once(capsys, monkeypatch):
     assert sorted(built) == [2, 4]
     # one chain map per earlier stage, shared by the HH and HP steps
     assert sources == [2]
+
+
+@pytest.mark.parametrize("command, path", [
+    ("hh", "algebras/mat2.json"),
+    ("hc", "algebras/cyclic4.json"),
+    ("hp", "algebras/random_dim3.json"),
+    ("tower", "towers/z4_tower.json"),
+    ("tower", "towers/dual_tower.json"),
+    ("identities", "algebras/mat2.json"),
+])
+def test_rank_commands_build_B_two_below_the_top(capsys, monkeypatch,
+                                                 command, path):
+    # the rank commands rank D_1 .. D_{n_max}, which read B~ through
+    # n_max - 2 only; identities checks every B~ the chain spaces reach
+    top = 1 if command == "identities" else 2
+    complexes = []
+    record_builds(monkeypatch, complexes)
+    code, _ = run_cli([command, str(DATA / path), "--format", "json",
+                       "--max-degree", "3"], capsys)
+    assert code in (0, 3)
+    assert complexes
+    for mc in complexes:
+        assert mc.n_max == (3 if command == "identities" else 4)
+        assert sorted(mc.B_tilde) == list(range(mc.n_max - top + 1))
+        assert sorted(mc.b_tilde) == list(range(1, mc.n_max + 1))
 
 
 def test_tower_assembles_each_total_differential_once(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from cychom import cli, linalg
 from cychom.homology import total_differential, total_rank_split
 from cychom.linalg import (QQ, SparseMatrix, as_rational, image_basis,
                            independent_modulo, invert, kernel_basis,
-                           pivot_columns, rank, solve, solve_columns, vec_eq)
+                           pivot_columns, rank, solve, solve_columns)
 from cychom.mixed import build_mixed_complex
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -103,7 +103,7 @@ def test_solutions_verify_exactly():
         v = m.apply(xin)
         x = solve(m, v)
         assert x is not None
-        assert vec_eq(m.apply(x), v)
+        assert m.apply(x) == v
 
 
 def test_invert_is_a_two_sided_inverse_or_none():
@@ -368,7 +368,7 @@ def test_fraction_free_elimination_matches_rational_reference(monkeypatch):
                 outcomes["inconsistent"] += 1
             else:
                 outcomes["consistent"] += 1
-                assert vec_eq(m.apply(sol), v)
+                assert m.apply(sol) == v
         assert got[2][0] is not None
         assert rank(m) == oracles.oracle_rank(m.rows, rational_store(m))
     assert outcomes["inconsistent"] >= 50 and outcomes["consistent"] >= 250

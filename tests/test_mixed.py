@@ -372,6 +372,22 @@ def test_induced_chain_map_requires_multiplicative():
         DirectSystem([a, a], [f])
 
 
+@pytest.mark.parametrize("path", DATA_ALGEBRAS, ids=lambda p: p.stem)
+def test_B_bound_keeps_every_operator_below_it(path):
+    # the rank commands build B~ through n_max - 2; every b~ and each of
+    # B~_0 .. B~_{n_max-2} is the default build's, on C(A) and Omega(A)
+    a = cli.parse_algebra_file(path)
+    for algebra in (a, forget_unit(a)):
+        whole = build_mixed_complex(algebra, 5)
+        bounded = build_mixed_complex(algebra, 5, 3)
+        assert sorted(whole.B_tilde) == [0, 1, 2, 3, 4]
+        assert sorted(bounded.B_tilde) == [0, 1, 2, 3]
+        assert bounded.b_tilde == whole.b_tilde
+        assert all(bounded.B_tilde[n] == whole.B_tilde[n] for n in range(4))
+        assert [s.dim for s in bounded.spaces] == \
+            [s.dim for s in whole.spaces]
+
+
 def test_size_cap_refuses_oversized_build(algebras):
     with pytest.raises(SizeCapExceeded,
                        match="chain space in degree 12 has"):
