@@ -72,6 +72,8 @@ class Algebra:
         if len(basis_labels) != dim:
             raise ValidationError("wrong number of basis labels")
         if unit is not None:
+            if not all(0 <= k < dim for k in unit):
+                raise ValidationError("unit coordinate out of range")
             unit = {k: q for k, c in unit.items() if (q := as_rational(c))}
         self._store(dim, ints, den, unit, basis_labels)
 

@@ -30,21 +30,22 @@ hochschild_homology and cyclic_homology are its two halves, so hh, hc, hp
 and every tower stage eliminate the same matrices, whether or not HP is
 then established; no command computes a cycle space.
 
-Each D_n is assembled, and so eliminated, without the rows that
-D_{n-1} D_n = 0 proves dependent.  Let P be the pivot columns of D_{n-1}
-and Q the other columns of Tot_{n-1}.  The columns of D_{n-1} at P are
-independent, so D_{n-1}[:, P] has a left inverse L, and D_{n-1} D_n = 0
-gives D_n[P, :] = -L D_{n-1}[:, Q] D_n[Q, :]: the rows of D_n at P are
-combinations of its rows at Q.  Leaving them out keeps the row space,
-hence the null space, every linear relation among the columns and the
-pivot columns, so no report changes; only the fill-in those rows carried
-is gone.  A tower leaves out rows of its filtration matrix the same way,
-with d F = F d for its chain map F in place of d d = 0 for the rows of the
-final stage (towers._image_filtration); so every report carries the pivot
-columns of its differentials, not only their ranks.  Only two functions
-solve: homology_representatives, which names classes, for kernel vectors,
-and lift_to_periodic, for each b~ f_{2k+2} = -B~ f_{2k} of a lift.  Every
-Tot_n chain is a flat vector in total_differential's layout, C_n first.
+Each D_n is eliminated from its blocks (a linalg.BlockMatrix), never
+assembled, without the rows that D_{n-1} D_n = 0 proves dependent.  Let P
+be the pivot columns of D_{n-1} and Q the other columns of Tot_{n-1}.  The
+columns of D_{n-1} at P are independent, so D_{n-1}[:, P] has a left
+inverse L, and D_{n-1} D_n = 0 gives D_n[P, :] = -L D_{n-1}[:, Q] D_n[Q, :]:
+the rows of D_n at P are combinations of its rows at Q.  Leaving them out
+keeps the row space, hence the null space, every linear relation among the
+columns and the pivot columns, so no report changes; only the fill-in
+those rows carried is gone.  A tower leaves out rows of its filtration
+matrix the same way, with d F = F d for its chain map F in place of
+d d = 0 for the rows of the final stage (towers._image_filtration); so
+every report carries the pivot columns of its differentials, not only
+their ranks.  Only two functions solve: homology_representatives, which
+names classes, for kernel vectors, and lift_to_periodic, for each
+b~ f_{2k+2} = -B~ f_{2k} of a lift.  Every Tot_n chain is a flat vector
+in total_differential's layout, C_n first.
 
 All dimension counts come from exact ranks, so a report either holds on the
 nose or the run fails loudly.
@@ -53,7 +54,7 @@ nose or the run fails loudly.
 from bisect import bisect_left
 
 from .errors import NoCertificate, ValidationError
-from .linalg import (ONE, SparseMatrix, independent_modulo, kernel_basis,
+from .linalg import (ONE, BlockMatrix, independent_modulo, kernel_basis,
                      pivot_columns, solve)
 
 
@@ -75,7 +76,7 @@ def differential_blocks(mc, theory, n):
     n >= 1: b~ for HH, D = b~ + B~ for HC.
 
     blocks maps (row summand, column summand) to the differential's b~ and
-    B~ blocks only, as SparseMatrix.from_blocks takes them; every other
+    B~ blocks only, as linalg.BlockMatrix takes them; every other
     block is zero.  Summand i is C_{n-2i} of the source and C_{n-1-2i} of
     the target, so b~ stays in summand i and B~ moves it to i - 1.
     """
@@ -89,16 +90,20 @@ def differential_blocks(mc, theory, n):
     return blocks, dst, src
 
 
-def total_differential(mc, n, dropped=()):
-    """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix, assembled
-    without the rows in dropped (SparseMatrix.from_blocks)."""
+def _total_blocks(mc, n, dropped=()):
+    """D = b~ + B~ from Tot_n to Tot_{n-1}, without the rows in dropped,
+    as a linalg.BlockMatrix of its b~ and B~ blocks."""
     if n < 1 or n > mc.n_max:
         raise ValidationError(f"total differential needs 1 <= n <= {mc.n_max}")
     blocks, dst, src = differential_blocks(mc, "HC", n)
-    return SparseMatrix.from_blocks(
-        blocks,
-        [mc.spaces[q].dim for q in dst],
-        [mc.spaces[q].dim for q in src], dropped)
+    return BlockMatrix(blocks, [mc.spaces[q].dim for q in dst],
+                       [mc.spaces[q].dim for q in src], dropped)
+
+
+def total_differential(mc, n, dropped=()):
+    """D = b~ + B~ from Tot_n to Tot_{n-1} as one SparseMatrix, assembled
+    without the rows in dropped."""
+    return _total_blocks(mc, n, dropped).assembled()
 
 
 def total_rank_split(mc, n, dependent):
@@ -106,10 +111,10 @@ def total_rank_split(mc, n, dependent):
 
     dependent is the pivot columns of D_{n-1}, () for n = 1; the rows of
     D_n there are combinations of its other rows (module docstring), so
-    D_n is assembled without them, and the pivot columns are those of the
-    whole D_n.
+    D_n is eliminated from its blocks without them, and the pivot columns
+    are those of the whole D_n.
 
-    total_differential puts the C_n summand first and applies no B~ to it,
+    _total_blocks puts the C_n summand first and applies no B~ to it,
     so the first dim C_n columns of D_n are exactly [b~_n; 0].
     Row operations keep every linear relation among the columns, so column
     j of an echelon form is a pivot exactly when it is not in the span of
@@ -118,7 +123,7 @@ def total_rank_split(mc, n, dependent):
     [b~_n; 0], which are those of b~_n, and their counts are rank b~_n and
     rank D_n.
     """
-    pivots = tuple(pivot_columns(total_differential(mc, n, dependent)))
+    pivots = tuple(pivot_columns(_total_blocks(mc, n, dependent)))
     return pivots[:bisect_left(pivots, mc.spaces[n].dim)], pivots
 
 

@@ -20,8 +20,15 @@ columns meet, and solve() sets free variables to zero, so the particular
 solutions and bases produced are reproducible bit for bit.  Elimination is
 fraction-free; _echelon spells out why its integer rows give what rational
 elimination would.
+
+A BlockMatrix is a block matrix left in its blocks, less some rows.
+Elimination takes its rows straight from the blocks, each under its index
+in the whole block matrix, so no (row, col)-keyed copy of it is made;
+SparseMatrix.from_blocks is its assembled form, with the rows kept moved
+up in order.  One routine, _place_blocks, places the blocks for both.
 """
 
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction as QQ
 from itertools import accumulate
@@ -111,47 +118,14 @@ class SparseMatrix:
     @classmethod
     def from_blocks(cls, blocks, row_dims, col_dims, dropped=()):
         """Assemble from {(block_row, block_col): block}; absent blocks are
-        zero.  The rows in dropped are left out as the blocks are placed,
-        and the others kept in order.
-
-        Each key is checked to name a slot and each block's shape against
-        that slot, so its entries land inside the slot, and slots do not
-        overlap; a kept row moves to a distinct row below the number kept.
-        So the entries are in range and at distinct positions.  They go
-        over the lcm of the blocks' denominators, and only a block whose
-        den differs is rescaled.  Every caller drops rows in the span of
-        the rows kept, which keeps the row space, hence the kernel and the
-        pivot columns of any echelon form.
+        zero.  The rows in dropped are left out and the others kept in
+        order: the assembled form of BlockMatrix(blocks, row_dims,
+        col_dims, dropped), which checks the blocks as it places them.
+        Every caller drops rows in the span of the rows kept, which keeps
+        the row space, hence the kernel and the pivot columns of any
+        echelon form.
         """
-        row_off = list(accumulate(row_dims, initial=0))
-        col_off = list(accumulate(col_dims, initial=0))
-        # index[r] is the row that row r moves to, or None if it is dropped
-        rows = row_off[-1]
-        index = list(range(rows))
-        if dropped:
-            if min(dropped) < 0 or max(dropped) >= rows:
-                raise ValueError("dropped row out of range")
-            # a kept row moves up past the rows dropped above it
-            kept = bytearray(b"\1") * rows
-            for r in dropped:
-                kept[r] = 0
-            index = list(accumulate(kept, initial=-1))[1:]
-            for r in dropped:
-                index[r] = None
-            rows = kept.count(1)
-        den = lcm(*[b.den for b in blocks.values()])
-        data = {}
-        for (bi, bj), block in blocks.items():
-            if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
-                raise ValueError("block slot out of range")
-            if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
-                raise ValueError("block shape mismatch")
-            ro, co = row_off[bi], col_off[bj]
-            scale = den // block.den
-            for (r, c), v in block.data.items():
-                if (i := index[ro + r]) is not None:
-                    data[(i, co + c)] = v * scale if scale != 1 else v
-        return cls._trusted(rows, col_off[-1], data, den)
+        return BlockMatrix(blocks, row_dims, col_dims, dropped).assembled()
 
     @classmethod
     def hstack(cls, blocks):
@@ -184,6 +158,15 @@ class SparseMatrix:
         for (r, c), v in self.data.items():
             cols[c][r] = v
         return cols
+
+    def row_dicts(self):
+        """The stored ints of every nonzero row, {row: {col: int}}: row r
+        is row_dicts()[r] / den.  Fresh dicts on every call, which
+        _echelon reduces in place."""
+        rows = defaultdict(dict)
+        for (r, c), v in self.data.items():
+            rows[r][c] = v
+        return rows
 
     def apply(self, vec):
         """Matrix times sparse vector dict."""
@@ -243,9 +226,99 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _place_blocks(blocks, row_dims, col_dims, dropped):
+    """The entries of {(block_row, block_col): block} as {row: {col: int}},
+    over the lcm of the blocks' denominators, without the rows in dropped.
+
+    Rows keep their index in the whole block matrix; a dropped row is
+    never placed, so no index of the kept rows is needed.  Each key is
+    checked to name a slot and each block's shape against that slot, so
+    its entries land inside the slot, and slots do not overlap: the
+    entries are in range and at distinct positions.  Only a block whose den
+    differs from the lcm is rescaled.
+    """
+    row_off = list(accumulate(row_dims, initial=0))
+    col_off = list(accumulate(col_dims, initial=0))
+    if dropped and (min(dropped) < 0 or max(dropped) >= row_off[-1]):
+        raise ValueError("dropped row out of range")
+    den = lcm(*[b.den for b in blocks.values()])
+    rows = defaultdict(dict)
+    for (bi, bj), block in blocks.items():
+        if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
+            raise ValueError("block slot out of range")
+        if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
+            raise ValueError("block shape mismatch")
+        ro, co = row_off[bi], col_off[bj]
+        scale = den // block.den
+        for (r, c), v in block.data.items():
+            if (i := ro + r) not in dropped:
+                rows[i][co + c] = v * scale if scale != 1 else v
+    return rows
+
+
+class BlockMatrix:
+    """The matrix SparseMatrix.from_blocks(blocks, row_dims, col_dims,
+    dropped) assembles, left in its blocks.
+
+    rows counts the rows kept, and rank, pivot_columns and kernel_basis
+    take it as they take a SparseMatrix: _echelon reads row_dicts(), which
+    places the blocks' entries straight into rows (_place_blocks), so no
+    (row, col)-keyed copy is made.  data and den, and assembled(), are
+    from_blocks' result, built on first use and kept.
+    """
+
+    __slots__ = ("_blocks", "_row_dims", "_col_dims", "_dropped", "rows",
+                 "cols", "_assembled")
+
+    def __init__(self, blocks, row_dims, col_dims, dropped=()):
+        self._blocks = blocks
+        self._row_dims = row_dims
+        self._col_dims = col_dims
+        self._dropped = frozenset(dropped)
+        self.rows = sum(row_dims) - len(self._dropped)
+        self.cols = sum(col_dims)
+        self._assembled = None
+
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def row_dicts(self):
+        """The placed rows, keyed by their index in the whole block matrix,
+        over the lcm of the blocks' denominators; fresh on every call."""
+        return _place_blocks(self._blocks, self._row_dims, self._col_dims,
+                             self._dropped)
+
+    def assembled(self):
+        """The SparseMatrix: each kept row moves up past the dropped rows
+        above it."""
+        if self._assembled is None:
+            drops = sorted(self._dropped)
+            data = {}
+            for r, row in self.row_dicts().items():
+                i = r - bisect_left(drops, r)
+                for c, v in row.items():
+                    data[i, c] = v
+            # placed rows are kept rows, so i < rows, and each (i, c) is
+            # met once: the entries are in range and distinct
+            self._assembled = SparseMatrix._trusted(
+                self.rows, self.cols, data,
+                lcm(*[b.den for b in self._blocks.values()]))
+        return self._assembled
+
+    @property
+    def data(self):
+        return self.assembled().data
+
+    @property
+    def den(self):
+        return self.assembled().den
+
+
 def _echelon(m, rhs_cols=0):
     """Row echelon form of m (its last rhs_cols columns excluded from pivots).
 
+    m is a SparseMatrix or a BlockMatrix, whose rows m.row_dicts() gives.
     Returns (pivots, rows) where pivots is a list of (row, col) in increasing
     column order and rows maps row index to its reduced sparse row dict of
     coprime integers.  Rule: rows are inserted one at a time, highest row
@@ -278,10 +351,18 @@ def _echelon(m, rhs_cols=0):
     the insertion order decides the speed, not the results.  Descending row
     index keeps fill near the least measured (test_linalg.py bounds it);
     by row length or ascending index it grows several times over.
+
+    A BlockMatrix's rows keep their index in the whole block matrix, and
+    its dropped rows are absent; from_blocks moves each kept row up past
+    the dropped rows above it.  Both keep the relative order of the kept
+    rows, and the rows differ by the one factor from_blocks' canonical den
+    divides out, which each row's first division by its gcd removes.  So
+    the same rows are inserted in the same order, and the pivot columns,
+    the reduced rows and every vector back substitution returns are those
+    of the assembled matrix; only the row indices in pivots and rows
+    differ.
     """
-    rows = defaultdict(dict)
-    for (r, c), v in m.data.items():
-        rows[r][c] = v
+    rows = m.row_dicts()
     pivot_limit = m.cols - rhs_cols
     pivot_rows = {}
     for r in sorted(rows, reverse=True):

@@ -32,7 +32,8 @@ periodic filtration degrees, none for a one-stage tower.
 
 That block matrix is M = [[D, F], [0, d]], with D the final stage's
 d_{n+1}, F the chain map and d the stage's d_n, and two sets of its rows
-are combinations of the others, so M is assembled without them.
+are combinations of the others, so M is eliminated from its blocks (a
+linalg.BlockMatrix) without them, and never assembled.
 The top rows at the pivot columns of the final stage's d_n: F is a chain
 map, so d_n [D, F] = F [0, d], and the columns of d_n at its pivots have a
 left inverse.  The bottom rows at the pivot columns of the stage's
@@ -44,7 +45,7 @@ from .algebra import AlgebraHom, forget_unit, hecke_algebra, hecke_inclusion
 from .errors import ValidationError
 from .homology import (differential_blocks, hochschild_and_cyclic,
                        periodic_via_stabilization)
-from .linalg import SparseMatrix, rank
+from .linalg import BlockMatrix, SparseMatrix, rank
 from .mixed import build_mixed_complex, check_size, induced_chain_map
 
 
@@ -150,11 +151,12 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
     rank M - rank d - rank D, both subtracted ranks read off the reports'
     boundary_ranks.  At n = 0, d = 0 and M = [D | F].
 
-    M is assembled in one from_blocks call from the complexes' b~ and B~
-    blocks (homology.differential_blocks) and, for HC, F block diagonal
-    over the summands of Tot_n: only those blocks are passed.  The call
-    leaves out two sets of M's rows, so no copy of M holds them.  Each is
-    a combination of the rows kept, so the row space and rank M stay.
+    M is one linalg.BlockMatrix of the complexes' b~ and B~ blocks
+    (homology.differential_blocks) and, for HC, F block diagonal over the
+    summands of Tot_n: only those blocks are passed, and rank places them
+    straight into rows.  The view leaves out two sets of M's rows, so no
+    row of them is placed.  Each is a combination of the rows kept, so
+    the row space and rank M stay.
     With P the pivot columns of a differential and Q the others, its
     columns at P have a left inverse L (homology's module docstring).
 
@@ -193,7 +195,7 @@ def _image_filtration(mcs, chain_maps, reports, theory, degrees):
                 offset = sum(row_dims)
                 dependent += [offset + r for r in report.boundary_pivots[n - 1]]
                 row_dims += [mc.spaces[q].dim for q in below]
-            m = SparseMatrix.from_blocks(
+            m = BlockMatrix(
                 blocks, row_dims, [final_mc.spaces[q].dim for q in above]
                 + [mc.spaces[q].dim for q in here], dependent)
             column.append(rank(m)

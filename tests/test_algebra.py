@@ -35,6 +35,14 @@ def test_constructor_rejects_bad_unit():
         Algebra(2, {(0, 0): {0: 1}}, unit={0: 1, 1: 1})
 
 
+@pytest.mark.parametrize("unit", [{0: 1, 5: 1}, {0: 1, -1: 1}, {0: 1, 1: 0}])
+def test_constructor_rejects_unit_coordinates_out_of_range(unit):
+    # an out-of-range coordinate meets no product, so the unit check alone
+    # would pass it, and building the mixed complex would fail on it
+    with pytest.raises(ValidationError, match="unit coordinate out of range"):
+        Algebra(1, {(0, 0): {0: 1}}, unit=unit)
+
+
 def test_check_associativity_group_algebra_and_matrix_units():
     assert check_associativity(group_algebra(FiniteGroup.cyclic(2))) is None
     m2 = matrix_algebra(ground_field(), 2)

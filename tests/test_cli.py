@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cychom import cli, homology, mixed, towers
+from cychom import cli, homology, linalg, mixed, towers
 from cychom.algebra import Algebra
 from cychom.catalog import dual_numbers, ground_field, scrambled_dim3
 from cychom.cli import (JobSpec, algebra_to_doc, format_rational, main,
@@ -404,21 +404,39 @@ def test_rank_commands_build_B_two_below_the_top(capsys, monkeypatch,
         assert sorted(mc.b_tilde) == list(range(1, mc.n_max + 1))
 
 
-def test_tower_assembles_each_total_differential_once(capsys, monkeypatch):
-    # hochschild_and_cyclic ranks each stage's D_n; the filtration matrices
-    # are assembled from the complexes' blocks, not from D_n again
-    assembled = []
-    total = homology.total_differential
+def test_tower_eliminates_each_total_differential_once_unassembled(
+        capsys, monkeypatch):
+    # hochschild_and_cyclic ranks each stage's D_n from its blocks, once,
+    # and nothing assembles D_n: neither the rank path nor the filtration
+    # matrices, which are built from the complexes' blocks
+    assembled, views, eliminated = [], {}, []
+    total, blocks = homology.total_differential, homology._total_blocks
+    echelon = linalg._echelon
 
-    def recording(mc, n, dropped=()):
+    def assembling(mc, n, dropped=()):
         assembled.append((id(mc), n))
         return total(mc, n, dropped)
 
-    monkeypatch.setattr(homology, "total_differential", recording)
+    def placing(mc, n, dropped=()):
+        view = blocks(mc, n, dropped)
+        views[id(view)] = (id(mc), n), view  # kept alive: ids stay unique
+        return view
+
+    def recording(m, rhs_cols=0):
+        eliminated.append(views.get(id(m), (None,))[0])
+        return echelon(m, rhs_cols)
+
+    monkeypatch.setattr(homology, "total_differential", assembling)
+    monkeypatch.setattr(homology, "_total_blocks", placing)
+    monkeypatch.setattr(linalg, "_echelon", recording)
     code, _ = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),
                        "--format", "json", "--max-degree", "3"], capsys)
     assert code == 0
-    assert len(assembled) == len(set(assembled)) == 8
+    assert assembled == []
+    # two stages, D_1 .. D_4 each, every one eliminated exactly once
+    ranked = [key for key in eliminated if key is not None]
+    assert len(views) == len(ranked) == len(set(ranked)) == 8
+    assert set(ranked) == {key for key, _ in views.values()}
 
 
 def test_tower_refusal_costs_no_build(capsys, monkeypatch):

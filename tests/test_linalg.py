@@ -238,6 +238,75 @@ def test_from_blocks_drop_keeps_the_store_canonical():
         assert (m.shape, m.data, m.den) == (want.shape, want.data, want.den)
 
 
+def _random_blocks(rng, den):
+    """Blocks of random shapes, some slots absent and some blocks empty,
+    with entries over den."""
+    row_dims = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+    col_dims = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+    blocks = {}
+    for bi, rows in enumerate(row_dims):
+        for bj, cols in enumerate(col_dims):
+            if rng.random() < 0.3:
+                continue
+            fill = 0 if rng.random() < 0.2 else 0.6
+            blocks[bi, bj] = SparseMatrix(rows, cols, (
+                (r, c, QQ(rng.randint(-4, 4), den))
+                for r in range(rows) for c in range(cols)
+                if rng.random() < fill))
+    return blocks, row_dims, col_dims
+
+
+def _assembled_entry_by_entry(blocks, row_dims, col_dims, dropped):
+    """What from_blocks must give, through the checking constructor."""
+    row_off = [sum(row_dims[:i]) for i in range(len(row_dims))]
+    col_off = [sum(col_dims[:j]) for j in range(len(col_dims))]
+    kept = [r for r in range(sum(row_dims)) if r not in set(dropped)]
+    moved = {r: i for i, r in enumerate(kept)}
+    return SparseMatrix(len(kept), sum(col_dims), (
+        (moved[row_off[bi] + r], col_off[bj] + c, v)
+        for (bi, bj), block in blocks.items()
+        for r, c, v in block.entries() if row_off[bi] + r in moved))
+
+
+@pytest.mark.parametrize("den", [1, 2, 6])
+def test_block_view_is_the_assembled_matrix(den):
+    rng = random.Random(den)
+    for _ in range(40):
+        blocks, row_dims, col_dims = _random_blocks(rng, den)
+        total = sum(row_dims)
+        some = rng.sample(range(total), rng.randint(0, total))
+        for dropped in ([], some, some + some[:2], list(range(total))):
+            want = _assembled_entry_by_entry(blocks, row_dims, col_dims,
+                                             dropped)
+            ranked = linalg.BlockMatrix(blocks, row_dims, col_dims, dropped)
+            assert ranked.shape == want.shape
+            assert pivot_columns(ranked) == pivot_columns(want)
+            assert rank(ranked) == rank(want)
+            assert kernel_basis(ranked) == kernel_basis(want)
+            view = linalg.BlockMatrix(blocks, row_dims, col_dims, dropped)
+            assembled = SparseMatrix.from_blocks(blocks, row_dims, col_dims,
+                                                 dropped)
+            for m in (view, assembled):
+                assert (m.shape, m.data, m.den) == \
+                    (want.shape, want.data, want.den)
+
+
+@pytest.mark.parametrize("blocks, dropped, message", [
+    ({(2, 0): SparseMatrix.identity(2)}, (), "block slot out of range"),
+    ({(0, -1): SparseMatrix.identity(2)}, (), "block slot out of range"),
+    ({(0, 0): SparseMatrix.identity(3)}, (), "block shape mismatch"),
+    ({(0, 0): SparseMatrix.identity(2)}, (0, 4), "dropped row out of range"),
+    ({(0, 0): SparseMatrix.identity(2)}, (-1,), "dropped row out of range"),
+])
+def test_block_view_checks_as_from_blocks_does(blocks, dropped, message):
+    dims = [2, 2], [2]
+    with pytest.raises(ValueError, match=message):
+        SparseMatrix.from_blocks(blocks, *dims, dropped)
+    for use in (rank, pivot_columns, kernel_basis):
+        with pytest.raises(ValueError, match=message):
+            use(linalg.BlockMatrix(blocks, *dims, dropped))
+
+
 def test_determinism_repeated_runs():
     rng = random.Random(5)
     m = SparseMatrix(6, 9, ((r, c, rng.randint(-5, 5))

@@ -22,7 +22,7 @@ from cychom import cli, linalg, towers
 from cychom.errors import NoCertificate
 from cychom.homology import (hochschild_and_cyclic,
                              total_differential, total_rank_split)
-from cychom.linalg import SparseMatrix
+from cychom.linalg import BlockMatrix
 from cychom.mixed import build_mixed_complex
 from cychom.towers import continuity_check, hp_continuity_check
 from oracles import oracle_rank
@@ -140,6 +140,27 @@ def test_tower_refused_by_a_later_stage_ranks_earlier_hc(eliminated):
     assert len(eliminated) == 9
 
 
+JOBS = ([("tower", path.name) for path in DATA_TOWERS]
+        + [(command, path.name) for command in ("hh", "hc", "hp")
+           for path in DATA_ALGEBRAS])
+
+
+@pytest.mark.parametrize("command, name", JOBS)
+def test_rank_path_assembles_nothing(capsys, monkeypatch, eliminated,
+                                     command, name):
+    # every ranked D_n and filtration matrix is eliminated from its blocks:
+    # no block view is assembled, neither for its data nor for its den
+    assembled = []
+    monkeypatch.setattr(linalg.BlockMatrix, "assembled",
+                        lambda view: assembled.append(view.shape))
+    assert run_cli(capsys, command, name, 3) in (0, 3)
+    assert eliminated and assembled == []
+    if name == "cyclic4.json":
+        assert eliminated == D1_D3_CZ4 + [D4_CZ4]
+    if name == "z4_tower.json":
+        assert eliminated.count(D4_CZ4) == 1 and len(eliminated) == 11
+
+
 @pytest.mark.parametrize("command, name", [
     ("tower", "z4_tower.json"),
     ("tower", "s3_tower.json"),
@@ -239,17 +260,15 @@ def test_filtrations_match_the_whole_block_matrices(path, monkeypatch):
 
     dropped, whole = [], [False]
 
-    class Recorded(SparseMatrix):
-        # towers' one from_blocks call assembles M: keep all its rows, or
-        # record how many it leaves out
-        @classmethod
-        def from_blocks(cls, blocks, row_dims, col_dims, rows=()):
-            m = SparseMatrix.from_blocks(blocks, row_dims, col_dims,
-                                         () if whole[0] else rows)
-            dropped.append(sum(row_dims) - m.rows)
-            return m
+    class Recorded(BlockMatrix):
+        # towers builds M as one block view: keep all its rows, or record
+        # how many it leaves out
+        def __init__(self, blocks, row_dims, col_dims, rows=()):
+            super().__init__(blocks, row_dims, col_dims,
+                             () if whole[0] else rows)
+            dropped.append(sum(row_dims) - self.rows)
 
-    monkeypatch.setattr(towers, "SparseMatrix", Recorded)
+    monkeypatch.setattr(towers, "BlockMatrix", Recorded)
     for degree in (1, 2, 3):
         whole[0] = False
         reduced = filtrations(degree)
