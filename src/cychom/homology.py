@@ -54,8 +54,8 @@ nose or the run fails loudly.
 from bisect import bisect_left
 
 from .errors import NoCertificate, ValidationError
-from .linalg import (ONE, BlockMatrix, independent_modulo, kernel_basis,
-                     pivot_columns, solve)
+from .linalg import (ONE, BlockMatrix, SparseMatrix, independent_modulo,
+                     kernel_basis, pivot_columns, solve)
 
 
 # ---------------------------------------------------------------- total complex
@@ -90,20 +90,21 @@ def differential_blocks(mc, theory, n):
     return blocks, dst, src
 
 
-def _total_blocks(mc, n, dropped=()):
-    """D = b~ + B~ from Tot_n to Tot_{n-1}, without the rows in dropped,
-    as a linalg.BlockMatrix of its b~ and B~ blocks."""
+def _total_blocks(mc, n):
+    """(blocks, row dims, column dims) of D = b~ + B~ from Tot_n to
+    Tot_{n-1}, as linalg.BlockMatrix and SparseMatrix.from_blocks take
+    them."""
     if n < 1 or n > mc.n_max:
         raise ValidationError(f"total differential needs 1 <= n <= {mc.n_max}")
     blocks, dst, src = differential_blocks(mc, "HC", n)
-    return BlockMatrix(blocks, [mc.spaces[q].dim for q in dst],
-                       [mc.spaces[q].dim for q in src], dropped)
+    return (blocks, [mc.spaces[q].dim for q in dst],
+            [mc.spaces[q].dim for q in src])
 
 
 def total_differential(mc, n, dropped=()):
-    """D = b~ + B~ from Tot_n to Tot_{n-1} as one SparseMatrix, assembled
+    """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix, assembled
     without the rows in dropped."""
-    return _total_blocks(mc, n, dropped).assembled()
+    return SparseMatrix.from_blocks(*_total_blocks(mc, n), dropped)
 
 
 def total_rank_split(mc, n, dependent):
@@ -123,7 +124,8 @@ def total_rank_split(mc, n, dependent):
     [b~_n; 0], which are those of b~_n, and their counts are rank b~_n and
     rank D_n.
     """
-    pivots = tuple(pivot_columns(_total_blocks(mc, n, dependent)))
+    pivots = tuple(pivot_columns(BlockMatrix(*_total_blocks(mc, n),
+                                             dependent)))
     return pivots[:bisect_left(pivots, mc.spaces[n].dim)], pivots
 
 

@@ -127,12 +127,6 @@ class SparseMatrix:
         """
         return BlockMatrix(blocks, row_dims, col_dims, dropped).assembled()
 
-    @classmethod
-    def hstack(cls, blocks):
-        rows = blocks[0].rows if blocks else 0
-        return cls.from_blocks({(0, j): b for j, b in enumerate(blocks)},
-                               [rows], [b.cols for b in blocks])
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -257,14 +251,15 @@ def _place_blocks(blocks, row_dims, col_dims, dropped):
 
 
 class BlockMatrix:
-    """The matrix SparseMatrix.from_blocks(blocks, row_dims, col_dims,
-    dropped) assembles, left in its blocks.
+    """A block matrix {(block_row, block_col): block}, less the rows in
+    dropped, left in its blocks.
 
     rows counts the rows kept, and rank, pivot_columns and kernel_basis
     take it as they take a SparseMatrix: _echelon reads row_dicts(), which
     places the blocks' entries straight into rows (_place_blocks), so no
-    (row, col)-keyed copy is made.  data and den, and assembled(), are
-    from_blocks' result, built on first use and kept.
+    (row, col)-keyed copy is made.  assembled() is the SparseMatrix
+    from_blocks returns, built on first use and kept; data and den are
+    its, for readers of a matrix's store such as bench/tracing.py.
     """
 
     __slots__ = ("_blocks", "_row_dims", "_col_dims", "_dropped", "rows",
@@ -442,6 +437,12 @@ def kernel_basis(m):
     return tuple(_back_substitute(pivots, rows, {f: ONE}) for f in free_cols)
 
 
+def _beside(m, vectors):
+    """[m | vectors] as a BlockMatrix, the vectors its last columns."""
+    return BlockMatrix({(0, 0): m, (0, 1): SparseMatrix.from_columns(
+        m.rows, vectors)}, [m.rows], [m.cols, len(vectors)])
+
+
 def independent_modulo(d_in, vectors):
     """(rank d_in, the vectors kept by a left-to-right pass modulo col d_in).
 
@@ -455,9 +456,7 @@ def independent_modulo(d_in, vectors):
     kept vectors.
     """
     vectors = list(vectors)
-    stacked = SparseMatrix.hstack(
-        [d_in, SparseMatrix.from_columns(d_in.rows, vectors)])
-    pivots = pivot_columns(stacked)
+    pivots = pivot_columns(_beside(d_in, vectors))
     r = sum(1 for c in pivots if c < d_in.cols)
     return r, tuple(vectors[c - d_in.cols] for c in pivots[r:])
 
@@ -484,8 +483,7 @@ def solve_columns(m, vectors):
     """Solve m x = v for several right-hand sides with one elimination of
     the augmented matrix [m | vectors]."""
     k = len(vectors)
-    aug = SparseMatrix.hstack([m, SparseMatrix.from_columns(m.rows, vectors)])
-    pivots, rows = _echelon(aug, rhs_cols=k)
+    pivots, rows = _echelon(_beside(m, vectors), rhs_cols=k)
     pivot_rows = {r for r, _ in pivots}
     # A non-pivot row with any remaining entry witnesses inconsistency for
     # the right-hand sides it touches: its reduction stopped only once no

@@ -409,7 +409,7 @@ def test_tower_eliminates_each_total_differential_once_unassembled(
     # hochschild_and_cyclic ranks each stage's D_n from its blocks, once,
     # and nothing assembles D_n: neither the rank path nor the filtration
     # matrices, which are built from the complexes' blocks
-    assembled, views, eliminated = [], {}, []
+    assembled, differentials, views, eliminated = [], [], [], []
     total, blocks = homology.total_differential, homology._total_blocks
     echelon = linalg._echelon
 
@@ -417,26 +417,30 @@ def test_tower_eliminates_each_total_differential_once_unassembled(
         assembled.append((id(mc), n))
         return total(mc, n, dropped)
 
-    def placing(mc, n, dropped=()):
-        view = blocks(mc, n, dropped)
-        views[id(view)] = (id(mc), n), view  # kept alive: ids stay unique
-        return view
+    def reading(mc, n):
+        differentials.append((id(mc), n))
+        return blocks(mc, n)
+
+    class Recorded(linalg.BlockMatrix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            views.append(self)  # kept alive, so their ids stay distinct
 
     def recording(m, rhs_cols=0):
-        eliminated.append(views.get(id(m), (None,))[0])
+        eliminated.append(id(m))
         return echelon(m, rhs_cols)
 
     monkeypatch.setattr(homology, "total_differential", assembling)
-    monkeypatch.setattr(homology, "_total_blocks", placing)
+    monkeypatch.setattr(homology, "_total_blocks", reading)
+    monkeypatch.setattr(homology, "BlockMatrix", Recorded)
     monkeypatch.setattr(linalg, "_echelon", recording)
     code, _ = run_cli(["tower", str(DATA / "towers" / "z4_tower.json"),
                        "--format", "json", "--max-degree", "3"], capsys)
     assert code == 0
     assert assembled == []
     # two stages, D_1 .. D_4 each, every one eliminated exactly once
-    ranked = [key for key in eliminated if key is not None]
-    assert len(views) == len(ranked) == len(set(ranked)) == 8
-    assert set(ranked) == {key for key, _ in views.values()}
+    assert len(differentials) == len(set(differentials)) == len(views) == 8
+    assert all(eliminated.count(id(view)) == 1 for view in views)
 
 
 def test_tower_refusal_costs_no_build(capsys, monkeypatch):

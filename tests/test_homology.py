@@ -72,7 +72,9 @@ def test_report_bookkeeping(homology_reports):
 def test_total_differential_blocks(mixed_complexes):
     mc = mixed_complexes("dual")
     assert total_differential(mc, 1) == mc.b_tilde[1]
-    d2 = SparseMatrix.hstack([mc.b_tilde[2], mc.B_tilde[0]])
+    b2, B0 = mc.b_tilde[2], mc.B_tilde[0]
+    d2 = SparseMatrix.from_blocks({(0, 0): b2, (0, 1): B0}, [b2.rows],
+                                  [b2.cols, B0.cols])
     assert total_differential(mc, 2) == d2
     # D squared is zero
     for n in (2, 3, 4):

@@ -325,6 +325,8 @@ def fraction_echelon(m, rhs_cols=0):
     ties by lowest row index), in rational arithmetic.  Any echelon form
     has the same pivot columns, and back substitution from it gives the
     same vectors, so callers get from it what they get from _echelon."""
+    if isinstance(m, linalg.BlockMatrix):
+        m = m.assembled()  # solve_columns passes [m | vectors] as a view
     rows = {}
     col_rows = {}
     for (r, c), v in rational_store(m).items():
@@ -401,8 +403,9 @@ def test_fraction_free_elimination_matches_rational_reference(monkeypatch):
     negative_pivots = 0
     for m in cases:
         rhs = right_hand_sides(rng, m)
-        aug = SparseMatrix.hstack(
-            [m, SparseMatrix.from_columns(m.rows, rhs)])
+        aug = SparseMatrix.from_blocks(
+            {(0, 0): m, (0, 1): SparseMatrix.from_columns(m.rows, rhs)},
+            [m.rows], [m.cols, len(rhs)])
         pivots, rows = linalg._echelon(aug, rhs_cols=len(rhs))
         ref_pivots, _ = fraction_echelon(aug, rhs_cols=len(rhs))
         pivot_cols = [c for _, c in pivots]
