@@ -101,10 +101,9 @@ def _total_blocks(mc, n):
             [mc.spaces[q].dim for q in src])
 
 
-def total_differential(mc, n, dropped=()):
-    """D = b~ + B~ from Tot_n to Tot_{n-1} as one block matrix, assembled
-    without the rows in dropped."""
-    return SparseMatrix.from_blocks(*_total_blocks(mc, n), dropped)
+def total_differential(mc, n):
+    """D = b~ + B~ from Tot_n to Tot_{n-1}, assembled."""
+    return SparseMatrix.from_blocks(*_total_blocks(mc, n))
 
 
 def total_rank_split(mc, n, dependent):

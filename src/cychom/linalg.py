@@ -25,7 +25,7 @@ A BlockMatrix is a block matrix left in its blocks, less some rows.
 Elimination takes its rows straight from the blocks, each under its index
 in the whole block matrix, so no (row, col)-keyed copy of it is made;
 SparseMatrix.from_blocks is its assembled form, with the rows kept moved
-up in order.  One routine, _place_blocks, places the blocks for both.
+up in order.  One loop, BlockMatrix.row_dicts, places the blocks for both.
 """
 
 from bisect import bisect_left
@@ -220,58 +220,40 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _place_blocks(blocks, row_dims, col_dims, dropped):
-    """The entries of {(block_row, block_col): block} as {row: {col: int}},
-    over the lcm of the blocks' denominators, without the rows in dropped.
-
-    Rows keep their index in the whole block matrix; a dropped row is
-    never placed, so no index of the kept rows is needed.  Each key is
-    checked to name a slot and each block's shape against that slot, so
-    its entries land inside the slot, and slots do not overlap: the
-    entries are in range and at distinct positions.  Only a block whose den
-    differs from the lcm is rescaled.
-    """
-    row_off = list(accumulate(row_dims, initial=0))
-    col_off = list(accumulate(col_dims, initial=0))
-    if dropped and (min(dropped) < 0 or max(dropped) >= row_off[-1]):
-        raise ValueError("dropped row out of range")
-    den = lcm(*[b.den for b in blocks.values()])
-    rows = defaultdict(dict)
-    for (bi, bj), block in blocks.items():
-        if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
-            raise ValueError("block slot out of range")
-        if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
-            raise ValueError("block shape mismatch")
-        ro, co = row_off[bi], col_off[bj]
-        scale = den // block.den
-        for (r, c), v in block.data.items():
-            if (i := ro + r) not in dropped:
-                rows[i][co + c] = v * scale if scale != 1 else v
-    return rows
-
-
 class BlockMatrix:
     """A block matrix {(block_row, block_col): block}, less the rows in
-    dropped, left in its blocks.
+    dropped, left in its blocks; absent blocks are zero.
 
-    rows counts the rows kept, and rank, pivot_columns and kernel_basis
-    take it as they take a SparseMatrix: _echelon reads row_dicts(), which
-    places the blocks' entries straight into rows (_place_blocks), so no
+    The constructor checks that each key names a slot, each block's shape
+    that slot's, and each dropped row a row, so rows, cols and shape are
+    right from the start.  rank, pivot_columns and kernel_basis take a
+    BlockMatrix as they take a SparseMatrix: _echelon reads row_dicts(),
+    which places the blocks' entries straight into rows, so no
     (row, col)-keyed copy is made.  assembled() is the SparseMatrix
     from_blocks returns, built on first use and kept; data and den are
     its, for readers of a matrix's store such as bench/tracing.py.
     """
 
-    __slots__ = ("_blocks", "_row_dims", "_col_dims", "_dropped", "rows",
+    __slots__ = ("_blocks", "_row_off", "_col_off", "_dropped", "rows",
                  "cols", "_assembled")
 
     def __init__(self, blocks, row_dims, col_dims, dropped=()):
+        row_off = list(accumulate(row_dims, initial=0))
+        col_off = list(accumulate(col_dims, initial=0))
+        dropped = frozenset(dropped)
+        if dropped and (min(dropped) < 0 or max(dropped) >= row_off[-1]):
+            raise ValueError("dropped row out of range")
+        for (bi, bj), block in blocks.items():
+            if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
+                raise ValueError("block slot out of range")
+            if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
+                raise ValueError("block shape mismatch")
         self._blocks = blocks
-        self._row_dims = row_dims
-        self._col_dims = col_dims
-        self._dropped = frozenset(dropped)
-        self.rows = sum(row_dims) - len(self._dropped)
-        self.cols = sum(col_dims)
+        self._row_off = row_off
+        self._col_off = col_off
+        self._dropped = dropped
+        self.rows = row_off[-1] - len(dropped)
+        self.cols = col_off[-1]
         self._assembled = None
 
     @property
@@ -279,10 +261,23 @@ class BlockMatrix:
         return (self.rows, self.cols)
 
     def row_dicts(self):
-        """The placed rows, keyed by their index in the whole block matrix,
-        over the lcm of the blocks' denominators; fresh on every call."""
-        return _place_blocks(self._blocks, self._row_dims, self._col_dims,
-                             self._dropped)
+        """The entries as {row: {col: int}}, over the lcm of the blocks'
+        denominators, fresh on every call.  Rows keep their index in the
+        whole block matrix; a dropped row is never placed, so no index of
+        the kept rows is needed.  The checked slots and shapes put every
+        entry inside its slot, and slots do not overlap: the entries are in
+        range and at distinct positions.  Only a block whose den differs
+        from the lcm is rescaled."""
+        den = lcm(*[b.den for b in self._blocks.values()])
+        dropped = self._dropped
+        rows = defaultdict(dict)
+        for (bi, bj), block in self._blocks.items():
+            ro, co = self._row_off[bi], self._col_off[bj]
+            scale = den // block.den
+            for (r, c), v in block.data.items():
+                if (i := ro + r) not in dropped:
+                    rows[i][co + c] = v * scale if scale != 1 else v
+        return rows
 
     def assembled(self):
         """The SparseMatrix: each kept row moves up past the dropped rows

@@ -413,9 +413,9 @@ def test_tower_eliminates_each_total_differential_once_unassembled(
     total, blocks = homology.total_differential, homology._total_blocks
     echelon = linalg._echelon
 
-    def assembling(mc, n, dropped=()):
+    def assembling(mc, n):
         assembled.append((id(mc), n))
-        return total(mc, n, dropped)
+        return total(mc, n)
 
     def reading(mc, n):
         differentials.append((id(mc), n))
