@@ -489,9 +489,9 @@ def hecke_inclusion(g, k_elems, kp_elems, source, target):
     # |K'| over |K| at each (small coset, big coset) pair, once, and both
     # indices in range of the cosets; AlgebraHom checks the shape against
     # source and target
-    data = {}
+    by_row = {}
     for dbig, coset in enumerate(big):
         for dsm in sorted({small_of[x] for x in coset}):
-            data[(dsm, dbig)] = len(kp_set)
-    matrix = SparseMatrix._trusted(len(small), len(big), data, len(k_set))
+            by_row.setdefault(dsm, {})[dbig] = len(kp_set)
+    matrix = SparseMatrix._trusted(len(small), len(big), by_row, len(k_set))
     return AlgebraHom(source, target, matrix)

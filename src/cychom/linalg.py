@@ -4,12 +4,17 @@ Every homology computation in this package reduces to ranks, kernels and
 particular solutions of sparse matrices over Q.  Arithmetic is exact; there
 is no floating point anywhere.
 
-A SparseMatrix holds integer numerators over one positive denominator: the
-rational matrix is data / den.  The store is canonical (den >= 1, the gcd
-of den and every stored numerator is 1, den == 1 for the zero matrix), so
-equal rational matrices have equal stores.  Products, sums, Kronecker
-products, block assembly and elimination multiply and add ints only.  The
-scalar type QQ = fractions.Fraction is the API edge: matrices are built
+A SparseMatrix stores its integer numerators by row, {row: {col: nonzero
+int}} with no empty row, over one positive denominator: the rational
+matrix is by_row / den.  The store is canonical (den >= 1, the gcd of den
+and every stored numerator is 1, den == 1 for the zero matrix), so equal
+rational matrices have equal stores.  Products, sums, Kronecker products,
+block assembly and elimination multiply and add ints only, a row at a
+time: a product sums rows of its right factor, as row-wise sparse formats
+do (Gustavson, ACM TOMS 4, 1978), and elimination reduces copies of the
+rows.  data, the same ints keyed by (row, col), is a view built afresh on
+each read, for the tests and bench/tracing.py; the package never reads it.
+The scalar type QQ = fractions.Fraction is the API edge: matrices are built
 from rationals, and entries, columns, matrix-vector products and the
 vectors of back substitution come out as QQ.  Vectors are sparse dicts
 {index: rational} with zero entries absent.
@@ -23,13 +28,13 @@ elimination would.
 
 A BlockMatrix is a block matrix left in its blocks, less some rows.
 Elimination takes its rows straight from the blocks, each under its index
-in the whole block matrix, so no (row, col)-keyed copy of it is made;
+in the whole block matrix, so no assembled copy of it is made;
 SparseMatrix.from_blocks is its assembled form, with the rows kept moved
-up in order.  One loop, BlockMatrix.row_dicts, places the blocks for both.
+up in order.  One loop, BlockMatrix.row_dicts, places the blocks' rows for
+both.
 """
 
 from bisect import bisect_left
-from collections import defaultdict
 from fractions import Fraction as QQ
 from itertools import accumulate
 from math import gcd, lcm
@@ -45,16 +50,22 @@ def as_rational(x):
     return QQ(x)
 
 
-class SparseMatrix:
-    """Immutable sparse matrix over Q: the nonzero ints data over den.
+def _flat(by_row):
+    """The entries of by_row as {(row, col): int}: the data view."""
+    return {(r, c): v for r, row in by_row.items() for c, v in row.items()}
 
-    data maps (row, col) to a nonzero int and den is a positive int; the
-    store is canonical (see the module docstring).  Entries are supplied as
-    (row, col, rational) triples; duplicate positions accumulate and zeros
-    are dropped.
+
+class SparseMatrix:
+    """Immutable sparse matrix over Q: the nonzero ints by_row over den.
+
+    by_row maps each row with an entry to its {col: nonzero int} and den is
+    a positive int; the store is canonical (see the module docstring).
+    Entries are supplied as (row, col, rational) triples; duplicate
+    positions accumulate and zeros are dropped.  data, the (row, col)-keyed
+    form of the store, is a view built afresh on each read.
     """
 
-    __slots__ = ("rows", "cols", "data", "den")
+    __slots__ = ("rows", "cols", "by_row", "den")
 
     def __init__(self, rows, cols, entries=()):
         if rows < 0 or cols < 0:
@@ -66,39 +77,53 @@ class SparseMatrix:
             if type(v) is not int and type(v) is not QQ:
                 v = as_rational(v)
             if v:
-                values[(r, c)] = values.get((r, c), 0) + v
-        den = lcm(*[v.denominator for v in values.values()])
-        self._store(rows, cols, {key: v.numerator * (den // v.denominator)
-                                 for key, v in values.items() if v}, den)
+                row = values.setdefault(r, {})
+                row[c] = row.get(c, 0) + v
+        den = lcm(*[v.denominator for row in values.values()
+                    for v in row.values()])
+        by_row = {}
+        for r, row in values.items():
+            ints = {c: v.numerator * (den // v.denominator)
+                    for c, v in row.items() if v}
+            if ints:
+                by_row[r] = ints
+        self._store(rows, cols, by_row, den)
 
-    def _store(self, rows, cols, data, den):
+    def _store(self, rows, cols, by_row, den):
         self.rows = rows
         self.cols = cols
         if den != 1:
-            g = gcd(den, *data.values())
-            if g != 1:
+            # stop at the first row that leaves no common factor
+            g = den
+            for row in by_row.values():
+                g = gcd(g, *row.values())
+                if g == 1:
+                    break
+            else:
                 den //= g
-                data = {key: v // g for key, v in data.items()}
-        self.data = data
+                by_row = {r: {c: v // g for c, v in row.items()}
+                          for r, row in by_row.items()}
+        self.by_row = by_row
         self.den = den
 
     @classmethod
-    def _trusted(cls, rows, cols, data, den=1):
-        """The matrix data / den, for data a dict {(row, col): nonzero int}
-        with every position in range, and den > 0.
+    def _trusted(cls, rows, cols, by_row, den=1):
+        """The matrix by_row / den, for by_row a dict {row: {col: nonzero
+        int}} with no empty row and every position in range, and den > 0.
 
         __init__ checks every entry: index in range, value rational and not
-        zero, position not seen before.  Each caller passes data that meets
+        zero, position not seen before.  Each caller passes rows that meet
         all of these by construction, and says why next to the call.  Only
-        the common factor of den and data is divided out here.
+        the common factor of den and the entries is divided out here.  The
+        row dicts become the matrix's own, so no caller changes them after.
         """
         m = cls.__new__(cls)
-        m._store(rows, cols, data, den)
+        m._store(rows, cols, by_row, den)
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(n, n, {(i, i): 1 for i in range(n)})
+        return cls._trusted(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def from_dense(cls, rows_list):
@@ -133,12 +158,18 @@ class SparseMatrix:
 
     @property
     def nnz(self):
-        return len(self.data)
+        return sum(map(len, self.by_row.values()))
+
+    @property
+    def data(self):
+        """The store as {(row, col): int}, built on each read and not kept:
+        the flat view tests and bench/tracing.py compare."""
+        return _flat(self.by_row)
 
     def entries(self):
         """Sorted (row, col, value) triples."""
-        return [(r, c, QQ(self.data[(r, c)], self.den))
-                for r, c in sorted(self.data)]
+        return [(r, c, QQ(v, self.den)) for r in sorted(self.by_row)
+                for c, v in sorted(self.by_row[r].items())]
 
     def columns(self):
         """All columns as sparse dicts, including zero columns."""
@@ -149,72 +180,82 @@ class SparseMatrix:
         """The stored ints of every column as sparse dicts: column j is
         integer_columns()[j] / den."""
         cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.data.items():
-            cols[c][r] = v
+        for r, row in self.by_row.items():
+            for c, v in row.items():
+                cols[c][r] = v
         return cols
 
     def row_dicts(self):
         """The stored ints of every nonzero row, {row: {col: int}}: row r
-        is row_dicts()[r] / den.  Fresh dicts on every call, which
-        _echelon reduces in place."""
-        rows = defaultdict(dict)
-        for (r, c), v in self.data.items():
-            rows[r][c] = v
-        return rows
+        is row_dicts()[r] / den.  Copies of the rows, fresh on every call,
+        which _echelon reduces in place."""
+        return {r: dict(row) for r, row in self.by_row.items()}
 
     def apply(self, vec):
         """Matrix times sparse vector dict."""
+        get = vec.get
         out = {}
-        for (r, c), v in self.data.items():
-            x = vec.get(c)
-            if x is not None:
-                out[r] = out.get(r, ZERO) + v * x
-        return {r: s / self.den for r, s in out.items() if s}
+        for r, row in self.by_row.items():
+            s = ZERO
+            for c, v in row.items():
+                x = get(c)
+                if x is not None:
+                    s += v * x
+            if s:
+                out[r] = s / self.den
+        return out
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix addition")
         # both operands go over the lcm of their denominators; only the
-        # positions they share need a sum, and a zero sum is dropped
+        # positions they share need a sum, a zero sum is dropped, and so is
+        # a row that empties
         den = lcm(self.den, other.den)
         up, up_other = den // self.den, den // other.den
-        data = {k: v * up for k, v in self.data.items()}
-        for key, v in other.data.items():
-            s = data.get(key, 0) + v * up_other
-            if s:
-                data[key] = s
-            else:
-                del data[key]
-        return SparseMatrix._trusted(self.rows, self.cols, data, den)
+        by_row = {r: {c: v * up for c, v in row.items()}
+                  for r, row in self.by_row.items()}
+        for r, row in other.by_row.items():
+            mine = by_row.get(r)
+            if mine is None:
+                by_row[r] = {c: v * up_other for c, v in row.items()}
+                continue
+            for c, v in row.items():
+                s = mine.get(c, 0) + v * up_other
+                if s:
+                    mine[c] = s
+                else:
+                    del mine[c]
+            if not mine:
+                del by_row[r]
+        return SparseMatrix._trusted(self.rows, self.cols, by_row, den)
 
     def __matmul__(self, other):
         """The product, summed in integers over the product of the
-        denominators, one column at a time: column j sums column k of self
-        times other[k, j] for every k, so each sum is one column long
-        whatever order the entries are stored in, and its zeros are dropped
-        before the next column starts."""
+        denominators, one row at a time: row r sums self[r, k] times row k
+        of other for every k, so each sum is one row long, and its zeros
+        are dropped before the next row starts."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        left_cols, right_cols = {}, {}
-        for (r, k), v in self.data.items():
-            left_cols.setdefault(k, []).append((r, v))
-        for (k, j), w in other.data.items():
-            right_cols.setdefault(j, []).append((k, w))
-        data = {}
-        for j, column in right_cols.items():
+        right = other.by_row
+        by_row = {}
+        for r, row in self.by_row.items():
             acc = {}
-            for k, w in column:
-                for r, v in left_cols.get(k, ()):
-                    acc[r] = acc.get(r, 0) + v * w
-            for r, s in acc.items():
-                if s:
-                    data[r, j] = s
-        return SparseMatrix._trusted(self.rows, other.cols, data,
+            get = acc.get
+            for k, v in row.items():
+                other_row = right.get(k)
+                if other_row is not None:
+                    for j, w in other_row.items():
+                        acc[j] = get(j, 0) + v * w
+            acc = {j: s for j, s in acc.items() if s}
+            if acc:
+                by_row[r] = acc
+        return SparseMatrix._trusted(self.rows, other.cols, by_row,
                                      self.den * other.den)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.shape == other.shape
-                and self.den == other.den and self.data == other.data)
+                and self.den == other.den and self.by_row == other.by_row)
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -228,10 +269,10 @@ class BlockMatrix:
     that slot's, and each dropped row a row, so rows, cols and shape are
     right from the start.  rank, pivot_columns and kernel_basis take a
     BlockMatrix as they take a SparseMatrix: _echelon reads row_dicts(),
-    which places the blocks' entries straight into rows, so no
-    (row, col)-keyed copy is made.  assembled() is the SparseMatrix
-    from_blocks returns, built on first use and kept; data and den are
-    its, for readers of a matrix's store such as bench/tracing.py.
+    which places the blocks' rows straight into rows of the whole, so no
+    assembled copy is made.  assembled() is the SparseMatrix from_blocks
+    returns, built on first use and kept; data and den are its, for
+    readers of a matrix's store such as bench/tracing.py.
     """
 
     __slots__ = ("_blocks", "_row_off", "_col_off", "_dropped", "rows",
@@ -266,39 +307,48 @@ class BlockMatrix:
         whole block matrix; a dropped row is never placed, so no index of
         the kept rows is needed.  The checked slots and shapes put every
         entry inside its slot, and slots do not overlap: the entries are in
-        range and at distinct positions.  Only a block whose den differs
-        from the lcm is rescaled."""
+        range and at distinct positions.  Each block row is placed as a new
+        dict, a plain copy in the first block column when its den is the
+        lcm, so _echelon never reduces a row of a block in place."""
         den = lcm(*[b.den for b in self._blocks.values()])
         dropped = self._dropped
-        rows = defaultdict(dict)
+        rows = {}
         for (bi, bj), block in self._blocks.items():
             ro, co = self._row_off[bi], self._col_off[bj]
             scale = den // block.den
-            for (r, c), v in block.data.items():
-                if (i := ro + r) not in dropped:
-                    rows[i][co + c] = v * scale if scale != 1 else v
+            for r, row in block.by_row.items():
+                if (i := ro + r) in dropped:
+                    continue
+                if co or scale != 1:
+                    row = {co + c: v * scale for c, v in row.items()}
+                else:
+                    row = dict(row)
+                have = rows.get(i)
+                if have is None:
+                    rows[i] = row
+                else:
+                    have.update(row)
         return rows
 
     def assembled(self):
         """The SparseMatrix: each kept row moves up past the dropped rows
-        above it."""
+        above it, in one pass over the placed rows."""
         if self._assembled is None:
-            drops = sorted(self._dropped)
-            data = {}
-            for r, row in self.row_dicts().items():
-                i = r - bisect_left(drops, r)
-                for c, v in row.items():
-                    data[i, c] = v
-            # placed rows are kept rows, so i < rows, and each (i, c) is
-            # met once: the entries are in range and distinct
+            rows = self.row_dicts()
+            if self._dropped:
+                drops = sorted(self._dropped)
+                rows = {r - bisect_left(drops, r): row
+                        for r, row in rows.items()}
+            # placed rows are kept rows, nonempty, and move to distinct
+            # indices below rows
             self._assembled = SparseMatrix._trusted(
-                self.rows, self.cols, data,
+                self.rows, self.cols, rows,
                 lcm(*[b.den for b in self._blocks.values()]))
         return self._assembled
 
     @property
     def data(self):
-        return self.assembled().data
+        return _flat(self.assembled().by_row)
 
     @property
     def den(self):

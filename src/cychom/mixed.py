@@ -50,20 +50,22 @@ exactly in both and are checkable per degree.
 Words are indexed lexicographically with the first factor most significant:
 (a_0; l_1, ..., l_n) has index a_0 L^n + sum_t l_t L^(n-t), where L is the
 number of bar letters and l_t the position of a_t among them.  So a word
-gains its last letter l as index L + l, and b~ is built by its face
-recursion in that letter (_boundaries): with F_n the faces 0 .. n-1,
+gains its last letter l as index L + l, and b~ is built row by row by its
+face recursion in that letter (_boundaries): with F_n the faces 0 .. n-1,
 
   F_1 = face 0,    F_n = F_{n-1} (x) I_L + (-1)^(n-1) (I (x) mu),
   b~_n = F_n + (-1)^n W_n,
 
 where mu = pi o mult merges the last two letters and W_n is face n, the
 wrap.  Only the mu and W terms need sums; the Kronecker product with I_L
-moves each entry of F_{n-1} to L distinct positions.
+makes row r of F_{n-1} into the L rows r L + l, each a copy with its
+columns c moved to c L + l.  B~ writes each distinct rotation of a word
+once, with its multiplicity (_connes_B).  Every operator is a
+SparseMatrix of rows, the form elimination reads: no (row, col)-keyed
+store is built.
 """
 
-from collections import Counter
 from math import lcm
-from operator import itemgetter
 
 from .algebra import unitize
 from .errors import SizeCapExceeded, ValidationError
@@ -178,70 +180,101 @@ def _operator_tables(ua):
 
 
 # b~ and B~ below sum their entries in ints, scaled by the common
-# denominator: _add adds one term at a time and drops a position whose sum
-# reaches zero.  Row indices are computed in range, so the sums go to
-# SparseMatrix._trusted over that denominator.  In the reduced complex no
-# row of C_0 is the unit's: a first factor times a letter lies in A, and so
-# does the unit times a letter.
+# denominator, one row at a time.  Row and column indices are computed in
+# range, so the rows go to SparseMatrix._trusted over that denominator.  In
+# the reduced complex no row of C_0 is the unit's: a first factor times a
+# letter lies in A, and so does the unit times a letter.
 
-def _add(acc, key, value):
-    s = acc.get(key, 0) + value
-    if s:
-        acc[key] = s
-    else:
-        del acc[key]
+def _add(row, base, terms):
+    """Add v at column base + offset of row for each (offset, v) of terms,
+    dropping a position whose sum reaches zero."""
+    get = row.get
+    for offset, v in terms:
+        col = base + offset
+        s = get(col, 0) + v
+        if s:
+            row[col] = s
+        else:
+            del row[col]
 
 
 def _boundaries(tables, dim, spaces, n_max):
     """b~_1 .. b~_{n_max} by the face recursion, as {n: matrix}, for dim
-    first factors.
+    first factors, built row by row.
 
     F_n = b~_n - (-1)^n W_n is the sum of the faces 0 .. n-1.  Faces
     0 .. n-2 leave the last letter l_n in place, and a word gains its last
-    letter as index L + l, so they make F_{n-1} (x) I_L: each position
-    (r, c) of F_{n-1} goes to (r L + l, c L + l) for every letter l.  Face
+    letter as index L + l, so they make F_{n-1} (x) I_L: row r of F_{n-1}
+    goes to row r L + l, its column c to c L + l, for every letter l.  Face
     n-1, with sign (-1)^(n-1), merges l_{n-1} = x and l_n = y into
-    mid[x][y] = pi(e_x e_y) = sum C_j (letter j): column p L^2 + x L + y
-    gets C_j at row p L + j, for every prefix p.  F_1 is face 0 alone, which
-    puts e_{a_0} e_{l_1} = sum C_k e_k at row k.  The wrap face W_n puts
-    e_{l_n} e_{a_0} = sum C_k e_k first, before l_1 .. l_{n-1}: column
-    (a_0 L^(n-1) + rest) L + l_n gets C_k at row k L^(n-1) + rest.
+    mid[x][y] = pi(e_x e_y) = sum C_j (letter j): row p L + j gets C_j at
+    column p L^2 + x L + y, for every prefix p.  So row p L + j of F_n is
+    row p of F_{n-1} moved, plus the merges into letter j, and it is built
+    as one dict.  F_1 is face 0 alone, which puts e_{a_0} e_{l_1} =
+    sum C_k e_k at row k.  The wrap face W_n puts e_{l_n} e_{a_0} =
+    sum C_k e_k first, before l_1 .. l_{n-1}: row k L^(n-1) + rest gets C_k
+    at column (a_0 L^(n-1) + rest) L + l_n.
+
+    F_{n+1} is built from the rows of F_n before the wrap is added to them
+    in place, which makes them b~_n's.
     """
     den, left, right, mid, _ = tables
     letters = len(mid)
     pair = letters * letters
-    # M's nonzero tables, by the index x L + y of their pair
-    merges = [(x * letters + y, mid[x][y]) for x in range(letters)
-              for y in range(letters) if mid[x][y]]
-    # (a_0, l, e_l e_{a_0}) for each nonzero wrap product
-    wraps = [(x, l, right[l][x]) for x in range(dim)
-             for l in range(letters) if right[l][x]]
-    face = {(term[0], x * letters + l): term[1] for x in range(dim)
-            for l in range(letters) for term in left[x][l]}
+    # merges[s][j]: (x L + y, C_j) for each nonzero C_j of mid[x][y], its
+    # sign (-1)^s
+    merges = ({}, {})
+    for x in range(letters):
+        for y in range(letters):
+            for term in mid[x][y]:
+                for s in (0, 1):
+                    merges[s].setdefault(term[0], []).append(
+                        (x * letters + y, term[1 + s]))
+    # by row k: (a_0, l, C_k) for each nonzero C_k of e_l e_{a_0}
+    wraps = {}
+    for x in range(dim):
+        for l in range(letters):
+            for term in right[l][x]:
+                wraps.setdefault(term[0], []).append((x, l, term))
+    face = {}
+    for x in range(dim):
+        for l in range(letters):
+            for term in left[x][l]:
+                face.setdefault(term[0], {})[x * letters + l] = term[1]
     out = {}
     for n in range(1, n_max + 1):
-        if n > 1:
-            # positions of F_{n-1} (x) I_L are distinct and nonzero; their
-            # keys share one int per row and per column
-            at_row = list(range(spaces[n - 1].dim))
-            at_col = list(range(spaces[n].dim))
-            face = {(at_row[r * letters + l], at_col[c * letters + l]): v
-                    for (r, c), v in face.items() for l in range(letters)}
-            slot = 1 + (n - 1) % 2
-            for p in range(dim * letters ** (n - 2)):
-                for xy, terms in merges:
-                    col = p * pair + xy
-                    for term in terms:
-                        _add(face, (p * letters + term[0], col), term[slot])
-        b = face if n == n_max else dict(face)
-        slot, low = 1 + n % 2, letters ** (n - 1)
-        for x, l, terms in wraps:
+        following = {}
+        if n < n_max:
+            adds = [merges[n % 2].get(j, ()) for j in range(letters)]
+            # the column keys of F_n (x) I_L share one int each
+            at_col = list(range(spaces[n + 1].dim))
+            for p in range(dim * letters ** (n - 1)):
+                old, base = face.get(p), p * pair
+                for j, terms in enumerate(adds):
+                    if old is None:
+                        row = {base + xy: v for xy, v in terms}
+                    else:
+                        row = {at_col[c * letters + j]: v
+                               for c, v in old.items()}
+                        _add(row, base, terms)
+                    if row:
+                        following[p * letters + j] = row
+        low, slot = letters ** (n - 1), 1 + n % 2
+        for k, terms in wraps.items():
+            offsets = [(x * low * letters + l, term[slot])
+                       for x, l, term in terms]
             for rest in range(low):
-                col = (x * low + rest) * letters + l
-                for term in terms:
-                    _add(b, (term[0] * low + rest, col), term[slot])
-        out[n] = SparseMatrix._trusted(spaces[n - 1].dim, spaces[n].dim, b,
+                i, base = k * low + rest, rest * letters
+                row = face.get(i)
+                if row is None:
+                    face[i] = {base + o: v for o, v in offsets}
+                else:
+                    _add(row, base, offsets)
+                    if not row:
+                        del face[i]
+        out[n] = SparseMatrix._trusted(spaces[n - 1].dim, spaces[n].dim, face,
                                        den)
+        face = following
     return out
 
 
@@ -251,23 +284,49 @@ def _connes_B(tables, cols, rows, n):
     The word (j, l_1, .., l_n) of n+1 letters, with pi(e_{a_0}) = sum p_j
     (letter j), has index W = j L^n + (col mod L^n).  Its rotation that
     starts at letter i has index (W mod L^(n+1-i)) L^i + W div L^(n+1-i),
-    and B puts c_k p_j (-1)^{ni} at row k L^(n+1) + that index.  A periodic
-    word repeats among its rotations, so their entries add up.
+    and B puts c_k p_j (-1)^{ni} at row k L^(n+1) + that index.  Let t, the
+    period of W, be the least i >= 1 whose rotation is W itself; t divides
+    n+1, and the rotations repeat with period t.  Rotations i and i + t
+    carry signs that differ by (-1)^{nt}, so the n+1 terms are t distinct
+    rotations, each (n+1)/t times when n t is even.  When n t is odd, n and
+    t are odd, so (n+1)/t is even and the copies of each rotation cancel in
+    pairs.
+
+    The words of one column differ only in j, so they hold different
+    multisets of letters and no two share a rotation: every position is
+    written once, with a nonzero int.
     """
     den, _, _, mid, ones = tables
     letters = len(mid)
     pw = [letters ** e for e in range(n + 2)]
-    rotations = [(pw[n + 1 - i], pw[i], 1 + n * i % 2) for i in range(n + 1)]
-    acc = {}
+    span, span_up = pw[n], pw[n + 1]
+    rotations = [(pw[n + 1 - i], pw[i], 1 + n * i % 2)
+                 for i in range(1, n + 1)]
+    by_row = {}
     for col in range(cols):
-        first, rest = divmod(col, pw[n])
+        first, rest = divmod(col, span)
         for j, terms in ones[first]:
-            word = j * pw[n] + rest
+            word = j * span + rest
+            seen = [(word, 1)]
             for high, step, slot in rotations:
                 base = word % high * step + word // high
-                for term in terms:
-                    _add(acc, (base + term[0] * pw[n + 1], col), term[slot])
-    return SparseMatrix._trusted(rows, cols, acc, den)
+                if base == word:
+                    break
+                seen.append((base, slot))
+            period = len(seen)
+            if n * period % 2:
+                continue
+            times = (n + 1) // period
+            for term in terms:
+                top = term[0] * span_up
+                for base, slot in seen:
+                    v = term[slot] * times
+                    row = by_row.get(top + base)
+                    if row is None:
+                        by_row[top + base] = {col: v}
+                    else:
+                        row[col] = v
+    return SparseMatrix._trusted(rows, cols, by_row, den)
 
 
 class MixedComplex:
@@ -339,10 +398,11 @@ def _sum_first_entry(pairs, sizes):
     position and entry as (row, col, numerator, den).
 
     The sum goes over den, the lcm of the products L_i.den R_i.den, so the
-    ints L_i.data R_i.data get the factors scale_i = den / (L_i.den R_i.den).
-    Column k of L_i.data is packed into one int, P_k = sum_r L[r,k] 2^(w r),
-    and column j of the sum is the int T_j = sum_i scale_i sum_k R[k,j] P_k
-    = sum_r S_r 2^(w r), whose digit S_r is den times entry (r, j).
+    products of the ints of L_i and R_i get the factors scale_i = den /
+    (L_i.den R_i.den).  Column k of L_i is packed, row by row of L_i, into
+    one int, P_k = sum_r L[r,k] 2^(w r), and column j of the sum is the int
+    T_j = sum_i scale_i sum_k R[k,j] P_k = sum_r S_r 2^(w r), summed row by
+    row of R_i, whose digit S_r is den times entry (r, j).
 
     The width w: |S_r| <= sum_i scale_i sum_k |L_i[r,k]| |R_i[k,j]| <= M =
     sum_i scale_i max|L_i| max|R_i| c_i, with c_i the most entries in one
@@ -365,7 +425,7 @@ def _sum_first_entry(pairs, sizes):
     scales = [den // (left.den * right.den) for left, right in pairs]
     bound = 0
     for (left, right), scale in zip(pairs, scales):
-        if left.data and right.data:
+        if left.by_row and right.by_row:
             top, row_count = sizes[id(left)]
             bound += scale * top * sizes[id(right)][0] * row_count
     w = bound.bit_length() + 1
@@ -373,19 +433,26 @@ def _sum_first_entry(pairs, sizes):
         total = pairs[0][0] @ pairs[0][1]
         for left, right in pairs[1:]:
             total = total + left @ right
-        if not total.data:
+        if not total.by_row:
             return None
-        row, col = min(total.data)
-        return row, col, total.data[row, col], total.den
+        row = min(total.by_row)
+        col = min(total.by_row[row])
+        return row, col, total.by_row[row][col], total.den
     sums = {}
+    sum_at = sums.get
     for (left, right), scale in zip(pairs, scales):
         packed = {}
-        for (r, k), v in left.data.items():
-            packed[k] = packed.get(k, 0) + (v << w * r)
-        for (k, j), v in right.data.items():
-            column = packed.get(k)
+        get = packed.get
+        for r, row in left.by_row.items():
+            shift = w * r
+            for k, v in row.items():
+                packed[k] = get(k, 0) + (v << shift)
+        for k, row in right.by_row.items():
+            column = get(k)
             if column is not None:
-                sums[j] = sums.get(j, 0) + scale * v * column
+                column *= scale
+                for j, v in row.items():
+                    sums[j] = sum_at(j, 0) + v * column
     first = min(((((t & -t).bit_length() - 1) // w, j)
                  for j, t in sums.items() if t), default=None)
     if first is None:
@@ -398,11 +465,11 @@ def _sum_first_entry(pairs, sizes):
 
 
 def _sizes(m):
-    """(largest |entry| of m.data, most entries in one row), 0s for zero."""
-    if not m.data:
+    """(largest |entry| of m, most entries in one row), 0s for zero."""
+    if not m.by_row:
         return 0, 0
-    return (max(map(abs, m.data.values())),
-            max(Counter(map(itemgetter(0), m.data)).values()))
+    return (max(max(map(abs, row.values())) for row in m.by_row.values()),
+            max(map(len, m.by_row.values())))
 
 
 def verify_mixed_identities(mc):
@@ -410,15 +477,16 @@ def verify_mixed_identities(mc):
 
     Each check decides whether a sum sum_i L_i R_i of products is zero; the
     witness is the least (row, col) entry of the first sum that is not
-    (_sum_first_entry).  Column k of L_i is packed into the int
-    sum_r L_i[r,k] 2^(w r), and column j of the sum into
-    sum_i scale_i sum_k R_i[k,j] (packed column k), over the lcm of the
-    denominators.  Every digit of that int is bounded by M = sum_i scale_i
-    max|L_i| max|R_i| c_i, with c_i the most entries in one row of L_i, and
-    w = bits(M) + 1, so the int is 0 exactly when the column is, and its
-    lowest set bit and signed digit give the witness.  A sum whose packed
-    columns would be wider than PACK_BITS (w L_i.rows bits) is formed with
-    @ and + instead.  Only the witness's value is made a Fraction.
+    (_sum_first_entry).  Column k of L_i is packed from L_i's rows into
+    the int sum_r L_i[r,k] 2^(w r), and column j of the sum, from R_i's
+    rows, into sum_i scale_i sum_k R_i[k,j] (packed column k), over the lcm
+    of the denominators.  Every digit of that int is bounded by M =
+    sum_i scale_i max|L_i| max|R_i| c_i, with c_i the most entries in one
+    row of L_i, and w = bits(M) + 1, so the int is 0 exactly when the
+    column is, and its lowest set bit and signed digit give the witness.  A
+    sum whose packed columns would be wider than PACK_BITS (w L_i.rows
+    bits) is formed with @ and + instead.  Only the witness's value is made
+    a Fraction.
     """
     b, B = mc.b_tilde, mc.B_tilde
     sizes = {id(m): _sizes(m) for ops in (b, B) for m in ops.values()}
@@ -445,11 +513,18 @@ def verify_mixed_identities(mc):
 def _kron(x, y):
     """The Kronecker product of two sparse matrices: the products of their
     nonzero ints, at distinct positions in range, over x.den y.den."""
-    return SparseMatrix._trusted(
-        x.rows * y.rows, x.cols * y.cols,
-        {(r1 * y.rows + r2, c1 * y.cols + c2): v1 * v2
-         for (r1, c1), v1 in x.data.items()
-         for (r2, c2), v2 in y.data.items()}, x.den * y.den)
+    right = [(r2, list(row2.items())) for r2, row2 in y.by_row.items()]
+    by_row = {}
+    for r1, row1 in x.by_row.items():
+        top = r1 * y.rows
+        parts = [(c1 * y.cols, v1) for c1, v1 in row1.items()]
+        for r2, items2 in right:
+            row = by_row[top + r2] = {}
+            for base, v1 in parts:
+                for c2, v2 in items2:
+                    row[base + c2] = v1 * v2
+    return SparseMatrix._trusted(x.rows * y.rows, x.cols * y.cols, by_row,
+                                 x.den * y.den)
 
 
 def induced_chain_map(f, n_max):
@@ -473,16 +548,19 @@ def induced_chain_map(f, n_max):
     letters, p, q, s, pi = _projection(target)
     m = f.matrix
     den = lcm(m.den, q)
-    data = {(r, c): v * (den // m.den) for (r, c), v in m.data.items()}
-    data.update(((k, m.cols), c * (den // q)) for k, c in p.items())
-    g = SparseMatrix._trusted(target.dim, m.cols + 1, data, den)
-    pi_f = SparseMatrix._trusted(
-        len(letters), m.cols,
-        {(j, i): v for i, col in enumerate(m.integer_columns())
-         for j, v in pi(col).items()}, m.den * s)
+    up = den // m.den
+    g_rows = {r: {c: v * up for c, v in row.items()}
+              for r, row in m.by_row.items()}
+    for k, c in p.items():
+        g_rows.setdefault(k, {})[m.cols] = c * (den // q)
+    g = SparseMatrix._trusted(target.dim, m.cols + 1, g_rows, den)
+    pi_rows = {}
+    for i, col in enumerate(m.integer_columns()):
+        for j, v in pi(col).items():
+            pi_rows.setdefault(j, {})[i] = v
+    pi_f = SparseMatrix._trusted(len(letters), m.cols, pi_rows, m.den * s)
     maps = {0: f.matrix}
-    power = SparseMatrix.identity(1)
+    step = g
     for n in range(1, n_max + 1):
-        power = _kron(power, pi_f)  # (pi f)^{(x) n}
-        maps[n] = _kron(g, power)
+        step = maps[n] = _kron(step, pi_f)  # g (x) (pi f)^{(x) n}
     return maps

@@ -40,13 +40,20 @@ def rational_store(m):
 
 
 def assert_canonical(m):
-    """m stores nonzero ints, in range, over den >= 1 with no factor common
-    to den and all of them; so the zero matrix has den == 1."""
+    """m's row store holds nonempty rows of nonzero ints, in range, over
+    den >= 1 with no factor common to den and all of them; so the zero
+    matrix has den == 1."""
     assert type(m.den) is int and m.den >= 1
-    assert all(type(v) is int and v for v in m.data.values())
-    assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.data)
-    assert gcd(m.den, *m.data.values()) == 1
-    assert m.data or m.den == 1
+    assert type(m.by_row) is dict
+    values = []
+    for r, row in m.by_row.items():
+        assert type(row) is dict and row, f"row {r} is empty or not a dict"
+        assert type(r) is int and 0 <= r < m.rows
+        assert all(type(c) is int and 0 <= c < m.cols for c in row)
+        assert all(type(v) is int and v for v in row.values())
+        values.extend(row.values())
+    assert gcd(m.den, *values) == 1
+    assert values or m.den == 1
 
 
 def omega_complex(a, n_max):

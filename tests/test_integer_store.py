@@ -7,9 +7,11 @@ shares no code with the package.  Every algebra construction is checked
 for the canonical form and against the public constructor fed its
 rational view, and every check on algebras and their maps still refuses
 what it refused in rationals.  The guards at the end count Fraction
-constructions where the stores promise none.
+constructions where the stores promise none, and check that the package
+never reads a matrix's flat data view.
 """
 
+import ast
 import json
 import random
 import re
@@ -33,6 +35,7 @@ from cychom.mixed import (MixedComplex, _kron, build_mixed_complex,
                           induced_chain_map, verify_mixed_identities)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cychom"
 
 # the denominators of the blocks of the z4 Hecke tower's filtration matrices
 DENOMINATORS = (1, 2, 8)
@@ -391,3 +394,19 @@ def test_algebra_checks_and_builds_construct_no_fraction(fractions_made):
     fractions_made["on"] = True
     assert algebras[0].product(0, 0)
     assert fractions_made["made"] > 0
+
+
+def flat_view_reads():
+    """(module, line) of every attribute named data read in src/cychom."""
+    return [(path.name, node.lineno)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "data"]
+
+
+def test_no_module_reads_the_flat_view():
+    # a SparseMatrix keeps only its rows, and data flattens them into
+    # (row, col) keys on every read, for the tests and bench/tracing.py;
+    # the package works on the rows
+    reads = flat_view_reads()
+    assert not reads, f"src/cychom reads .data at {reads}"

@@ -420,6 +420,18 @@ def _cross_check(a):
                          *reference_mixed.mixed_differentials(a, 3))
 
 
+@pytest.mark.parametrize("name, n_max", [("dual_numbers", 12),
+                                         ("cyclic4", 6), ("mat2", 6)])
+def test_periodic_words_match_the_tuple_reference(name, n_max):
+    # B~_n writes the t distinct rotations of a word of period t once each,
+    # (n+1)/t times, or none when n t is odd: every word of the dual
+    # numbers has period 1, and the words of Q[Z/4] and M_2(Q) reach
+    # period 2 in B~_3 and periods 2 and 3 in B~_5 (n_max 6 builds B~_5)
+    a = cli.parse_algebra_file(DATA / f"{name}.json")
+    _assert_same_complex(build_mixed_complex(a, n_max),
+                         *reference_mixed.normalized_differentials(a, n_max))
+
+
 @pytest.mark.parametrize("path", DATA_ALGEBRAS, ids=lambda p: p.stem)
 def test_operators_match_tuple_reference_on_data(path):
     a = cli.parse_algebra_file(path)

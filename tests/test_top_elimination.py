@@ -161,6 +161,26 @@ def test_rank_path_assembles_nothing(capsys, monkeypatch, eliminated,
         assert eliminated.count(D4_CZ4) == 1 and len(eliminated) == 11
 
 
+def test_ranking_leaves_the_complex_untouched():
+    # _echelon reduces the rows it is handed in place, and a tower's
+    # filtrations read b~ and B~ after the stages are ranked: a placed row
+    # that is a block's own dict, or a row of a SparseMatrix ranked whole,
+    # would change them silently
+    ds = cli.parse_tower_file(DATA / "towers" / "z4_tower.json")
+    report = continuity_check(ds, 3)
+    hp_continuity_check(report)
+    stages = list(zip(report.complexes, towers._stage_complexes(ds, 4),
+                      strict=True))
+    a = cli.parse_algebra_file(DATA / "algebras" / "cyclic4.json")
+    mc = build_mixed_complex(a, 5)
+    hochschild_and_cyclic(mc, 4)
+    for m in mc.b_tilde.values():
+        linalg.rank(m)
+    for ranked, fresh in stages + [(mc, build_mixed_complex(a, 5))]:
+        assert ranked.b_tilde == fresh.b_tilde
+        assert ranked.B_tilde == fresh.B_tilde
+
+
 @pytest.mark.parametrize("command, name", [
     ("tower", "z4_tower.json"),
     ("tower", "s3_tower.json"),
