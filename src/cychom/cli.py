@@ -53,7 +53,9 @@ from .towers import DirectSystem, continuity_check, hecke_tower, \
 
 DEFAULT_MAX_DEGREE = 4
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# fullmatched, and ASCII digits only: $ would also match before a final
+# newline, and \d matches every Unicode digit
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 # json.loads and Fraction raise ValueError for an integer literal longer
 # than the interpreter's int-string limit (sys.get_int_max_str_digits())
 _TOO_MANY_DIGITS = "an integer has more digits than the input limit"
@@ -72,7 +74,7 @@ def _parse_rational(value, where):
     if isinstance(value, int):
         return QQ(value)
     if isinstance(value, str):
-        if not _RATIONAL.match(value):
+        if not _RATIONAL.fullmatch(value):
             raise ParseError(f"{where}: {value!r} is not num or num/den")
         try:
             return QQ(value)

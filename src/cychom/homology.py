@@ -92,8 +92,7 @@ def differential_blocks(mc, theory, n):
 
 def _total_blocks(mc, n):
     """(blocks, row dims, column dims) of D = b~ + B~ from Tot_n to
-    Tot_{n-1}, as linalg.BlockMatrix and SparseMatrix.from_blocks take
-    them."""
+    Tot_{n-1}, as linalg.BlockMatrix takes them."""
     if n < 1 or n > mc.n_max:
         raise ValidationError(f"total differential needs 1 <= n <= {mc.n_max}")
     blocks, dst, src = differential_blocks(mc, "HC", n)
@@ -102,8 +101,13 @@ def _total_blocks(mc, n):
 
 
 def total_differential(mc, n):
-    """D = b~ + B~ from Tot_n to Tot_{n-1}, assembled."""
-    return SparseMatrix.from_blocks(*_total_blocks(mc, n))
+    """D = b~ + B~ from Tot_n to Tot_{n-1}, assembled: the only assembly
+    of a block matrix in the package."""
+    view = BlockMatrix(*_total_blocks(mc, n))
+    # the view drops no rows, so its placed rows are nonempty, in range and
+    # under D's own row indices
+    return SparseMatrix._trusted(view.rows, view.cols, view.row_dicts(),
+                                 view.den)
 
 
 def total_rank_split(mc, n, dependent):

@@ -26,15 +26,12 @@ solutions and bases produced are reproducible bit for bit.  Elimination is
 fraction-free; _echelon spells out why its integer rows give what rational
 elimination would.
 
-A BlockMatrix is a block matrix left in its blocks, less some rows.
-Elimination takes its rows straight from the blocks, each under its index
-in the whole block matrix, so no assembled copy of it is made;
-SparseMatrix.from_blocks is its assembled form, with the rows kept moved
-up in order.  One loop, BlockMatrix.row_dicts, places the blocks' rows for
-both.
+A BlockMatrix is a block matrix left in its blocks, less some rows, and
+the only block form here: elimination takes its rows straight from the
+blocks, each under its index in the whole block matrix, so no assembled
+copy of it is made or kept.
 """
 
-from bisect import bisect_left
 from fractions import Fraction as QQ
 from itertools import accumulate
 from math import gcd, lcm
@@ -139,18 +136,6 @@ class SparseMatrix:
         return cls(rows, len(columns), ((i, j, v)
                                         for j, col in enumerate(columns)
                                         for i, v in col.items()))
-
-    @classmethod
-    def from_blocks(cls, blocks, row_dims, col_dims, dropped=()):
-        """Assemble from {(block_row, block_col): block}; absent blocks are
-        zero.  The rows in dropped are left out and the others kept in
-        order: the assembled form of BlockMatrix(blocks, row_dims,
-        col_dims, dropped), which checks the blocks as it places them.
-        Every caller drops rows in the span of the rows kept, which keeps
-        the row space, hence the kernel and the pivot columns of any
-        echelon form.
-        """
-        return BlockMatrix(blocks, row_dims, col_dims, dropped).assembled()
 
     @property
     def shape(self):
@@ -270,13 +255,12 @@ class BlockMatrix:
     right from the start.  rank, pivot_columns and kernel_basis take a
     BlockMatrix as they take a SparseMatrix: _echelon reads row_dicts(),
     which places the blocks' rows straight into rows of the whole, so no
-    assembled copy is made.  assembled() is the SparseMatrix from_blocks
-    returns, built on first use and kept; data and den are its, for
-    readers of a matrix's store such as bench/tracing.py.
+    assembled copy is made, and none is kept.  den and data, which
+    bench/tracing.py reads, are views of the placed rows.
     """
 
     __slots__ = ("_blocks", "_row_off", "_col_off", "_dropped", "rows",
-                 "cols", "_assembled")
+                 "cols")
 
     def __init__(self, blocks, row_dims, col_dims, dropped=()):
         row_off = list(accumulate(row_dims, initial=0))
@@ -295,11 +279,23 @@ class BlockMatrix:
         self._dropped = dropped
         self.rows = row_off[-1] - len(dropped)
         self.cols = col_off[-1]
-        self._assembled = None
 
     @property
     def shape(self):
         return (self.rows, self.cols)
+
+    @property
+    def den(self):
+        """The lcm of the blocks' denominators, which row_dicts() is
+        over; the common factor of it and the placed rows, which dropped
+        rows can leave, is not divided out."""
+        return lcm(*[b.den for b in self._blocks.values()])
+
+    @property
+    def data(self):
+        """The placed rows as {(row, col): int}, each under its index in
+        the whole block matrix, built on each read and not kept."""
+        return _flat(self.row_dicts())
 
     def row_dicts(self):
         """The entries as {row: {col: int}}, over the lcm of the blocks'
@@ -310,7 +306,7 @@ class BlockMatrix:
         range and at distinct positions.  Each block row is placed as a new
         dict, a plain copy in the first block column when its den is the
         lcm, so _echelon never reduces a row of a block in place."""
-        den = lcm(*[b.den for b in self._blocks.values()])
+        den = self.den
         dropped = self._dropped
         rows = {}
         for (bi, bj), block in self._blocks.items():
@@ -329,30 +325,6 @@ class BlockMatrix:
                 else:
                     have.update(row)
         return rows
-
-    def assembled(self):
-        """The SparseMatrix: each kept row moves up past the dropped rows
-        above it, in one pass over the placed rows."""
-        if self._assembled is None:
-            rows = self.row_dicts()
-            if self._dropped:
-                drops = sorted(self._dropped)
-                rows = {r - bisect_left(drops, r): row
-                        for r, row in rows.items()}
-            # placed rows are kept rows, nonempty, and move to distinct
-            # indices below rows
-            self._assembled = SparseMatrix._trusted(
-                self.rows, self.cols, rows,
-                lcm(*[b.den for b in self._blocks.values()]))
-        return self._assembled
-
-    @property
-    def data(self):
-        return _flat(self.assembled().by_row)
-
-    @property
-    def den(self):
-        return self.assembled().den
 
 
 def _echelon(m, rhs_cols=0):
@@ -391,16 +363,6 @@ def _echelon(m, rhs_cols=0):
     the insertion order decides the speed, not the results.  Descending row
     index keeps fill near the least measured (test_linalg.py bounds it);
     by row length or ascending index it grows several times over.
-
-    A BlockMatrix's rows keep their index in the whole block matrix, and
-    its dropped rows are absent; from_blocks moves each kept row up past
-    the dropped rows above it.  Both keep the relative order of the kept
-    rows, and the rows differ by the one factor from_blocks' canonical den
-    divides out, which each row's first division by its gcd removes.  So
-    the same rows are inserted in the same order, and the pivot columns,
-    the reduced rows and every vector back substitution returns are those
-    of the assembled matrix; only the row indices in pivots and rows
-    differ.
     """
     rows = m.row_dicts()
     pivot_limit = m.cols - rhs_cols

@@ -11,6 +11,7 @@ homology.
 
 import warnings
 from itertools import combinations, permutations
+from math import comb, factorial
 
 from .errors import SizeCapExceeded, ValidationError
 from .linalg import QQ, SparseMatrix, rank
@@ -23,8 +24,10 @@ ORDER_CAP = 10080
 # (Python 3.11, shared 2-vCPU VM): 70-75 ns per unit for trivial W at ranks
 # 40-80 (rank 80, 4.1e7 units: 3.0 s), 210-260 ns for the character average
 # of a large W at small rank (S_7 on rank 7, 1.2e7 units: 3.2 s) and 200 ns
-# for the closure of S_7 from 100 generators (1.7e8 units: 35 s), so an
-# accepted component takes at most about 5 s.  Read at call time.
+# for the closure of S_7 from 100 generators (1.7e8 units: 35 s), and
+# 80-150 ns for the projector cross-check (S_6 on rank 6, 1.75e8 units:
+# 14 s; S_5 on rank 5, 2.3e6 units: 0.33 s), so an accepted component
+# takes at most about 5 s.  Read at call time.
 WORK_CAP = 2 * 10**7
 
 
@@ -194,7 +197,10 @@ def invariant_betti(c, cross_check=False):
     averaged-projector rank.  Above rank 6 the exterior power matrices grow
     combinatorially, so the check is skipped there with a warning naming the
     component.  A component with |W| * rank^4 over WORK_CAP is refused with
-    SizeCapExceeded before any average is taken.
+    SizeCapExceeded before any average is taken, and one whose cross-check
+    costs more than WORK_CAP before its first exterior power: each of the
+    C(k,p)^2 minors of Lambda^p(w) sums p! products of p factors, each
+    signed by counting p^2 / 2 inversions, about C(k,p)^2 p! p^2 units.
     """
     elements = enumerate_group(c)
     order = len(elements)
@@ -211,6 +217,10 @@ def invariant_betti(c, cross_check=False):
         warnings.warn(f"component {c.label!r} has rank {c.rank} > 6: "
                       "projector cross-check skipped")
     elif cross_check:
+        _refuse_costly(c, order * sum(comb(c.rank, p) ** 2 * factorial(p)
+                                      * p * p for p in range(c.rank + 1)),
+                       "the projector cross-check, |W| * sum_p "
+                       "C(rank,p)^2 p! p^2,")
         for p in range(c.rank + 1):
             got = averaged_projector_rank(elements, p)
             if got != betti[p]:

@@ -56,6 +56,23 @@ def assert_canonical(m):
     assert values or m.den == 1
 
 
+def assemble(blocks, row_dims, col_dims, dropped=()):
+    """The block matrix {(block_row, block_col): block}, absent blocks zero,
+    without the rows in dropped and the kept rows moved up in order, built
+    entry by entry through the checking constructor: the matrix whose rank,
+    pivot columns and kernel a linalg.BlockMatrix of the same arguments
+    has."""
+    row_off = [sum(row_dims[:i]) for i in range(len(row_dims))]
+    col_off = [sum(col_dims[:j]) for j in range(len(col_dims))]
+    dropped = set(dropped)
+    kept = [r for r in range(sum(row_dims)) if r not in dropped]
+    moved = {r: i for i, r in enumerate(kept)}
+    return SparseMatrix(len(kept), sum(col_dims), (
+        (moved[row_off[bi] + r], col_off[bj] + c, v)
+        for (bi, bj), block in blocks.items()
+        for r, c, v in block.entries() if row_off[bi] + r in moved))
+
+
 def omega_complex(a, n_max):
     """Omega(A) through degree n_max, built with A's unit forgotten, as an
     earlier tower stage builds it.  For a unital A it has (d+1) d^n cells

@@ -70,9 +70,11 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="out of range"):
         parse_algebra_file(write(tmp_path, {
             "dim": 1, "table": [[[[3, "1"]]]]}))
-    with pytest.raises(ParseError, match="not num or num/den"):
-        parse_algebra_file(write(tmp_path, {
-            "dim": 1, "table": [[[[0, "1.5"]]]]}))
+    # a trailing newline, and digits that are not ASCII
+    for value in ("1.5", "1\n", "٣", "1/٢"):
+        with pytest.raises(ParseError, match="not num or num/den"):
+            parse_algebra_file(write(tmp_path, {
+                "dim": 1, "table": [[[[0, value]]]]}))
     with pytest.raises(ParseError, match="integers or strings"):
         parse_algebra_file(write(tmp_path, {
             "dim": 1, "table": [[[[0, 1.5]]]]}))

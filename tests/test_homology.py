@@ -1,10 +1,13 @@
 """Homology dimensions, certificates, and lifting."""
 
 import random
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from conftest import hh_dims
+from conftest import assemble, assert_canonical, hh_dims, omega_complex
+from cychom import cli
 from cychom.algebra import matrix_algebra
 from cychom.catalog import dual_numbers, ground_field, unimodular_scramble
 from cychom.errors import NoCertificate, ValidationError
@@ -13,10 +16,12 @@ from cychom.homology import (EvenLift, HomologyReport, ObstructedLift,
                              homology_representatives, lift_to_periodic,
                              periodic_via_stabilization, report_from_pivots,
                              stabilization_certificate, total_components,
-                             total_differential)
+                             total_differential, _total_blocks)
 from cychom.linalg import (QQ, SparseMatrix, image_basis, kernel_basis,
                            pivot_columns, rank, solve)
 from cychom.mixed import build_mixed_complex
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # dimension tables pinned ahead of the engine by the independent rank
 # oracle in tests/oracles.py (rerun there; quoted here for direct use)
@@ -73,8 +78,7 @@ def test_total_differential_blocks(mixed_complexes):
     mc = mixed_complexes("dual")
     assert total_differential(mc, 1) == mc.b_tilde[1]
     b2, B0 = mc.b_tilde[2], mc.B_tilde[0]
-    d2 = SparseMatrix.from_blocks({(0, 0): b2, (0, 1): B0}, [b2.rows],
-                                  [b2.cols, B0.cols])
+    d2 = assemble({(0, 0): b2, (0, 1): B0}, [b2.rows], [b2.cols, B0.cols])
     assert total_differential(mc, 2) == d2
     # D squared is zero
     for n in (2, 3, 4):
@@ -82,6 +86,29 @@ def test_total_differential_blocks(mixed_complexes):
         assert not prod.data
     # Tot_4 stacks Omega^4, Omega^2 and Omega^0, starting at 0, 48 and 60
     assert [mc.spaces[q].dim for q in total_components(4)] == [48, 12, 2]
+
+
+TOT_NMAX = 4
+
+
+@cache
+def tot_complex(name, kind):
+    """C(A) or Omega(A) through degree TOT_NMAX for a data/ algebra."""
+    a = cli.parse_algebra_file(DATA / "algebras" / f"{name}.json")
+    build = build_mixed_complex if kind == "C" else omega_complex
+    return build(a, TOT_NMAX)
+
+
+@pytest.mark.parametrize("n", range(1, TOT_NMAX + 1))
+@pytest.mark.parametrize("kind", ["C", "Omega"])
+@pytest.mark.parametrize("name", ["cyclic4", "mat2", "dual_numbers"])
+def test_total_differential_is_its_blocks_assembled(name, kind, n):
+    # placed straight from the view's rows, and canonical: the lcm of the
+    # blocks' denominators, which the view keeps, is divided out
+    mc = tot_complex(name, kind)
+    d = total_differential(mc, n)
+    assert d == assemble(*_total_blocks(mc, n))
+    assert_canonical(d)
 
 
 def test_shallow_complex_rejected():

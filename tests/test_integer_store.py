@@ -3,12 +3,13 @@ denominator.
 
 Every matrix operation's result is checked for the canonical form and,
 entry for entry, against the Fraction reference in oracles.py, which
-shares no code with the package.  Every algebra construction is checked
-for the canonical form and against the public constructor fed its
-rational view, and every check on algebras and their maps still refuses
-what it refused in rationals.  The guards at the end count Fraction
-constructions where the stores promise none, and check that the package
-never reads a matrix's flat data view.
+shares no code with the package; the rows a block view places, over the
+lcm of its blocks' denominators, are checked against it too.  Every
+algebra construction is checked for the canonical form and against the
+public constructor fed its rational view, and every check on algebras
+and their maps still refuses what it refused in rationals.  The guards
+at the end count Fraction constructions where the stores promise none,
+and check that the package never reads a matrix's flat data view.
 """
 
 import ast
@@ -107,20 +108,36 @@ def test_operations_match_the_fraction_reference():
         blocks = {(0, 0): a, (0, 2): b,
                   (1, 1): matrix(k, m, oracles.mat_neg(ec))}
         egrid = [[ea, None, eb], [None, oracles.mat_neg(ec), None]]
-        check(SparseMatrix.from_blocks(blocks, [n, k], [k, m, k]),
-              oracles.mat_blocks(egrid, [n, k], [k, m, k]))
+        view = linalg.BlockMatrix(blocks, [n, k], [k, m, k])
+        assert view_store(view) == oracles.mat_blocks(egrid, [n, k],
+                                                      [k, m, k])
+
+
+def view_store(view):
+    """A block view's entries as {(row, col): Fraction}, from its flat
+    ints and its denominator."""
+    assert all(type(v) is int and v for v in view.data.values())
+    return {k: QQ(v, view.den) for k, v in view.data.items()}
 
 
 def test_from_blocks_rescales_to_the_common_denominator():
+    # the rows a view places from its blocks are over the lcm of their
+    # denominators
     half = SparseMatrix(1, 2, [(0, 0, "1/2")])
     eighth = SparseMatrix(1, 2, [(0, 0, "3/8"), (0, 1, "1/4")])
     one = SparseMatrix.identity(1)
-    m = SparseMatrix.from_blocks({(0, 0): one, (0, 1): half, (1, 1): eighth},
-                                 [1, 1], [1, 2])
-    assert m.den == 8
-    assert m.data == {(0, 0): 8, (0, 1): 4, (1, 1): 3, (1, 2): 2}
-    check(m, {(0, 0): QQ(1), (0, 1): QQ(1, 2), (1, 1): QQ(3, 8),
-              (1, 2): QQ(1, 4)})
+    view = linalg.BlockMatrix({(0, 0): one, (0, 1): half, (1, 1): eighth},
+                              [1, 1], [1, 2])
+    assert view.den == 8
+    assert view.data == {(0, 0): 8, (0, 1): 4, (1, 1): 3, (1, 2): 2}
+    assert view_store(view) == {(0, 0): QQ(1), (0, 1): QQ(1, 2),
+                                (1, 1): QQ(3, 8), (1, 2): QQ(1, 4)}
+    # and the lcm is not divided out: without row 0, [[1], [2]] / 2 keeps
+    # den 2, and its kept row keeps its index
+    view = linalg.BlockMatrix(
+        {(0, 0): SparseMatrix(2, 1, [(0, 0, "1/2"), (1, 0, 1)])}, [2], [1],
+        [0])
+    assert (view.shape, view.den, view.data) == ((1, 1), 2, {(1, 0): 2})
 
 
 def test_equality_is_rational_equality():

@@ -1,13 +1,14 @@
 """Tests for the exact sparse linear algebra core."""
 
 import random
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 import oracles
-from conftest import assert_canonical, basis_variants, rational_store
+from conftest import (assemble, assert_canonical, basis_variants,
+                      rational_store)
 from cychom import cli, homology, linalg
 from cychom.homology import total_rank_split
 from cychom.linalg import (QQ, SparseMatrix, as_rational, image_basis,
@@ -194,50 +195,6 @@ def test_matmul_with_rational_entries_matches_triple_loop():
         assert_canonical(got)
 
 
-def test_from_blocks():
-    i2 = SparseMatrix.identity(2)
-    m = SparseMatrix.from_blocks({(0, 0): i2, (1, 1): dense([[3, 0], [0, 3]])},
-                                 [2, 2], [2, 2])
-    assert m == dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
-    with pytest.raises(ValueError):
-        SparseMatrix.from_blocks({(0, 0): i2}, [3], [2])
-    with pytest.raises(ValueError):
-        SparseMatrix.from_blocks({(-1, 0): i2}, [2, 2], [2])
-
-
-def test_from_blocks_leaves_out_dropped_rows_in_order():
-    blocks = {(0, 0): dense([[1, 2], [3, 4], [5, 6]]),
-              (1, 1): dense([[7], [8]]), (2, 0): dense([[9, 0]])}
-    dims = [3, 2, 1], [2, 1]
-    # a dropped row in the middle of a slot, a whole slot, a repeat
-    m = SparseMatrix.from_blocks(blocks, *dims, [4, 1, 3, 4])
-    assert m == dense([[1, 2, 0], [5, 6, 0], [9, 0, 0]])
-    assert SparseMatrix.from_blocks(blocks, *dims, []) == \
-        SparseMatrix.from_blocks(blocks, *dims)
-    assert SparseMatrix.from_blocks(blocks, *dims, range(6)).shape == (0, 3)
-    for row in (-1, 6):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_blocks(blocks, *dims, [0, row])
-
-
-def test_from_blocks_drop_keeps_the_store_canonical():
-    # [[1], [2]] / 2 without row 0 is [[1]]: the common factor 2 goes
-    m = SparseMatrix.from_blocks(
-        {(0, 0): SparseMatrix(2, 1, [(0, 0, "1/2"), (1, 0, 1)])}, [2], [1],
-        [0])
-    want = SparseMatrix(1, 1, [(0, 0, 1)])
-    assert (m.shape, m.data, m.den) == (want.shape, want.data, want.den)
-    assert_canonical(m)
-    blocks = {(0, 0): SparseMatrix(1, 2, [(0, 0, "3/4")]),
-              (1, 0): SparseMatrix(1, 2, [(0, 1, "1/6")])}
-    cases = {(0,): SparseMatrix(1, 2, [(0, 1, "1/6")]),
-             (1,): SparseMatrix(1, 2, [(0, 0, "3/4")]),
-             (0, 1): SparseMatrix(0, 2)}
-    for dropped, want in cases.items():
-        m = SparseMatrix.from_blocks(blocks, [1, 1], [2], dropped)
-        assert (m.shape, m.data, m.den) == (want.shape, want.data, want.den)
-
-
 def _random_blocks(rng, den):
     """Blocks of random shapes, some slots absent and some blocks empty,
     with entries over den."""
@@ -256,18 +213,6 @@ def _random_blocks(rng, den):
     return blocks, row_dims, col_dims
 
 
-def _assembled_entry_by_entry(blocks, row_dims, col_dims, dropped):
-    """What from_blocks must give, through the checking constructor."""
-    row_off = [sum(row_dims[:i]) for i in range(len(row_dims))]
-    col_off = [sum(col_dims[:j]) for j in range(len(col_dims))]
-    kept = [r for r in range(sum(row_dims)) if r not in set(dropped)]
-    moved = {r: i for i, r in enumerate(kept)}
-    return SparseMatrix(len(kept), sum(col_dims), (
-        (moved[row_off[bi] + r], col_off[bj] + c, v)
-        for (bi, bj), block in blocks.items()
-        for r, c, v in block.entries() if row_off[bi] + r in moved))
-
-
 @pytest.mark.parametrize("den", [1, 2, 6])
 def test_block_view_is_the_assembled_matrix(den):
     rng = random.Random(den)
@@ -275,20 +220,21 @@ def test_block_view_is_the_assembled_matrix(den):
         blocks, row_dims, col_dims = _random_blocks(rng, den)
         total = sum(row_dims)
         some = rng.sample(range(total), rng.randint(0, total))
+        whole = rational_store(assemble(blocks, row_dims, col_dims))
         for dropped in ([], some, some + some[:2], list(range(total))):
-            want = _assembled_entry_by_entry(blocks, row_dims, col_dims,
-                                             dropped)
+            want = assemble(blocks, row_dims, col_dims, dropped)
             ranked = linalg.BlockMatrix(blocks, row_dims, col_dims, dropped)
             assert ranked.shape == want.shape
             assert pivot_columns(ranked) == pivot_columns(want)
             assert rank(ranked) == rank(want)
             assert kernel_basis(ranked) == kernel_basis(want)
+            # data keeps the rows' indices in the whole block matrix, over
+            # the lcm of the blocks' denominators, left as it is
             view = linalg.BlockMatrix(blocks, row_dims, col_dims, dropped)
-            assembled = SparseMatrix.from_blocks(blocks, row_dims, col_dims,
-                                                 dropped)
-            for m in (view, assembled):
-                assert (m.shape, m.data, m.den) == \
-                    (want.shape, want.data, want.den)
+            assert view.den == lcm(*[b.den for b in blocks.values()])
+            assert all(type(v) is int and v for v in view.data.values())
+            assert {k: QQ(v, view.den) for k, v in view.data.items()} == \
+                {k: v for k, v in whole.items() if k[0] not in dropped}
 
 
 @pytest.mark.parametrize("blocks, dropped, message", [
@@ -300,9 +246,8 @@ def test_block_view_is_the_assembled_matrix(den):
 ])
 def test_block_view_checks_as_from_blocks_does(blocks, dropped, message):
     dims = [2, 2], [2]
-    with pytest.raises(ValueError, match=message):
-        SparseMatrix.from_blocks(blocks, *dims, dropped)
-    # the view checks when it is built, so no shape is read before
+    # the view checks its slots, shapes and dropped rows when it is built,
+    # so no shape is read before
     with pytest.raises(ValueError, match=message):
         linalg.BlockMatrix(blocks, *dims, dropped)
 
@@ -325,11 +270,12 @@ def fraction_echelon(m, rhs_cols=0):
     ties by lowest row index), in rational arithmetic.  Any echelon form
     has the same pivot columns, and back substitution from it gives the
     same vectors, so callers get from it what they get from _echelon."""
-    if isinstance(m, linalg.BlockMatrix):
-        m = m.assembled()  # solve_columns passes [m | vectors] as a view
+    # data and den, which a view has too: solve_columns passes
+    # [m | vectors] as a linalg.BlockMatrix
     rows = {}
     col_rows = {}
-    for (r, c), v in rational_store(m).items():
+    for (r, c), v in m.data.items():
+        v = QQ(v, m.den)
         rows.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
     pivot_limit = m.cols - rhs_cols
@@ -403,7 +349,7 @@ def test_fraction_free_elimination_matches_rational_reference(monkeypatch):
     negative_pivots = 0
     for m in cases:
         rhs = right_hand_sides(rng, m)
-        aug = SparseMatrix.from_blocks(
+        aug = assemble(
             {(0, 0): m, (0, 1): SparseMatrix.from_columns(m.rows, rhs)},
             [m.rows], [m.cols, len(rhs)])
         pivots, rows = linalg._echelon(aug, rhs_cols=len(rhs))
@@ -458,7 +404,7 @@ def test_insertion_order_keeps_fill_down():
     for n in range(1, 5):
         dependent = total_rank_split(mc, n, dependent)[1]
     blocks = homology._total_blocks(mc, 5)
-    d5 = SparseMatrix.from_blocks(*blocks, dependent)
+    d5 = assemble(*blocks, dependent)
     assert (d5.shape, d5.nnz) == ((268, 1092), 5758)
     _, rows = linalg._echelon(linalg.BlockMatrix(*blocks, dependent))
     assert sum(len(row) for row in rows.values()) <= 30_000

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import reference_mixed
-from conftest import assert_canonical, basis_variants, rational_store
+from conftest import (assemble, assert_canonical, basis_variants,
+                      rational_store)
 from cychom import cli, mixed
 from cychom.algebra import (Algebra, AlgebraHom, forget_unit, group_algebra,
                             hecke_algebra, hecke_inclusion,
@@ -136,7 +137,7 @@ def test_upper_B_structure():
     a = dual_numbers()
     d = a.dim
     omega = build_mixed_complex(forget_unit(a), 3)
-    expected = SparseMatrix.from_blocks(
+    expected = assemble(
         {(1, 0): reference_mixed.norm_N(a, 3)},
         [d ** 4, d ** 3], [d ** 3, d ** 2])
     assert omega.B_tilde[2] == expected

@@ -62,7 +62,13 @@ def test_enumerate_guards():
 def test_work_cap_refuses_before_during_and_after_enumeration(monkeypatch):
     s3 = TorusComponent(3, S3_GENS, "s3")
     # (2 generators + 1) * 3^4 = 243 before the closure, |W| * 2 * 3^3 = 324
-    # during it, |W| * 3^4 = 486 for the character average
+    # during it, |W| * 3^4 = 486 for the character average, and
+    # |W| * sum_p C(3,p)^2 p! p^2 = 6 * (9 + 72 + 54) = 810 for the projector
+    # cross-check, refused before its first exterior power
+    powers = []
+    exterior = orbifold._exterior_power_matrix
+    monkeypatch.setattr(orbifold, "_exterior_power_matrix",
+                        lambda w, p: powers.append(p) or exterior(w, p))
     monkeypatch.setattr(orbifold, "WORK_CAP", 242)
     with pytest.raises(SizeCapExceeded, match=r"\(generators \+ 1\)"):
         enumerate_group(s3)
@@ -75,6 +81,13 @@ def test_work_cap_refuses_before_during_and_after_enumeration(monkeypatch):
         invariant_betti(s3)
     monkeypatch.setattr(orbifold, "WORK_CAP", 486)
     assert invariant_betti(s3) == (1, 1, 0, 0)
+    monkeypatch.setattr(orbifold, "WORK_CAP", 809)
+    with pytest.raises(SizeCapExceeded, match="projector cross-check"):
+        invariant_betti(s3, cross_check=True)
+    assert powers == []
+    monkeypatch.setattr(orbifold, "WORK_CAP", 810)
+    assert invariant_betti(s3, cross_check=True) == (1, 1, 0, 0)
+    assert powers
     monkeypatch.undo()
     with pytest.raises(SizeCapExceeded, match=r"\(generators \+ 1\)"):
         invariant_betti(TorusComponent(80, ()))

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import (basis_variants, dual_into_m2, ground_into_dual,
                       omega_complex, ranked_one_by_one, rational_store)
-from cychom import cli, linalg, towers
+from cychom import cli, homology, linalg, towers
 from cychom.errors import NoCertificate
 from cychom.homology import (hochschild_and_cyclic,
                              total_differential, total_rank_split)
@@ -149,10 +149,15 @@ JOBS = ([("tower", path.name) for path in DATA_TOWERS]
 def test_rank_path_assembles_nothing(capsys, monkeypatch, eliminated,
                                      command, name):
     # every ranked D_n and filtration matrix is eliminated from its blocks:
-    # no block view is assembled, neither for its data nor for its den
+    # total_differential, the one assembly of a block matrix, never runs
     assembled = []
-    monkeypatch.setattr(linalg.BlockMatrix, "assembled",
-                        lambda view: assembled.append(view.shape))
+    total = homology.total_differential
+
+    def assembling(mc, n):
+        assembled.append(n)
+        return total(mc, n)
+
+    monkeypatch.setattr(homology, "total_differential", assembling)
     assert run_cli(capsys, command, name, 3) in (0, 3)
     assert eliminated and assembled == []
     if name == "cyclic4.json":

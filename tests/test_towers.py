@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (dual_into_m2, ground_into_dual, hh_dims,
+from conftest import (assemble, dual_into_m2, ground_into_dual, hh_dims,
                       ranked_one_by_one)
 from cychom import mixed, towers
 from cychom.algebra import (Algebra, AlgebraHom, FiniteGroup, direct_sum,
@@ -225,7 +225,7 @@ def _filtration_from_representatives(ds, mcs, theory, degrees):
         row = []
         for n in degrees:
             comps = total_components(n)
-            push = (maps[n] if theory == "HH" else SparseMatrix.from_blocks(
+            push = (maps[n] if theory == "HH" else assemble(
                 {(i, i): maps[q] for i, q in enumerate(comps)},
                 [mcs[-1].spaces[q].dim for q in comps],
                 [mc.spaces[q].dim for q in comps]))
